@@ -293,10 +293,11 @@ class QueryBuilder:
     def peek_airtime_s(self) -> float:
         """Airtime of the next query without consuming sequence numbers.
 
-        The session-batch ``run_for`` path uses this to predict the
-        (constant) cycle duration before committing to a query count.
-        Unencrypted only: an encrypted peek would consume CCMP packet
-        numbers / WEP IVs and change subsequent frames.
+        The multi-tag cell, the fleet engine and the fleet network use
+        this to time polling rounds with the (constant) query airtime;
+        sessions never peek, they build.  Unencrypted only: an encrypted
+        peek would consume CCMP packet numbers / WEP IVs and change
+        subsequent frames.
         """
         if self._ccmp is not None or self._wep is not None:
             raise ConfigurationError(

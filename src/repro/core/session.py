@@ -9,6 +9,7 @@ as code.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from ..seeding import component_rng
-from .config import EncryptionMode
+from .query import QueryFrame
 from .system import QueryResult, WiTagSystem
 from .throughput import block_ack_airtime_s
 
@@ -63,26 +64,43 @@ class SessionStats:
         return self.throughput_bps
 
 
+def _aggregate(results: list[QueryResult], elapsed_s: float) -> SessionStats:
+    """Session statistics over ``results`` taking ``elapsed_s``."""
+    return SessionStats(
+        bits_sent=sum(r.n_bits for r in results),
+        bit_errors=sum(r.bit_errors for r in results),
+        elapsed_s=elapsed_s,
+        queries=len(results),
+        missed_triggers=sum(1 for r in results if not r.detected),
+    )
+
+
 @dataclass
 class MeasurementSession:
     """Runs a WiTAG system for a simulated duration with random tag data.
 
+    Every run goes through one loop (:meth:`_run`) that feeds the
+    batched session engine a chunk at a time: a per-query prologue
+    builds each frame and draws its access delay in scalar order,
+    accumulating the simulated time, until the duration is covered, the
+    query count is reached or the chunk is full; then
+    :meth:`WiTagSystem.run_queries_batch` decodes the chunk.  Each
+    simulation component owns its generator and the engine consumes
+    every stream in scalar order, so results are bitwise identical to
+    the scalar per-query loop for any chunk size — contended and
+    encrypted sessions included (see the determinism contract on
+    ``run_queries_batch``).
+
     Attributes:
         system: the deployment under test.
         rng: source for the random data bits the tag transmits.
-        session_fast_path: route whole chunks of query cycles through
-            the batched session engine
-            (:meth:`WiTagSystem.run_queries_batch`) instead of the
-            scalar per-query loop.  Each simulation component owns its
-            generator and the batch engine consumes every stream in
-            scalar order, so results are bitwise identical to the
-            scalar loop for any chunk size (see the determinism
-            contract on ``run_queries_batch``); the scalar loop remains
-            the reference and is kept for verification.
-        batch_queries: chunk size for the batch engine.  Bounds the
-            transient numpy working set (a few hundred queries of 64
-            subframes x 52 subcarriers of complex matrices is tens of
-            MB); has no effect on results.
+        session_fast_path: ``False`` runs the scalar per-query loop
+            (:meth:`WiTagSystem.run_query`) instead of the batch engine.
+            It exists as the reference the batch engine is verified
+            against.
+        batch_queries: queries per batch-engine chunk; has no effect on
+            results.  The decode's working set is bounded per block of
+            queries inside the error model, not by this chunk size.
     """
 
     system: WiTagSystem
@@ -96,40 +114,57 @@ class MeasurementSession:
     def run_for(self, duration_s: float) -> SessionStats:
         """Run query cycles until ``duration_s`` of simulated time passes.
 
-        The batched engine needs the query count up front, so the fast
-        path only engages when the cycle duration is deterministic (no
-        CSMA contention, unencrypted queries): it then replays the
-        scalar loop's float accumulation on the predicted constant
-        cycle duration to find the exact count the scalar loop would
-        run, and batches that.  Otherwise the scalar reference loop
-        runs unchanged.
+        Returns the stats of this call's cycles; :meth:`stats`
+        aggregates over every call.
         """
         if duration_s <= 0:
             raise ValueError("duration must be positive")
-        if self.session_fast_path:
-            cycle_s = self._predicted_cycle_s()
-            if cycle_s is not None:
-                count = 0
-                elapsed = 0.0
-                while elapsed < duration_s:
-                    elapsed += cycle_s
-                    count += 1
-                return self._finish(self.stats(self._run_batch(count)))
-        elapsed = 0.0
-        while elapsed < duration_s:
-            elapsed += self._one_cycle()
-        return self._finish(self.stats(elapsed))
+        return self._run(duration_s, math.inf)
 
     def run_queries(self, count: int) -> SessionStats:
-        """Run a fixed number of query cycles."""
+        """Run a fixed number of query cycles; stats of this call only."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        if self.session_fast_path:
-            return self._finish(self.stats(self._run_batch(count)))
+        return self._run(math.inf, count)
+
+    def _run(self, duration_s: float, count: float) -> SessionStats:
+        """Run cycles until ``duration_s`` has passed or ``count`` ran.
+
+        ``elapsed`` gains each cycle's ``access + airtime + SIFS +
+        block ACK`` in the scalar loop's float order, so the stopping
+        point and the returned ``elapsed_s`` are bitwise the scalar
+        loop's.
+        """
+        if self.batch_queries < 1:
+            raise ValueError(
+                f"batch_queries must be >= 1, got {self.batch_queries}"
+            )
+        system = self.system
+        sifs = system.config.band.sifs_s
+        ba_airtime_s = block_ack_airtime_s()
+        first = len(self.results)
         elapsed = 0.0
-        for _ in range(count):
-            elapsed += self._one_cycle()
-        return self._finish(self.stats(elapsed))
+        done = 0
+        while done < count and elapsed < duration_s:
+            if not self.session_fast_path:
+                elapsed += self._one_cycle()
+                done += 1
+                continue
+            frames: list[QueryFrame] = []
+            delays: list[float] = []
+            stop = min(count, done + self.batch_queries)
+            while done < stop and elapsed < duration_s:
+                frame, delay = system.draw_cycle()
+                elapsed += delay + frame.airtime_s + sifs + ba_airtime_s
+                frames.append(frame)
+                delays.append(delay)
+                done += 1
+            self.results.extend(
+                system.run_queries_batch(
+                    frames, delays, load_bits=self._ensure_tag_bits
+                )
+            )
+        return self._finish(_aggregate(self.results[first:], elapsed))
 
     def _finish(self, stats: SessionStats) -> SessionStats:
         """Emit the end-of-run session telemetry record, if attached."""
@@ -151,67 +186,11 @@ class MeasurementSession:
             fresh = self.rng.integers(0, 2, size=bits_needed).tolist()
             self.system.load_tag_bits([int(b) for b in fresh])
 
-    def _run_batch(self, count: int) -> float:
-        """Run ``count`` cycles through the batch engine, in chunks.
-
-        Returns the elapsed simulated time accumulated in the scalar
-        loop's order (one float add per query), so the value is bitwise
-        equal to the scalar loop's ``elapsed``.
-        """
-        if self.batch_queries < 1:
-            raise ValueError(
-                f"batch_queries must be >= 1, got {self.batch_queries}"
-            )
-        elapsed = 0.0
-        remaining = count
-        while remaining > 0:
-            chunk = min(remaining, self.batch_queries)
-            for result in self.system.run_queries_batch(
-                chunk, load_bits=self._ensure_tag_bits
-            ):
-                self.results.append(result)
-                elapsed += result.cycle_s
-            remaining -= chunk
-        return elapsed
-
-    def _predicted_cycle_s(self) -> float | None:
-        """The constant per-cycle duration, or None if not predictable.
-
-        Cycle duration is access delay + query airtime + SIFS + block
-        ACK airtime.  Without contention the access delay is a
-        deterministic constant, and unencrypted queries all share one
-        frozen airtime schedule — so every cycle of the session has the
-        exact same duration.  Contention draws random backoffs and
-        encrypted builds cannot be peeked without consuming CCMP packet
-        numbers / WEP IVs; both fall back to the scalar loop.
-        """
-        system = self.system
-        if system.contention is not None:
-            return None
-        if system.config.encryption is not EncryptionMode.OPEN:
-            return None
-        airtime_s = system.builder.peek_airtime_s()
-        return (
-            system._access_delay_s()
-            + airtime_s
-            + system.config.band.sifs_s
-            + block_ack_airtime_s()
-        )
-
     def stats(self, elapsed_s: float | None = None) -> SessionStats:
         """Aggregate statistics over all cycles run so far."""
         if elapsed_s is None:
             elapsed_s = sum(r.cycle_s for r in self.results)
-        bits = sum(r.n_bits for r in self.results)
-        errors = sum(r.bit_errors for r in self.results)
-        missed = sum(1 for r in self.results if not r.detected)
-        return SessionStats(
-            bits_sent=bits,
-            bit_errors=errors,
-            elapsed_s=elapsed_s,
-            queries=len(self.results),
-            missed_triggers=missed,
-        )
+        return _aggregate(self.results, elapsed_s)
 
     def per_query_ber(self) -> list[float]:
         """BER of each individual query (for CDF experiments)."""

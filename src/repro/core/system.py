@@ -23,8 +23,9 @@ minute-long BER/throughput experiments.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -169,6 +170,18 @@ class WiTagSystem:
         difs = sifs + 2 * 9e-6
         return difs + 7.5 * 9e-6  # mean CWmin/2 backoff on an idle channel
 
+    def draw_cycle(self) -> tuple[QueryFrame, float]:
+        """Build the next query frame and draw its access delay.
+
+        The batch engine's per-query prologue: the same two steps, in
+        the same order, that open :meth:`run_query`.  The caller decodes
+        the frames it collects with :meth:`run_queries_batch`.
+        """
+        start = time.perf_counter()
+        frame = self.builder.build_fast()
+        self.counters.add("query-build", time.perf_counter() - start)
+        return frame, self._access_delay_s()
+
     def _effective_states(self, transmission, query: QueryFrame) -> list[TagState]:
         """Apply timing-misalignment collateral to the tag's state plan.
 
@@ -273,19 +286,20 @@ class WiTagSystem:
 
     def run_queries_batch(
         self,
-        count: int,
+        frames: Sequence[QueryFrame],
+        access_delays_s: Sequence[float],
         *,
         load_bits: Callable[[], None] | None = None,
     ) -> list[QueryResult]:
-        """Run ``count`` query cycles as one 2-D numpy computation.
+        """Decode a chunk of prebuilt query cycles as one 2-D computation.
 
-        Functionally identical to :meth:`run_queries` — same
-        :class:`QueryResult` list, same per-component RNG consumption —
-        but the per-query Python loop is reduced to a cheap prologue
-        (query build via the memoized builder, contention draw, tag FSM
-        with vectorized alignment draws) while all PHY decode work runs
-        as a single ``(count, n_subframes)`` matrix pass through
-        :meth:`LinkErrorModel.subframe_outcomes_batch2d`, and block-ACK
+        ``frames[q]`` and ``access_delays_s[q]`` are query ``q``'s frame
+        and access delay, built and drawn in order by
+        :meth:`draw_cycle`.  The rest of each cycle runs here: a cheap
+        per-query prologue (fading, tag FSM with vectorized alignment
+        draws) and then all PHY decode work as a single ``(count,
+        n_subframes)`` matrix through
+        :meth:`LinkErrorModel.subframe_outcomes_batch2d`; block-ACK
         bitmaps fall out of one ``np.packbits``.
 
         Determinism contract: each simulation component owns its own
@@ -293,40 +307,39 @@ class WiTagSystem:
         exactly the scalar per-query order — so for a given seed the
         results are bitwise identical to :meth:`run_queries` up to the
         coded-BER table (and fully identical with
-        ``phy_exact_coding=True``), for any chunking of ``count``.
+        ``phy_exact_coding=True``), for any chunking of the queries.
 
         Args:
             load_bits: optional callback invoked once per query before
                 the tag processes it — the session layer uses this to
                 top up the tag's data queue from the session generator
                 in scalar order.
+
+        Returns:
+            One :class:`QueryResult` per frame, in order.
         """
-        if count < 0:
-            raise ValueError("count must be >= 0")
+        count = len(frames)
+        if count != len(access_delays_s):
+            raise ValueError(
+                f"{count} frames but {len(access_delays_s)} access delays"
+            )
         if count == 0:
             return []
-        builder = self.builder
         sifs = self.config.band.sifs_s
         ba_airtime_s = block_ack_airtime_s()
+        cycles_s = [
+            delay + frame.airtime_s + sifs + ba_airtime_s
+            for frame, delay in zip(frames, access_delays_s)
+        ]
 
-        with self.counters.timed("query-build", count):
-            frames = [builder.build_fast() for _ in range(count)]
-        access = [self._access_delay_s() for _ in range(count)]
-
-        # Fading next: the channel / fading generators are consumed one
+        # Fading first: the channel / fading generators are consumed one
         # query cycle at a time in the scalar loop, and nothing else
         # shares their streams, so the whole chunk can be drawn up front.
         if self.fading_channel is not None:
             # The correlated process advances by the previous cycle's
             # duration, which is fully determined by the access draw and
             # the frame airtime — both already known.
-            dts = []
-            previous = self._last_cycle_s
-            for q in range(count):
-                dts.append(previous)
-                previous = (
-                    access[q] + frames[q].airtime_s + sifs + ba_airtime_s
-                )
+            dts = [self._last_cycle_s] + cycles_s[:-1]
             direct, tag_fade = self.fading_channel.sample_batch(dts)
             fading = FadingBatch(direct_gains=direct, tag_fadings=tag_fade)
         else:
@@ -389,16 +402,13 @@ class WiTagSystem:
                 raw = raw_rows[q][frame.n_trigger_subframes :]
                 transmission = transmissions[q]
                 n_sent = len(transmission.bits_loaded)
-                cycle_s = (
-                    access[q] + frame.airtime_s + sifs + ba_airtime_s
-                )
                 result = QueryResult(
                     query=frame,
                     block_ack=block_ack,
                     detected=transmission.detected,
                     sent_bits=transmission.bits_loaded,
                     received_bits=tuple(raw[:n_sent]),
-                    cycle_s=cycle_s,
+                    cycle_s=cycles_s[q],
                     rx_power_at_tag_dbm=self._rx_at_tag_dbm,
                 )
                 results.append(result)

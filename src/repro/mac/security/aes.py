@@ -7,14 +7,21 @@ end-to-end, the reproduction encrypts query MPDUs with real CCMP, which
 needs AES-128.
 
 This implementation derives the S-box from GF(2^8) arithmetic rather than
-hardcoding it, and implements the full key schedule, SubBytes, ShiftRows,
-MixColumns and AddRoundKey.  It is validated against the FIPS-197 test
-vectors in the test suite.  Performance is adequate for the simulation
-workloads here; it is of course not constant-time and must never be used
-for actual security.
+hardcoding it, and implements the full key schedule.  Encryption (the
+hot path, run for every CCMP-protected query MPDU) is table-driven:
+four 256-entry round tables, derived at import from the S-box and
+GF(2^8) doubling (``xtime``), fold SubBytes, ShiftRows and MixColumns into four lookups
+per state column, with the state and round keys held as four 32-bit
+big-endian column words.  Decryption, off the hot path, keeps the
+byte-wise inverse rounds.  Both are validated against the FIPS-197
+test vectors, and encryption against a byte-wise reference round in
+the test suite.  It is of course not constant-time and must never be
+used for actual security.
 """
 
 from __future__ import annotations
+
+import struct
 
 BLOCK_BYTES = 16
 KEY_BYTES = 16
@@ -74,6 +81,30 @@ def _build_sbox() -> tuple[bytes, bytes]:
 
 SBOX, INV_SBOX = _build_sbox()
 
+
+def _build_round_tables() -> tuple[tuple[int, ...], ...]:
+    """The four encryption round tables ``T0..T3``.
+
+    ``T0[a]`` is the MixColumns image of a column holding ``SBOX[a]`` in
+    row 0 and zeros elsewhere, packed big-endian: ``(2s, s, s, 3s)``.
+    ``T1..T3`` are its byte rotations, the images for rows 1..3.
+    """
+    t0 = []
+    for a in range(256):
+        s = SBOX[a]
+        s2 = _gf_mul(s, 2)  # xtime
+        t0.append((s2 << 24) | (s << 16) | (s << 8) | (s2 ^ s))
+    tables = [tuple(t0)]
+    for _ in range(3):
+        tables.append(
+            tuple(((w >> 8) | (w << 24)) & 0xFFFFFFFF for w in tables[-1])
+        )
+    return tuple(tables)
+
+
+_T0, _T1, _T2, _T3 = _build_round_tables()
+_WORDS = struct.Struct(">4I")
+
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
 
@@ -97,30 +128,12 @@ def _sub_bytes(state: bytearray, box: bytes) -> None:
         state[i] = box[state[i]]
 
 
-def _shift_rows(state: bytearray) -> None:
-    # Column-major state: byte index = 4*col + row.
-    for row in range(1, 4):
-        values = [state[4 * col + row] for col in range(4)]
-        values = values[row:] + values[:row]
-        for col in range(4):
-            state[4 * col + row] = values[col]
-
-
 def _inv_shift_rows(state: bytearray) -> None:
     for row in range(1, 4):
         values = [state[4 * col + row] for col in range(4)]
         values = values[-row:] + values[:-row]
         for col in range(4):
             state[4 * col + row] = values[col]
-
-
-def _mix_columns(state: bytearray) -> None:
-    for col in range(4):
-        a = state[4 * col : 4 * col + 4]
-        state[4 * col + 0] = _gf_mul(a[0], 2) ^ _gf_mul(a[1], 3) ^ a[2] ^ a[3]
-        state[4 * col + 1] = a[0] ^ _gf_mul(a[1], 2) ^ _gf_mul(a[2], 3) ^ a[3]
-        state[4 * col + 2] = a[0] ^ a[1] ^ _gf_mul(a[2], 2) ^ _gf_mul(a[3], 3)
-        state[4 * col + 3] = _gf_mul(a[0], 3) ^ a[1] ^ a[2] ^ _gf_mul(a[3], 2)
 
 
 def _inv_mix_columns(state: bytearray) -> None:
@@ -157,22 +170,47 @@ class Aes128:
 
     def __init__(self, key: bytes) -> None:
         self._round_keys = expand_key(key)
+        self._round_words = [_WORDS.unpack(rk) for rk in self._round_keys]
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt one 16-byte block."""
         if len(block) != BLOCK_BYTES:
             raise ValueError(f"block must be 16 bytes, got {len(block)}")
-        state = bytearray(block)
-        _add_round_key(state, self._round_keys[0])
+        t0, t1, t2, t3 = _T0, _T1, _T2, _T3
+        keys = self._round_words
+        k0, k1, k2, k3 = keys[0]
+        s0, s1, s2, s3 = _WORDS.unpack(block)
+        s0 ^= k0
+        s1 ^= k1
+        s2 ^= k2
+        s3 ^= k3
+        # Column c of the next state draws row r from column c + r
+        # (ShiftRows); T_r folds in SubBytes and MixColumns.
         for rnd in range(1, N_ROUNDS):
-            _sub_bytes(state, SBOX)
-            _shift_rows(state)
-            _mix_columns(state)
-            _add_round_key(state, self._round_keys[rnd])
-        _sub_bytes(state, SBOX)
-        _shift_rows(state)
-        _add_round_key(state, self._round_keys[N_ROUNDS])
-        return bytes(state)
+            k0, k1, k2, k3 = keys[rnd]
+            s0, s1, s2, s3 = (
+                t0[s0 >> 24] ^ t1[(s1 >> 16) & 255]
+                ^ t2[(s2 >> 8) & 255] ^ t3[s3 & 255] ^ k0,
+                t0[s1 >> 24] ^ t1[(s2 >> 16) & 255]
+                ^ t2[(s3 >> 8) & 255] ^ t3[s0 & 255] ^ k1,
+                t0[s2 >> 24] ^ t1[(s3 >> 16) & 255]
+                ^ t2[(s0 >> 8) & 255] ^ t3[s1 & 255] ^ k2,
+                t0[s3 >> 24] ^ t1[(s0 >> 16) & 255]
+                ^ t2[(s1 >> 8) & 255] ^ t3[s2 & 255] ^ k3,
+            )
+        # The last round has no MixColumns: SubBytes and ShiftRows only.
+        box = SBOX
+        k0, k1, k2, k3 = keys[N_ROUNDS]
+        return _WORDS.pack(
+            (box[s0 >> 24] << 24 | box[(s1 >> 16) & 255] << 16
+             | box[(s2 >> 8) & 255] << 8 | box[s3 & 255]) ^ k0,
+            (box[s1 >> 24] << 24 | box[(s2 >> 16) & 255] << 16
+             | box[(s3 >> 8) & 255] << 8 | box[s0 & 255]) ^ k1,
+            (box[s2 >> 24] << 24 | box[(s3 >> 16) & 255] << 16
+             | box[(s0 >> 8) & 255] << 8 | box[s1 & 255]) ^ k2,
+            (box[s3 >> 24] << 24 | box[(s0 >> 16) & 255] << 16
+             | box[(s1 >> 8) & 255] << 8 | box[s2 & 255]) ^ k3,
+        )
 
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt one 16-byte block."""

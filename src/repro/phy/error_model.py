@@ -67,6 +67,16 @@ from .kernels import KernelSet, get_kernels
 from .mcs import Mcs
 from .noise import ReceiverNoise, dbm_to_watts
 
+#: Queries per block of the 2-D decode
+#: (:meth:`LinkErrorModel.subframe_effective_sinrs_batch2d`).  Each
+#: query's per-subcarrier temporaries take ~300 KB at 64 subframes x 52
+#: subcarriers: one unblocked 256-query call peaks at 76 MB traced.
+#: Measured on 1 s CSMA-contended sessions, 256-query chunks: peak RSS
+#: 120.6 MB unblocked, 70.6 / 66.3 / 63.6 MB with blocks of 32 / 16 / 8
+#: queries, against 63.9 MB for the per-query loop.  Throughput did not
+#: differ measurably between those block sizes.
+DECODE_BLOCK_QUERIES = 8
+
 
 def mpdu_success_probability(
     mcs: Mcs, mpdu_bits: int, effective_sinr_linear: float
@@ -277,16 +287,19 @@ class LinkErrorModel:
     ) -> np.ndarray:
         """:meth:`subframe_effective_sinrs` for a whole session chunk.
 
-        Computes every subframe SINR of ``n_queries`` A-MPDUs in one
-        ``(n_queries, n_subframes)`` numpy pass.  Tag states are
+        Computes every subframe SINR of ``n_queries`` A-MPDUs into one
+        ``(n_queries, n_subframes)`` matrix.  Tag states are
         deduplicated across the *whole matrix* (the design only ever
         uses a handful of states, so the channel-change power is one
-        ``(n_distinct, n_queries, n_subcarriers)`` stack), and all CSI
-        noise is drawn as one row-major ``standard_normal`` buffer whose
-        layout reproduces the scalar draw order (per query, per
-        subframe: n real draws, n imaginary draws, then optionally the
-        outcome uniform).  Given the same generator state, row ``q`` is
-        bitwise equal to ``subframe_effective_sinrs(preamble_state,
+        ``(n_distinct, n_queries, n_subcarriers)`` stack).  The CSI
+        noise, the SINR algebra and EESM then run one block of
+        :data:`DECODE_BLOCK_QUERIES` queries at a time, so the
+        per-subcarrier temporaries stay a fixed size however large the
+        chunk.  Blocks draw in query order, each query in the scalar
+        order (per subframe: n real draws, n imaginary draws, then
+        optionally the outcome uniform).  Given the same generator
+        state, row ``q`` is bitwise equal to
+        ``subframe_effective_sinrs(preamble_state,
         subframe_state_rows[q], fading.sample(q))``.
 
         Args:
@@ -328,6 +341,11 @@ class LinkErrorModel:
         if k == 0:
             return np.empty((n_q, 0), dtype=float)
 
+        if rngs is not None and len(rngs) != n_q:
+            raise ValueError(
+                f"{n_q} state rows but {len(rngs)} per-row generators"
+            )
+
         start = time.perf_counter()
         h_preamble = self.channel.channel_vector_batch(
             preamble_state, fading.direct_gains, fading.tag_fadings
@@ -363,80 +381,67 @@ class LinkErrorModel:
         scale = csi_noise_scale(
             h_preamble, np.maximum(rx_snr, 1e-12)[:, None]
         )
-        buffer = np.empty((n_q, k, 2 * n))
-        if rngs is not None and len(rngs) != n_q:
-            raise ValueError(
-                f"{n_q} state rows but {len(rngs)} per-row generators"
-            )
-        if _uniforms is None:
-            if rngs is None:
-                draw_normals = self.rng.standard_normal
-                for q in range(n_q):
-                    per_query = buffer[q]
+        block = min(n_q, DECODE_BLOCK_QUERIES)
+        noise = np.empty((block, k, 2 * n))
+        estimate = np.empty((block, k, n), dtype=complex)
+        effective = np.empty((n_q, k))
+        csi_s = time.perf_counter() - start
+        eesm_s = 0.0
+        for lo in range(0, n_q, block):
+            hi = min(lo + block, n_q)
+            start = time.perf_counter()
+            # Per query, per subframe: n real draws, n imaginary draws,
+            # then optionally the outcome uniform — the scalar order.
+            for q in range(lo, hi):
+                rng = self.rng if rngs is None else rngs[q]
+                draw_normals = rng.standard_normal
+                per_query = noise[q - lo]
+                if _uniforms is None:
                     for i in range(k):
                         draw_normals(out=per_query[i])
-            else:
-                for q in range(n_q):
-                    per_query = buffer[q]
-                    draw_normals = rngs[q].standard_normal
-                    for i in range(k):
-                        draw_normals(out=per_query[i])
-        else:
-            if rngs is None:
-                draw_normals = self.rng.standard_normal
-                draw_uniform = self.rng.random
-                for q in range(n_q):
-                    per_query = buffer[q]
-                    uniform_row = _uniforms[q]
-                    for i in range(k):
-                        draw_normals(out=per_query[i])
-                        uniform_row[i] = draw_uniform()
-            else:
-                for q in range(n_q):
-                    per_query = buffer[q]
-                    uniform_row = _uniforms[q]
-                    rng = rngs[q]
-                    draw_normals = rng.standard_normal
+                else:
                     draw_uniform = rng.random
+                    uniform_row = _uniforms[q]
                     for i in range(k):
                         draw_normals(out=per_query[i])
                         uniform_row[i] = draw_uniform()
-        # The matrices below are tens of MB per chunk, so the algebra
-        # runs in place on a handful of scratch buffers.  Every rewrite
-        # is bitwise-neutral: in-place multiply/add keep the scalar
-        # expression's operand order up to commutativity (exact for
-        # float multiply/add), and building the complex noise by field
-        # assignment instead of ``re + 1j * im`` can only flip the sign
-        # of a zero real part, which ``abs()**2`` erases.
-        estimate = np.empty((n_q, k, n), dtype=complex)
-        estimate.real = buffer[..., :n]
-        estimate.imag = buffer[..., n:]
-        estimate *= scale[:, None, :]
-        estimate += h_preamble[:, None, :]
-        safe_est_sq = np.abs(estimate)
-        np.multiply(safe_est_sq, safe_est_sq, out=safe_est_sq)
-        np.maximum(safe_est_sq, 1e-30, out=safe_est_sq)
-        query_index = np.arange(n_q)[:, None]
-        tag_mismatch = change_sq[codes, query_index]
-        np.divide(tag_mismatch, safe_est_sq, out=tag_mismatch)
-        np.multiply(tag_mismatch, self._mismatch_gain, out=tag_mismatch)
-        diff = h_preamble[:, None, :] - estimate
-        est_mismatch = np.abs(diff)
-        np.multiply(est_mismatch, est_mismatch, out=est_mismatch)
-        np.divide(est_mismatch, safe_est_sq, out=est_mismatch)
-        np.multiply(safe_est_sq, self._tx_ref_snr, out=safe_est_sq)
-        np.divide(1.0, safe_est_sq, out=safe_est_sq)  # now the noise term
-        np.add(tag_mismatch, est_mismatch, out=tag_mismatch)
-        np.add(tag_mismatch, safe_est_sq, out=tag_mismatch)
-        np.divide(1.0, tag_mismatch, out=tag_mismatch)
-        sinr_rows = tag_mismatch
-        self.counters.add("csi", time.perf_counter() - start, n_q * k)
-
-        start = time.perf_counter()
-        effective = self.kernels.eesm(
-            sinr_rows.reshape(n_q * k, n), self.mcs.modulation
-        ).reshape(n_q, k)
-        self.counters.add("eesm", time.perf_counter() - start, n_q * k)
+            # The algebra runs in place on the block's scratch buffers.
+            # Every rewrite is bitwise-neutral: in-place multiply/add
+            # keep the scalar expression's operand order up to
+            # commutativity (exact for float multiply/add), and building
+            # the complex noise by field assignment instead of
+            # ``re + 1j * im`` can only flip the sign of a zero real
+            # part, which ``abs()**2`` erases.
+            est = estimate[: hi - lo]
+            est.real = noise[: hi - lo, :, :n]
+            est.imag = noise[: hi - lo, :, n:]
+            est *= scale[lo:hi, None, :]
+            h_block = h_preamble[lo:hi, None, :]
+            est += h_block
+            safe_est_sq = np.abs(est)
+            np.multiply(safe_est_sq, safe_est_sq, out=safe_est_sq)
+            np.maximum(safe_est_sq, 1e-30, out=safe_est_sq)
+            tag_mismatch = change_sq[
+                codes[lo:hi], np.arange(lo, hi)[:, None]
+            ]
+            np.divide(tag_mismatch, safe_est_sq, out=tag_mismatch)
+            np.multiply(tag_mismatch, self._mismatch_gain, out=tag_mismatch)
+            est_mismatch = np.abs(h_block - est)
+            np.multiply(est_mismatch, est_mismatch, out=est_mismatch)
+            np.divide(est_mismatch, safe_est_sq, out=est_mismatch)
+            np.multiply(safe_est_sq, self._tx_ref_snr, out=safe_est_sq)
+            np.divide(1.0, safe_est_sq, out=safe_est_sq)  # the noise term
+            np.add(tag_mismatch, est_mismatch, out=tag_mismatch)
+            np.add(tag_mismatch, safe_est_sq, out=tag_mismatch)
+            np.divide(1.0, tag_mismatch, out=tag_mismatch)
+            middle = time.perf_counter()
+            effective[lo:hi] = self.kernels.eesm(
+                tag_mismatch.reshape((hi - lo) * k, n), self.mcs.modulation
+            ).reshape(hi - lo, k)
+            csi_s += middle - start
+            eesm_s += time.perf_counter() - middle
+        self.counters.add("csi", csi_s, n_q * k)
+        self.counters.add("eesm", eesm_s, n_q * k)
         if self.telemetry is not None:
             self.telemetry.observe_sinrs(effective)
         return effective

@@ -132,6 +132,35 @@ class TestMeasurementSession:
         with pytest.raises(ValueError):
             session.run_queries(0)
 
+    @pytest.mark.parametrize("fast", [True, False], ids=["batch", "scalar"])
+    def test_repeated_calls_report_their_own_cycles(self, fast):
+        # Each call's stats cover that call's cycles only, so two
+        # equal-length calls report about the same throughput, and the
+        # calls' counts add up to the cumulative stats().
+        session = MeasurementSession(
+            fresh_system(d=4.0),
+            rng=np.random.default_rng(8),
+            session_fast_path=fast,
+        )
+        first = session.run_for(0.2)
+        second = session.run_for(0.2)
+        total = session.stats()
+        assert first.queries + second.queries == total.queries
+        assert first.bits_sent + second.bits_sent == total.bits_sent
+        assert first.bit_errors + second.bit_errors == total.bit_errors
+        assert first.elapsed_s + second.elapsed_s == pytest.approx(
+            total.elapsed_s
+        )
+        assert second.throughput_bps == pytest.approx(
+            first.throughput_bps, rel=0.05
+        )
+        assert total.throughput_bps == pytest.approx(
+            first.throughput_bps, rel=0.05
+        )
+        more = session.run_queries(10)
+        assert more.queries == 10
+        assert session.stats().queries == total.queries + 10
+
     def test_deterministic_given_seeds(self):
         a = MeasurementSession(
             fresh_system(seed=9), rng=np.random.default_rng(7)

@@ -1,5 +1,7 @@
 """Unit tests for AES-128, CCMP and WEP against published vectors."""
 
+import random
+
 import pytest
 
 from repro.mac.security.aes import Aes128, SBOX, expand_key
@@ -10,6 +12,7 @@ from repro.mac.security.ccmp import (
     ccmp_header,
 )
 from repro.mac.security.wep import IcvError, WepContext, rc4, rc4_keystream
+from tests.oracles import aes as aes_reference
 
 TA = b"\x02\x00\x00\x00\x00\x01"
 
@@ -50,6 +53,35 @@ class TestAes:
     def test_bad_block_length(self):
         with pytest.raises(ValueError):
             Aes128(bytes(16)).encrypt_block(b"short")
+
+
+class TestAesRoundTables:
+    """The table-driven rounds equal the byte-wise FIPS-197 rounds."""
+
+    def test_fips197_appendix_c1_reference(self):
+        key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+        plaintext = bytes.fromhex("00112233445566778899aabbccddeeff")
+        expected = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
+        assert aes_reference.encrypt_block(key, plaintext) == expected
+        assert Aes128(key).encrypt_block(plaintext) == expected
+
+    def test_random_pairs_match_reference(self):
+        rng = random.Random(197)
+        for _ in range(1000):
+            key = rng.randbytes(16)
+            block = rng.randbytes(16)
+            assert Aes128(key).encrypt_block(block) == (
+                aes_reference.encrypt_block(key, block)
+            ), (key.hex(), block.hex())
+
+    def test_extreme_blocks_match_reference(self):
+        # All-zero and all-one bytes reach the table ends (index 0, 255).
+        for key in (bytes(16), b"\xff" * 16):
+            cipher = Aes128(key)
+            for block in (bytes(16), b"\xff" * 16):
+                assert cipher.encrypt_block(block) == (
+                    aes_reference.encrypt_block(key, block)
+                )
 
 
 class TestCcmp:

@@ -13,6 +13,8 @@ Three layers of guarantees:
   banded BER) with the fast path on.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from repro.phy.coding import (
     packet_error_rate_batch,
 )
 from repro.phy.error_model import (
+    DECODE_BLOCK_QUERIES,
     FadingSample,
     LinkErrorModel,
     mpdu_success_probabilities,
@@ -369,3 +372,90 @@ class TestPinnedBaselines:
         assert channel.mean_change_magnitude(
             TagState.REFLECT_0, TagState.REFLECT_180
         ) == pytest.approx(1.7503709433693393e-05, rel=1e-9)
+
+
+def _chunk_rows(n_queries: int, n_subframes: int = 64) -> list[list]:
+    rng = np.random.default_rng(n_queries)
+    return [
+        [STATES[j] for j in rng.integers(0, len(STATES), n_subframes)]
+        for _ in range(n_queries)
+    ]
+
+
+class TestBlockedDecode:
+    """The 2-D decode steps through a chunk in fixed blocks of queries."""
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["shared", "rngs"])
+    def test_rows_match_per_query_decode_across_blocks(self, per_row):
+        n_q = 2 * DECODE_BLOCK_QUERIES + 3
+        rows = _chunk_rows(n_q, n_subframes=12)
+        bits = [8 * 120] * 12
+        batch_model, ref_model = _model(seed=31), _model(seed=31)
+        fading = batch_model.sample_fading_batch(n_q)
+
+        def rngs():
+            return [np.random.default_rng(900 + q) for q in range(n_q)]
+
+        sinrs = batch_model.subframe_effective_sinrs_batch2d(
+            TagState.REFLECT_0, rows, fading,
+            rngs=rngs() if per_row else None,
+        )
+        outcomes = batch_model.subframe_outcomes_batch2d(
+            bits, TagState.REFLECT_0, rows, fading, exact_coding=True,
+            rngs=rngs() if per_row else None,
+        )
+        # The reference replays both calls query by query, each row
+        # from the same generator state the batch call drew it from.
+        row_rngs = rngs()
+        for q in range(n_q):
+            if per_row:
+                ref_model.rng = row_rngs[q]
+            expected = ref_model.subframe_effective_sinrs(
+                TagState.REFLECT_0, rows[q], fading.sample(q)
+            )
+            assert sinrs[q].tolist() == expected.tolist(), q
+        row_rngs = rngs()
+        for q in range(n_q):
+            if per_row:
+                ref_model.rng = row_rngs[q]
+            expected = ref_model.subframe_outcomes(
+                bits, TagState.REFLECT_0, rows[q], fading.sample(q),
+                exact_coding=True,
+            )
+            assert outcomes[q].tolist() == expected.tolist(), q
+        if not per_row:
+            assert (
+                batch_model.rng.bit_generator.state
+                == ref_model.rng.bit_generator.state
+            )
+
+    @staticmethod
+    def _peak_bytes(n_queries: int, per_row: bool) -> int:
+        model = _model()
+        rows = _chunk_rows(n_queries)
+        bits = [8 * 120] * len(rows[0])
+        fading = model.sample_fading_batch(n_queries)
+        rngs = (
+            [np.random.default_rng(q) for q in range(n_queries)]
+            if per_row
+            else None
+        )
+        # Warm-up: resolve kernels and fill lazily built tables.
+        model.subframe_outcomes_batch2d(
+            bits, TagState.REFLECT_0, rows[:2], model.sample_fading_batch(2)
+        )
+        tracemalloc.start()
+        try:
+            model.subframe_outcomes_batch2d(
+                bits, TagState.REFLECT_0, rows, fading, rngs=rngs
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["shared", "rngs"])
+    def test_working_set_does_not_grow_with_chunk(self, per_row):
+        small = self._peak_bytes(32, per_row)
+        large = self._peak_bytes(256, per_row)
+        assert large <= 2 * small, (large, small)

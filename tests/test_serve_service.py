@@ -9,6 +9,7 @@ variant, which must resume from the engine checkpoint bit-identically.
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -287,7 +288,21 @@ class TestHttpContract:
 
         asyncio.run(main())
 
-    def test_cancel_via_delete_on_queued_job(self, tmp_path):
+    def test_cancel_via_delete_on_queued_job(self, tmp_path, monkeypatch):
+        # The first job holds the slot until the DELETE is answered.
+        # Ungated, it can finish between the second POST and the
+        # DELETE, and the second job is then already running.
+        from repro.serve import jobs
+
+        gate = threading.Event()
+        execute = jobs.execute_request
+
+        def gated_execute(*args, **kwargs):
+            gate.wait(60.0)
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(jobs, "execute_request", gated_execute)
+
         async def main():
             # zero free slots is impossible (slots >= 1), so saturate
             # the single slot with one job and cancel the one behind it
@@ -306,6 +321,7 @@ class TestHttpContract:
                     port, "DELETE", f"/jobs/{second['id']}"
                 )
                 assert status in (200, 202)
+                gate.set()
                 # drain the first job so shutdown is clean
                 await http(
                     port, "GET", f"/jobs/{first['id']}/events"
@@ -315,6 +331,7 @@ class TestHttpContract:
                 )
                 assert summary["state"] == "cancelled"
             finally:
+                gate.set()
                 await service.stop()
 
         asyncio.run(main())

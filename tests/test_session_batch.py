@@ -9,7 +9,9 @@ every stream in exact scalar order, so SessionStats, per-query BER
 vectors, block-ACK bitmaps and generator end-states must all be
 identical for any chunk size — and, through the parallel engine, for
 any worker count.  With ``phy_exact_coding=True`` the equality extends
-all the way down to the scalar per-subframe PHY reference.
+all the way down to the scalar per-subframe PHY reference.  Every
+session runs on the batch engine, contended and encrypted ones
+included; ``session_fast_path=False`` selects the scalar oracle.
 """
 
 import functools
@@ -44,18 +46,42 @@ def _bitmaps(session: MeasurementSession) -> list[int]:
     return [r.block_ack.bitmap for r in session.results]
 
 
-def _rng_states(session: MeasurementSession) -> list[dict]:
+def _rng_states(session: MeasurementSession) -> list:
+    """Every stream and counter a session consumes, for end-state checks."""
     system = session.system
-    return [
-        g.bit_generator.state
-        for g in (
-            session.rng,
-            system.rng,
-            system.tag.rng,
-            system.error_model.rng,
-            system.error_model.channel.rng,
-        )
+    generators = [
+        session.rng,
+        system.rng,
+        system.tag.rng,
+        system.error_model.rng,
+        system.error_model.channel.rng,
     ]
+    if system.contention is not None:
+        generators.append(system.contention.rng)
+    fading = system.fading_channel
+    if fading is not None:
+        generators += [
+            fading.rng,
+            fading._direct_process.rng,
+            fading._tag_process.rng,
+        ]
+    states: list = [g.bit_generator.state for g in generators]
+    builder = system.builder
+    states.append(builder.sequence.next_value)
+    if builder._ccmp is not None:
+        states.append(builder._ccmp.packet_number)
+    if builder._wep is not None:
+        states.append(builder._wep.next_iv)
+    return states
+
+
+def _forbid_scalar_queries(session: MeasurementSession) -> None:
+    """Fail the test if ``session`` runs any cycle through ``run_query``."""
+
+    def run_query():
+        raise AssertionError("the session left the batch engine")
+
+    session.system.run_query = run_query
 
 
 def _assert_sessions_identical(slow: MeasurementSession,
@@ -104,25 +130,28 @@ class TestBitwiseEquivalence:
         _assert_sessions_identical(reference, chunked)
 
     def test_run_for_matches_scalar_loop(self):
-        # 0.5 s is ~340 cycles: the count both crosses many chunk
-        # boundaries (batch_queries=16) and exercises the predicted
-        # float-accumulation replay.
+        # 0.5 s is ~340 cycles: the count crosses many chunk boundaries
+        # (batch_queries=16), and the prologue's float accumulation must
+        # stop on the scalar loop's cycle.
         slow = _session(False, batch=16)
         fast = _session(True, batch=16)
         assert slow.run_for(0.5) == fast.run_for(0.5)
         _assert_sessions_identical(slow, fast)
 
-    def test_contention_falls_back_and_matches(self):
-        # Random backoffs make cycle durations unpredictable: run_for
-        # must take the scalar loop, run_queries still batches.
+    def test_contention_batches_and_matches(self):
+        # Random backoffs make cycle durations unpredictable; the
+        # prologue draws them before each chunk, so both run_queries
+        # and run_for stay on the batch engine.
         slow = _session(False, n_contenders=3)
         fast = _session(True, n_contenders=3)
-        assert fast._predicted_cycle_s() is None
+        _forbid_scalar_queries(fast)
         assert slow.run_queries(QUERIES) == fast.run_queries(QUERIES)
         _assert_sessions_identical(slow, fast)
         slow2 = _session(False, n_contenders=3)
         fast2 = _session(True, n_contenders=3)
+        _forbid_scalar_queries(fast2)
         assert slow2.run_for(0.3) == fast2.run_for(0.3)
+        _assert_sessions_identical(slow2, fast2)
 
     def test_correlated_fading_matches(self):
         # The AR(1) fading process is sequential inside; the batch
@@ -137,16 +166,18 @@ class TestBitwiseEquivalence:
         _assert_sessions_identical(slow2, fast2)
 
     def test_encrypted_queries_match(self):
-        # CCMP packet numbers must advance one build at a time: the
-        # frame memo is bypassed and run_for cannot predict the count.
+        # CCMP packet numbers must advance one build at a time, so the
+        # frame memo is bypassed; the session still batches.
         kwargs = dict(
             encryption=EncryptionMode.WPA2_CCMP,
             encryption_key=bytes(range(16)),
         )
         slow = _session(False, **kwargs)
         fast = _session(True, **kwargs)
-        assert fast._predicted_cycle_s() is None
+        _forbid_scalar_queries(fast)
         assert slow.run_queries(12) == fast.run_queries(12)
+        _assert_sessions_identical(slow, fast)
+        assert slow.run_for(0.01) == fast.run_for(0.01)
         _assert_sessions_identical(slow, fast)
 
     def test_missed_triggers_match(self):
@@ -188,6 +219,73 @@ class TestBitwiseEquivalence:
         slow, fast = build(False), build(True)
         assert slow.run_queries(20) == fast.run_queries(20)
         _assert_sessions_identical(slow, fast)
+
+
+#: run_for configs whose cycle durations depend on draws or whose frames
+#: cannot be memoized, with a duration that ends mid-chunk for every
+#: chunk size tested (the scalar loop runs 289, 289, 23, 49 and 289
+#: cycles).
+RUN_FOR_CONFIGS = {
+    "contended": ({"n_contenders": 3}, 1.3),
+    "contended-correlated": (
+        {"n_contenders": 3, "coherence_time_s": 0.1},
+        1.3,
+    ),
+    "wpa2-ccmp": (
+        {
+            "n_contenders": 3,
+            "encryption": EncryptionMode.WPA2_CCMP,
+            "encryption_key": bytes(range(16)),
+        },
+        0.1,
+    ),
+    "wep": (
+        {
+            "encryption": EncryptionMode.WEP,
+            "encryption_key": bytes(range(13)),
+        },
+        0.07,
+    ),
+    # The tag 10 m from the client misses some triggers.
+    "missed-triggers": ({"n_contenders": 3}, 1.3),
+}
+
+
+def _run_for_system(config: str):
+    kwargs = RUN_FOR_CONFIGS[config][0]
+    if config == "missed-triggers":
+        system, _ = build_system(
+            ChannelGeometry.on_line(20.0, 10.0), seed=5, **kwargs
+        )
+    else:
+        system, _ = los_scenario(4.0, seed=5, **kwargs)
+    return system
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_run_for(config: str):
+    """The scalar oracle's finished session and stats for ``config``."""
+    session = _session(False, system=_run_for_system(config))
+    return session, session.run_for(RUN_FOR_CONFIGS[config][1])
+
+
+class TestRunForOnBatchEngine:
+    """run_for batches every config and equals the scalar loop."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 16, 256])
+    @pytest.mark.parametrize("config", list(RUN_FOR_CONFIGS))
+    def test_run_for_matches_scalar_loop(self, config, batch):
+        slow, slow_stats = _scalar_run_for(config)
+        fast = _session(True, batch=batch, system=_run_for_system(config))
+        _forbid_scalar_queries(fast)
+        assert fast.run_for(RUN_FOR_CONFIGS[config][1]) == slow_stats
+        assert batch == 1 or slow_stats.queries % batch != 0
+        if config == "missed-triggers":
+            assert slow_stats.missed_triggers > 0
+        _assert_sessions_identical(slow, fast)
+        assert [r.query.psdu for r in slow.results] == [
+            r.query.psdu for r in fast.results
+        ]
 
 
 @pytest.mark.adaptive
