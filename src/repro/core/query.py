@@ -19,7 +19,10 @@ Two details make queries tag-friendly:
 
 When the network uses encryption, each MPDU body is protected with CCMP or
 WEP before aggregation.  Nothing else changes — which is the paper's
-encryption-compatibility argument made concrete.
+encryption-compatibility argument made concrete.  Every query carries the
+same plaintexts in the same subframe sizes, so a builder fixes its header
+templates, plaintexts and airtime schedule once; each build splices in
+sequence numbers, seals the bodies and appends the FCS.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from ..mac.addresses import MacAddress
 from ..mac.ampdu import DELIMITER_BYTES, aggregate, subframe_lengths
 from ..mac.crc import fcs_bytes
 from ..mac.frames import QosDataFrame, SequenceControl
-from ..mac.security.ccmp import CcmpContext
-from ..mac.security.wep import WepContext
+from ..mac.security.ccmp import CCMP_HEADER_BYTES, MIC_BYTES, CcmpContext
+from ..mac.security.wep import ICV_BYTES, IV_BYTES, WepContext
 from ..mac.sequence import SequenceCounter
 from ..phy.airtime import SubframeSchedule, subframe_schedule
 from .config import EncryptionMode, WiTagConfig
@@ -128,23 +131,31 @@ class QueryBuilder:
         self.sequence = sequence or SequenceCounter()
         self._ccmp: CcmpContext | None = None
         self._wep: WepContext | None = None
+        #: Bytes that sealing adds to each MPDU body.
+        self._seal_overhead = 0
         if config.encryption is EncryptionMode.WPA2_CCMP:
             self._ccmp = CcmpContext(config.encryption_key)
+            self._seal_overhead = CCMP_HEADER_BYTES + MIC_BYTES
         elif config.encryption is EncryptionMode.WEP:
             self._wep = WepContext(config.encryption_key)
+            self._seal_overhead = IV_BYTES + 1 + ICV_BYTES  # IV, key id, ICV
         self._target_bytes = self._target_subframe_bytes()
-        # Unencrypted query content is identical between builds except the
-        # per-MPDU sequence-control field, so serialized templates, the
-        # byte plan and the airtime schedule are cached after first use
-        # (see build()).  Encrypted builds bypass the cache: CCMP/WEP
-        # payloads change with every packet number / IV.
-        self._templates: list[tuple[bytes, bytes]] | None = None
+        # Between builds only the per-MPDU sequence-control field and,
+        # on an encrypted network, the sealed bodies change: CCMP packet
+        # numbers and WEP IVs advance every MPDU.  So the per-subframe
+        # header templates, the plaintexts and the airtime schedule are
+        # fixed on first use (see _fix_templates()), and every build,
+        # encrypted or not, splices and seals against them.
+        self._templates: (
+            tuple[list[tuple[bytes, bytes]], list[bytes]] | None
+        ) = None
         self._schedule: SubframeSchedule | None = None
         # Sequence numbers advance n_subframes per build (mod 4096), so
         # unencrypted frames repeat with period 4096 / gcd(4096,
         # n_subframes) — at most _FRAME_MEMO_MAX distinct SSNs for the
         # default 64-subframe query.  build_fast() serves repeats from
-        # this memo; QueryFrame is frozen so sharing is safe.
+        # this memo; QueryFrame is frozen so sharing is safe.  Encrypted
+        # frames never repeat and never enter it.
         self._frame_memo: dict[int, QueryFrame] = {}
 
     def _target_subframe_bytes(self) -> float:
@@ -189,154 +200,116 @@ class QueryBuilder:
     def _payload_for(self, subframe_bytes: int, trigger: bool) -> bytes:
         """MPDU payload filling a subframe to its planned on-air size."""
         payload_len = subframe_bytes - DELIMITER_BYTES - _MIN_MPDU_BYTES
-        overhead = 0
-        if self._ccmp is not None:
-            overhead = 8 + 8  # CCMP header + MIC
-        elif self._wep is not None:
-            overhead = 4 + 4  # IV + key id + ICV
-        payload_len = max(0, payload_len - overhead)
+        payload_len = max(0, payload_len - self._seal_overhead)
         if trigger:
             repeats = math.ceil(payload_len / len(TRIGGER_PATTERN)) if payload_len else 0
             return (TRIGGER_PATTERN * max(repeats, 1))[:payload_len]
         return bytes(payload_len)
 
-    def _protect(self, payload: bytes) -> bytes:
-        """Apply the configured link encryption to an MPDU payload."""
-        if self._ccmp is not None:
-            protected, _pn = self._ccmp.encrypt(
-                payload, bytes(self.client)
-            )
-            return protected
-        if self._wep is not None:
-            return self._wep.encrypt(payload)
-        return payload
+    def _fix_templates(self) -> None:
+        """Fix the header templates, plaintexts and airtime schedule.
 
-    def _serialize_subframe(self, size: int, trigger: bool, seq: int) -> bytes:
-        """Reference MPDU serialization for one subframe (any encryption)."""
-        payload = self._protect(self._payload_for(size, trigger))
-        frame = QosDataFrame(
-            receiver=self.ap,
-            transmitter=self.client,
-            destination=self.ap,
-            seq=SequenceControl(seq),
-            payload=payload,
+        Each subframe's MPDU header is kept split around its 2-byte
+        sequence-control field (bytes 22..24).  The header depends on
+        the body only through whether it is empty, so a placeholder body
+        of the sealed length stands in for the ciphertext; its frame has
+        the on-air length every build will have.
+        """
+        cfg = self.config
+        heads: list[tuple[bytes, bytes]] = []
+        plaintexts: list[bytes] = []
+        frames: list[bytes] = []
+        for index, size in enumerate(self._subframe_byte_plan()):
+            plaintext = self._payload_for(size, index < cfg.n_trigger_subframes)
+            frame = QosDataFrame(
+                receiver=self.ap,
+                transmitter=self.client,
+                destination=self.ap,
+                seq=SequenceControl(0),
+                payload=bytes(len(plaintext) + self._seal_overhead),
+            ).serialize()
+            heads.append((frame[:22], frame[24 : QosDataFrame.HEADER_BYTES]))
+            plaintexts.append(plaintext)
+            frames.append(frame)
+        self._schedule = subframe_schedule(
+            subframe_lengths(frames),
+            cfg.mcs,
+            channel_width_mhz=cfg.channel_width_mhz,
+            short_gi=cfg.short_gi,
+            phy_format=cfg.phy_format,
         )
-        return frame.serialize()
+        self._templates = (heads, plaintexts)
+
+    def _seal(self, plaintexts: list[bytes]) -> list[bytes]:
+        """The MPDU bodies on the air, consuming packet numbers or IVs.
+
+        CCMP seals the whole query in one lane-parallel pass; WEP keeps
+        its scalar RC4, one MPDU at a time.
+        """
+        if self._ccmp is not None:
+            return self._ccmp.encrypt_many(plaintexts, bytes(self.client))
+        if self._wep is not None:
+            return [self._wep.encrypt(plaintext) for plaintext in plaintexts]
+        return plaintexts
 
     def build(self) -> QueryFrame:
         """Build the next query A-MPDU, consuming sequence numbers."""
-        cfg = self.config
-        if self._ccmp is not None or self._wep is not None:
-            return self._build_reference()
         if self._templates is None:
-            # First unencrypted build: serialize each subframe once through
-            # the reference path and remember it split around the 2-byte
-            # sequence-control field (bytes 22..24 of the MPDU header).
-            self._templates = []
-            for index, size in enumerate(self._subframe_byte_plan()):
-                serialized = self._serialize_subframe(
-                    size, index < cfg.n_trigger_subframes, 0
-                )
-                body = serialized[: -QosDataFrame.FCS_BYTES]
-                self._templates.append((body[:22], body[24:]))
+            self._fix_templates()
+        heads, plaintexts = self._templates
+        bodies = self._seal(plaintexts)
         ssn = self.sequence.next_value
         mpdus: list[bytes] = []
-        for head, tail in self._templates:
+        for (head, qos), body in zip(heads, bodies):
             seq = SequenceControl(self.sequence.allocate()).to_int()
-            body = head + seq.to_bytes(2, "little") + tail
-            mpdus.append(body + fcs_bytes(body))
-        if self._schedule is None:
-            # Subframe sizes never change between builds, so the airtime
-            # schedule (a frozen dataclass) is computed once and shared.
-            self._schedule = subframe_schedule(
-                subframe_lengths(mpdus),
-                cfg.mcs,
-                channel_width_mhz=cfg.channel_width_mhz,
-                short_gi=cfg.short_gi,
-                phy_format=cfg.phy_format,
-            )
+            frame = head + seq.to_bytes(2, "little") + qos + body
+            mpdus.append(frame + fcs_bytes(frame))
         return QueryFrame(
             psdu=aggregate(mpdus),
             mpdus=tuple(mpdus),
             schedule=self._schedule,
             ssn=ssn,
-            n_trigger_subframes=cfg.n_trigger_subframes,
+            n_trigger_subframes=self.config.n_trigger_subframes,
         )
 
     def build_fast(self) -> QueryFrame:
         """Memoized :meth:`build` for the batched session engine.
 
         Returns frames byte-identical to :meth:`build` (same SSN, same
-        MPDUs, same schedule) and advances the sequence counter exactly
-        as a real build would.  Unencrypted frames are a pure function of
-        the starting sequence number, so repeats within the modulo-4096
-        cycle come out of a per-SSN memo instead of being re-spliced.
-        Encrypted configs fall through to the uncached reference build
-        (CCMP/WEP payloads change every packet number / IV).
+        MPDUs, same schedule) and advances the sequence counter, packet
+        number and IV exactly as a real build would.  On an open network
+        a frame is a pure function of its starting sequence number, so
+        repeats within the modulo-4096 cycle come out of a per-SSN memo
+        instead of being re-spliced.  Encrypted frames change with every
+        packet number / IV, so they are sealed afresh on every call.
 
         Only the session-batch engine calls this; the scalar and
         per-query fast paths keep paying the splice cost so benchmark
         comparisons against them stay honest.
         """
-        if self._ccmp is not None or self._wep is not None:
-            return self._build_reference()
         ssn = self.sequence.next_value
         cached = self._frame_memo.get(ssn)
         if cached is not None:
             self.sequence.advance(len(cached.mpdus))
             return cached
         frame = self.build()
-        if len(self._frame_memo) < _FRAME_MEMO_MAX:
+        if (
+            self.config.encryption is EncryptionMode.OPEN
+            and len(self._frame_memo) < _FRAME_MEMO_MAX
+        ):
             self._frame_memo[ssn] = frame
         return frame
 
     def peek_airtime_s(self) -> float:
-        """Airtime of the next query without consuming sequence numbers.
+        """Airtime of the next query, consuming no sequence number,
+        packet number or IV.
 
-        The multi-tag cell, the fleet engine and the fleet network use
-        this to time polling rounds with the (constant) query airtime;
-        sessions never peek, they build.  Unencrypted only: an encrypted
-        peek would consume CCMP packet numbers / WEP IVs and change
-        subsequent frames.
+        Every query has the same subframe sizes, encrypted or not, so
+        this is the fixed schedule's airtime.  The multi-tag cell, the
+        fleet engine and the fleet network use it to time polling rounds
+        with the (constant) query airtime; sessions never peek, they
+        build.
         """
-        if self._ccmp is not None or self._wep is not None:
-            raise ConfigurationError(
-                "peek_airtime_s is only available for unencrypted queries"
-            )
-        ssn = self.sequence.next_value
-        frame = self.build_fast()
-        self.sequence.seek(ssn)
-        return frame.airtime_s
-
-    def _build_reference(self) -> QueryFrame:
-        """Uncached build serializing every MPDU from scratch.
-
-        The only path for encrypted configs (CCMP packet numbers and WEP
-        IVs change every MPDU, so templates would be wrong) and the
-        equivalence oracle the cached path is tested against.
-        """
-        cfg = self.config
-        plan = self._subframe_byte_plan()
-        ssn = self.sequence.next_value
-        mpdus: list[bytes] = []
-        for index, size in enumerate(plan):
-            trigger = index < cfg.n_trigger_subframes
-            mpdus.append(
-                self._serialize_subframe(
-                    size, trigger, self.sequence.allocate()
-                )
-            )
-        schedule = subframe_schedule(
-            subframe_lengths(mpdus),
-            cfg.mcs,
-            channel_width_mhz=cfg.channel_width_mhz,
-            short_gi=cfg.short_gi,
-            phy_format=cfg.phy_format,
-        )
-        return QueryFrame(
-            psdu=aggregate(mpdus),
-            mpdus=tuple(mpdus),
-            schedule=schedule,
-            ssn=ssn,
-            n_trigger_subframes=cfg.n_trigger_subframes,
-        )
+        if self._templates is None:
+            self._fix_templates()
+        return self._schedule.timing.total_s

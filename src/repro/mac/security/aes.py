@@ -7,21 +7,30 @@ end-to-end, the reproduction encrypts query MPDUs with real CCMP, which
 needs AES-128.
 
 This implementation derives the S-box from GF(2^8) arithmetic rather than
-hardcoding it, and implements the full key schedule.  Encryption (the
-hot path, run for every CCMP-protected query MPDU) is table-driven:
-four 256-entry round tables, derived at import from the S-box and
-GF(2^8) doubling (``xtime``), fold SubBytes, ShiftRows and MixColumns into four lookups
-per state column, with the state and round keys held as four 32-bit
-big-endian column words.  Decryption, off the hot path, keeps the
-byte-wise inverse rounds.  Both are validated against the FIPS-197
-test vectors, and encryption against a byte-wise reference round in
-the test suite.  It is of course not constant-time and must never be
-used for actual security.
+hardcoding it, and implements the full key schedule.  Encryption is
+table-driven: four 256-entry round tables, derived at import from the
+S-box and GF(2^8) doubling (``xtime``), fold SubBytes, ShiftRows and
+MixColumns into four lookups per state column, with the state and round
+keys held as four 32-bit big-endian column words.
+
+:meth:`Aes128.encrypt_blocks` runs the same tables over many independent
+blocks at once, one lane per row of an ``(n, 16)`` uint8 array: each
+round is a byte gather (ShiftRows), one lookup into the four tables and
+the XORs that fold the rows and the round key, each across every lane.
+CCMP seals all MPDUs of a query through it (see :mod:`.ccmp`);
+:meth:`Aes128.encrypt_block` is its one-block twin.
+Decryption, off the hot path, keeps the byte-wise inverse rounds.  All
+are validated against the FIPS-197 test vectors, and encryption against
+a byte-wise reference round in the test suite.  It is of course not
+constant-time and must never be used for actual security.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
+
+import numpy as np
 
 BLOCK_BYTES = 16
 KEY_BYTES = 16
@@ -105,6 +114,24 @@ def _build_round_tables() -> tuple[tuple[int, ...], ...]:
 _T0, _T1, _T2, _T3 = _build_round_tables()
 _WORDS = struct.Struct(">4I")
 
+# Lane-parallel encryption (Aes128.encrypt_blocks).  A lane's state is
+# 16 bytes; after ShiftRows, byte ``4c + r`` of the gathered state is row
+# r of column ``(c + r) % 4`` and indexes ``T_r``, which sits at offset
+# ``256 r`` of the flat table.  Round inputs come either as a block (row
+# r of column c at byte ``4c + r``) or as four native-endian column
+# words, whose row r lives at byte ``4c + 3 - r`` on a little-endian
+# machine.
+_T_FLAT = np.array(_T0 + _T1 + _T2 + _T3, dtype=np.uint32)
+_T_OFFSETS = np.tile(np.arange(4, dtype=np.uint16) * 256, 4)
+_SBOX_LANES = np.frombuffer(SBOX, dtype=np.uint8)
+_ROW_BYTE = (3, 2, 1, 0) if sys.byteorder == "little" else (0, 1, 2, 3)
+_SHIFT_BLOCK = np.array(
+    [4 * ((c + r) % 4) + r for c in range(4) for r in range(4)]
+)
+_SHIFT_WORDS = np.array(
+    [4 * ((c + r) % 4) + _ROW_BYTE[r] for c in range(4) for r in range(4)]
+)
+
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
 
@@ -171,6 +198,10 @@ class Aes128:
     def __init__(self, key: bytes) -> None:
         self._round_keys = expand_key(key)
         self._round_words = [_WORDS.unpack(rk) for rk in self._round_keys]
+        self._lane_keys = np.frombuffer(
+            b"".join(self._round_keys), dtype=np.uint8
+        ).reshape(N_ROUNDS + 1, BLOCK_BYTES)
+        self._lane_words = np.array(self._round_words, dtype=np.uint32)
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt one 16-byte block."""
@@ -211,6 +242,31 @@ class Aes128:
             (box[s3 >> 24] << 24 | box[(s0 >> 16) & 255] << 16
              | box[(s1 >> 8) & 255] << 8 | box[s2 & 255]) ^ k3,
         )
+
+    def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """Encrypt every row of an ``(n, 16)`` uint8 array, one lane each.
+
+        Returns a new ``(n, 16)`` uint8 array whose row ``i`` equals
+        ``encrypt_block`` of row ``i``.
+        """
+        rows = np.asarray(blocks, dtype=np.uint8)
+        if rows.ndim != 2 or rows.shape[1] != BLOCK_BYTES:
+            raise ValueError(
+                f"blocks must have shape (n, 16), got {rows.shape}"
+            )
+        n = len(rows)
+        keys = self._lane_keys
+        words = self._lane_words
+        shifted = (rows ^ keys[0]).take(_SHIFT_BLOCK, axis=1)
+        for rnd in range(1, N_ROUNDS):
+            lookups = _T_FLAT.take(shifted + _T_OFFSETS).reshape(n, 4, 4)
+            state = lookups[:, :, 0] ^ lookups[:, :, 1]
+            state ^= lookups[:, :, 2]
+            state ^= lookups[:, :, 3]
+            state ^= words[rnd]
+            shifted = state.view(np.uint8).take(_SHIFT_WORDS, axis=1)
+        # The last round has no MixColumns: SubBytes and ShiftRows only.
+        return _SBOX_LANES.take(shifted) ^ keys[N_ROUNDS]
 
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt one 16-byte block."""

@@ -10,6 +10,7 @@ from repro.mac.ampdu import deaggregate
 from repro.mac.frames import QosDataFrame
 from repro.mac.security.ccmp import CcmpContext
 from repro.phy.mcs import ht_mcs
+from tests.oracles import query as query_oracle
 
 
 def make_builder(**config_kwargs):
@@ -109,16 +110,16 @@ class TestQueryBuilder:
 
 
 class TestBuildTemplateCache:
-    """The cached unencrypted build must be indistinguishable from the
-    uncached reference serialization (only sequence numbers differ
-    between consecutive builds)."""
+    """The templated build must be indistinguishable from the uncached
+    reference serialization (only sequence numbers, packet numbers and
+    IVs differ between consecutive builds)."""
 
     def test_cached_build_matches_reference(self):
         cached = make_builder()
         reference = make_builder()
         for _ in range(3):
             a = cached.build()
-            b = reference._build_reference()
+            b = query_oracle.build_reference(reference)
             assert a.psdu == b.psdu
             assert a.mpdus == b.mpdus
             assert a.ssn == b.ssn
@@ -136,15 +137,80 @@ class TestBuildTemplateCache:
         assert first.schedule is second.schedule
 
     def test_encrypted_builds_bypass_cache(self):
-        builder = make_builder(
+        """Encrypted builds share the templates but never repeat a frame:
+        CCMP packet numbers advance, so consecutive queries differ at
+        every position and each equals the uncached reference."""
+        config = dict(
             encryption=EncryptionMode.WPA2_CCMP,
             encryption_key=bytes(range(16)),
         )
+        builder = make_builder(**config)
+        reference = make_builder(**config)
         q1 = builder.build()
-        q2 = builder.build()
-        assert builder._templates is None
-        # CCMP packet numbers advance: same positions, different bytes.
+        q2 = builder.build_fast()
         assert q1.mpdus != q2.mpdus
+        assert all(a != b for a, b in zip(q1.mpdus, q2.mpdus))
+        for query in (q1, q2):
+            expected = query_oracle.build_reference(reference)
+            assert query.mpdus == expected.mpdus
+            assert query.psdu == expected.psdu
+        assert builder._frame_memo == {}
+
+
+ORACLE_SWEEP = [
+    pytest.param(mode, key, mcs, n, id=f"{mode.value}-mcs{mcs}-{n}")
+    for mode, key in (
+        (EncryptionMode.WPA2_CCMP, b"0123456789abcdef"),
+        (EncryptionMode.WEP, b"12345"),
+    )
+    for mcs in (3, 7)
+    for n in (8, 32, 64)
+]
+
+
+class TestEncryptedBuildsMatchOracle:
+    """Sealed templated builds equal the from-scratch reference build."""
+
+    @pytest.mark.parametrize("mode,key,mcs,n_subframes", ORACLE_SWEEP)
+    def test_builds_match_reference(self, mode, key, mcs, n_subframes):
+        config = dict(
+            encryption=mode,
+            encryption_key=key,
+            mcs=ht_mcs(mcs),
+            n_subframes=n_subframes,
+        )
+        builder = make_builder(**config)
+        reference = make_builder(**config)
+        for index in range(4):
+            got = builder.build() if index % 2 else builder.build_fast()
+            expected = query_oracle.build_reference(reference)
+            assert got.psdu == expected.psdu
+            assert got.mpdus == expected.mpdus
+            assert got.ssn == expected.ssn
+            assert got.schedule == expected.schedule
+        if mode is EncryptionMode.WPA2_CCMP:
+            assert builder._ccmp.packet_number == (
+                reference._ccmp.packet_number
+            ) == 1 + 4 * n_subframes
+        else:
+            assert builder._wep.next_iv == reference._wep.next_iv == (
+                4 * n_subframes
+            )
+        assert (
+            builder.sequence.next_value == reference.sequence.next_value
+        )
+
+    @pytest.mark.parametrize("mode,key", [
+        (EncryptionMode.WPA2_CCMP, b"0123456789abcdef"),
+        (EncryptionMode.WEP, b"12345"),
+    ], ids=["wpa2-ccmp", "wep"])
+    def test_peek_consumes_nothing(self, mode, key):
+        builder = make_builder(encryption=mode, encryption_key=key)
+        reference = make_builder(encryption=mode, encryption_key=key)
+        airtime = builder.peek_airtime_s()
+        query = builder.build()
+        assert airtime == query.airtime_s
+        assert query.mpdus == query_oracle.build_reference(reference).mpdus
 
 
 class TestEncryptedQueries:

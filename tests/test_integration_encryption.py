@@ -6,6 +6,8 @@ encryption" — while symbol-rewriting systems (HitchHike et al.) break the
 decryption of any frame they touch.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,52 @@ class TestWiTagUnderEncryption:
             rx.decrypt(frame.payload, bytes(system.client))
             decrypted += 1
         assert decrypted >= 60
+
+
+#: benchmarks/test_sec5_corruption.py's 62-bit pattern.
+E8_PATTERN = [1, 0, 1, 1, 0, 0, 1, 0] * 7 + [1, 0, 1, 0, 1, 0]
+
+
+class TestE8Pinned:
+    """E8 (paper §5) at fixed seed: the same 62 bits come through one
+    query on an open, a WPA2-CCMP and a WEP network.
+
+    The setup is the §5 corruption benchmark's (8 m span, tag at 1 m,
+    seed 40, one ``run_query``), pinned exactly: no bit errors, the
+    bitmap of the pattern, and the SHA-256 of each query's PSDU.
+    """
+
+    @pytest.mark.parametrize("mode,key,psdu_sha256", [
+        (
+            EncryptionMode.OPEN, None,
+            "3299e258286f8db07ceba081bb3ae43d"
+            "9fe39f2d64a19191b0bcef81b3ca00f4",
+        ),
+        (
+            EncryptionMode.WPA2_CCMP, CCMP_KEY,
+            "b2a07a91d90340da80f882e8189f4d39"
+            "ed81b079110efdb01510392f6879043b",
+        ),
+        (
+            EncryptionMode.WEP, WEP_KEY,
+            "155c2cc33008da093f5f805bbf1baf4b"
+            "6d2e8fbbea7ce8bfd6b95a0e1a45a8bc",
+        ),
+    ], ids=["open", "wpa2-ccmp", "wep"])
+    def test_pattern_through_one_query(self, mode, key, psdu_sha256):
+        system, _ = build_system(
+            ChannelGeometry.on_line(8.0, 1.0),
+            encryption=mode,
+            encryption_key=key,
+            seed=40,
+        )
+        system.load_tag_bits(list(E8_PATTERN))
+        result = system.run_query()
+        assert result.detected
+        assert result.n_bits == 62
+        assert result.bit_errors == 0
+        assert result.block_ack.bitmap == 0x5535353535353537
+        assert hashlib.sha256(result.query.psdu).hexdigest() == psdu_sha256
 
 
 class TestSymbolRewritingBreaksEncryption:

@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.mac.security.aes import Aes128, SBOX, expand_key
 from repro.mac.security.ccmp import (
+    CCMP_HEADER_BYTES,
     CcmpContext,
     MicError,
     build_nonce,
@@ -13,6 +15,7 @@ from repro.mac.security.ccmp import (
 )
 from repro.mac.security.wep import IcvError, WepContext, rc4, rc4_keystream
 from tests.oracles import aes as aes_reference
+from tests.oracles import ccmp as ccmp_reference
 
 TA = b"\x02\x00\x00\x00\x00\x01"
 
@@ -82,6 +85,174 @@ class TestAesRoundTables:
                 assert cipher.encrypt_block(block) == (
                     aes_reference.encrypt_block(key, block)
                 )
+
+
+class TestAesLanes:
+    """``encrypt_blocks`` equals ``encrypt_block`` lane by lane."""
+
+    @staticmethod
+    def rows(data: bytes) -> np.ndarray:
+        return np.frombuffer(data, dtype=np.uint8).reshape(-1, 16)
+
+    def test_random_rows_match_block_and_reference(self):
+        rng = random.Random(3610)
+        for _ in range(10):
+            key = rng.randbytes(16)
+            cipher = Aes128(key)
+            blocks = [rng.randbytes(16) for _ in range(100)]
+            lanes = cipher.encrypt_blocks(self.rows(b"".join(blocks)))
+            for block, lane in zip(blocks, lanes):
+                expected = aes_reference.encrypt_block(key, block)
+                assert lane.tobytes() == expected, (key.hex(), block.hex())
+                assert cipher.encrypt_block(block) == expected
+
+    def test_extreme_keys_and_blocks(self):
+        for key in (bytes(16), b"\xff" * 16):
+            cipher = Aes128(key)
+            blocks = (bytes(16), b"\xff" * 16)
+            lanes = cipher.encrypt_blocks(self.rows(b"".join(blocks)))
+            for block, lane in zip(blocks, lanes):
+                assert lane.tobytes() == aes_reference.encrypt_block(key, block)
+                assert lane.tobytes() == cipher.encrypt_block(block)
+
+    def test_shapes(self):
+        cipher = Aes128(bytes(16))
+        empty = cipher.encrypt_blocks(np.zeros((0, 16), dtype=np.uint8))
+        assert empty.shape == (0, 16) and empty.dtype == np.uint8
+        for shape in ((16,), (2, 15), (1, 2, 16)):
+            with pytest.raises(ValueError):
+                cipher.encrypt_blocks(np.zeros(shape, dtype=np.uint8))
+
+
+#: RFC 3610 §8 packet vector #1 in the CCMP nonce layout: priority 0x00,
+#: transmitter 00 00 03 02 01 00, packet number A0 A1 A2 A3 A4 A5.
+RFC3610_KEY = bytes(range(0xC0, 0xD0))
+RFC3610_TA = bytes.fromhex("000003020100")
+RFC3610_PN = 0xA0A1A2A3A4A5
+RFC3610_AAD = bytes(range(8))
+RFC3610_PAYLOAD = bytes(range(0x08, 0x1F))
+RFC3610_SEALED = bytes.fromhex(
+    "588c979a61c663d2f066d0c2c0f989806d5f6b61dac38417e8d12cfdf926e0"
+)
+
+
+class TestCcmRfc3610:
+    """A published CCM vector, so encrypt and decrypt cannot share a bug."""
+
+    def test_encrypt(self):
+        context = CcmpContext(RFC3610_KEY, packet_number=RFC3610_PN)
+        protected, pn = context.encrypt(
+            RFC3610_PAYLOAD, RFC3610_TA, aad=RFC3610_AAD
+        )
+        assert pn == RFC3610_PN
+        assert protected == ccmp_header(RFC3610_PN) + RFC3610_SEALED
+
+    def test_third_lane_of_a_batch(self):
+        context = CcmpContext(RFC3610_KEY, packet_number=RFC3610_PN - 2)
+        bodies = context.encrypt_many(
+            [b"first", bytes(40), RFC3610_PAYLOAD],
+            RFC3610_TA,
+            aad=RFC3610_AAD,
+        )
+        assert bodies[2][CCMP_HEADER_BYTES:] == RFC3610_SEALED
+        assert context.packet_number == RFC3610_PN + 1
+
+    def test_reference(self):
+        protected = ccmp_reference.encrypt(
+            RFC3610_KEY, RFC3610_PN, RFC3610_PAYLOAD, RFC3610_TA,
+            aad=RFC3610_AAD,
+        )
+        assert protected[CCMP_HEADER_BYTES:] == RFC3610_SEALED
+
+    def test_decrypt(self):
+        protected = ccmp_header(RFC3610_PN) + RFC3610_SEALED
+        assert CcmpContext(RFC3610_KEY).decrypt(
+            protected, RFC3610_TA, aad=RFC3610_AAD
+        ) == RFC3610_PAYLOAD
+
+
+def random_body(rng: random.Random) -> bytes:
+    """0-200 bytes, empty and whole-block lengths drawn often."""
+    kind = rng.random()
+    if kind < 0.1:
+        return b""
+    if kind < 0.3:
+        return rng.randbytes(16 * rng.randint(1, 12))
+    return rng.randbytes(rng.randint(0, 200))
+
+
+class TestCcmpLanes:
+    """``encrypt_many`` equals sequential one-block-at-a-time CCM."""
+
+    def test_random_batches_match_reference(self):
+        rng = random.Random(48)
+        for case in range(1000):
+            key = rng.randbytes(16)
+            transmitter = rng.randbytes(6)
+            priority = rng.randint(0, 15)
+            aad = rng.randbytes(rng.choice((0, 0, 1, 14, 22, 30)))
+            # Half the batches are small, so lanes of unequal length
+            # often finish their CBC-MAC chains at different steps.
+            lanes = rng.randint(1, rng.choice((8, 70)))
+            plaintexts = [random_body(rng) for _ in range(lanes)]
+            first = rng.choice(
+                (rng.randrange(2**32), rng.randrange(2**48 - lanes + 1),
+                 2**48 - lanes)
+            )
+            context = CcmpContext(key, packet_number=first)
+            bodies = context.encrypt_many(
+                plaintexts, transmitter, aad=aad, priority=priority
+            )
+            expected = [
+                ccmp_reference.encrypt(
+                    key, first + i, plaintext, transmitter, aad, priority
+                )
+                for i, plaintext in enumerate(plaintexts)
+            ]
+            assert bodies == expected, (case, key.hex(), first)
+            assert context.packet_number == first + lanes
+
+    def test_matches_sequential_encrypt(self):
+        rng = random.Random(7)
+        plaintexts = [random_body(rng) for _ in range(40)]
+        batch = CcmpContext(b"0123456789abcdef", packet_number=900)
+        single = CcmpContext(b"0123456789abcdef", packet_number=900)
+        assert batch.encrypt_many(plaintexts, TA, aad=b"hdr") == [
+            single.encrypt(p, TA, aad=b"hdr")[0] for p in plaintexts
+        ]
+        assert batch.packet_number == single.packet_number == 940
+
+    def test_empty_batch(self):
+        context = CcmpContext(b"0123456789abcdef", packet_number=5)
+        assert context.encrypt_many([], TA, aad=b"hdr") == []
+        assert context.packet_number == 5
+
+    def test_batch_past_last_packet_number_rejected(self):
+        context = CcmpContext(b"0123456789abcdef", packet_number=2**48 - 3)
+        with pytest.raises(ValueError):
+            context.encrypt_many([b"a", b"b", b"c", b"d"], TA)
+        assert context.packet_number == 2**48 - 3
+        # Exactly up to 2^48 - 1 is fine.
+        bodies = context.encrypt_many([b"a", b"b", b"c"], TA)
+        assert bodies[-1][:CCMP_HEADER_BYTES] == ccmp_header(2**48 - 1)
+        with pytest.raises(ValueError):
+            context.encrypt(b"d", TA)
+        assert context.packet_number == 2**48
+
+    def test_decrypt_inverts_each_lane(self):
+        rng = random.Random(11)
+        key = rng.randbytes(16)
+        plaintexts = [random_body(rng) for _ in range(30)]
+        bodies = CcmpContext(key).encrypt_many(plaintexts, TA, aad=b"hdr")
+        receiver = CcmpContext(key)
+        for body, plaintext in zip(bodies, plaintexts):
+            assert receiver.decrypt(body, TA, aad=b"hdr") == plaintext
+        for lane in (0, 17, 29):
+            body = bytearray(bodies[lane])
+            bit = rng.randrange(8 * (len(body) - CCMP_HEADER_BYTES))
+            body[CCMP_HEADER_BYTES + bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(MicError):
+                receiver.decrypt(bytes(body), TA, aad=b"hdr")
 
 
 class TestCcmp:
