@@ -12,7 +12,7 @@ wall-clock-noise.
 
 ``adaptive_bench`` runs an execution-tier equivalence gate before any
 comparison (scalar vs batch session engine vs process pool, digest
-compared), mirroring ``tier4_bench``/``fleet_bench``.  This test then
+compared), mirroring ``fleet_bench``.  This test then
 asserts the ratio floor ``max(1.0, 0.8 * baseline)`` where ``baseline``
 is the ``goodput_ratio_adaptive_vs_static`` recorded in
 ``benchmarks/baselines.json`` by ``repro bench --adaptive

@@ -44,9 +44,6 @@ __all__ = [
     "fleet_bench",
     "fleet_payload",
     "three_tier_bench",
-    "tier4_bench",
-    "tier4_leg",
-    "tier4_payload",
     "timed_session",
     "record_bench_trajectory",
     "load_baseline",
@@ -54,10 +51,11 @@ __all__ = [
 ]
 
 #: Version stamp of the ``bench_payload`` / trajectory-entry layout.
-#: Schema 2 added the optional ``tier4`` block (PR 7); schema 3 the
-#: optional ``fleet`` block (PR 8); schema 4 the optional ``adaptive``
-#: block (traffic-aware scheduling + adaptive FEC).  Readers must
-#: tolerate entries of any schema in one trajectory file.
+#: Schema 2 added the optional ``tier4`` block (warm pool + shm
+#: transport; no longer written); schema 3 the optional ``fleet``
+#: block; schema 4 the optional ``adaptive`` block (traffic-aware
+#: scheduling + adaptive FEC).  Readers must tolerate entries of any
+#: schema in one trajectory file, ``tier4`` blocks included.
 BENCH_SCHEMA = 4
 
 #: (label, phy_fast_path, session_fast_path) for each execution tier,
@@ -190,211 +188,6 @@ def _values_digest(values: list) -> str:
     return hashlib.blake2b(raw, digest_size=16).hexdigest()
 
 
-def tier4_leg(
-    mode: str,
-    *,
-    jobs: int = 8,
-    sessions: int = 4,
-    queries: int = 16,
-    seed: int = 0,
-    n_workers: int = 2,
-) -> dict[str, Any]:
-    """Run one leg of the tier-4 benchmark in *this* process.
-
-    Both legs model a serve-style workload: ``jobs`` identical requests,
-    each running ``sessions`` sessions of ``queries`` queries through
-    the parallel engine.
-
-    * ``mode="session-batch"`` — the tier-3 reference: every job spins
-      up a fresh process pool (``executor="process"``) and ships chunks
-      with the pickle codec, the way the engine worked before the
-      zero-copy transport landed.
-    * ``mode="tier4"`` — one persistent :class:`repro.runner.WarmPool`
-      shared by every job (its startup is *inside* the timed region),
-      shared-memory chunk transport, warm session specs and the
-      compiled-kernel tier resolved by ``"auto"``.
-
-    Returns ``{"mode", "wall_s", "jobs_per_s", "sessions_per_s",
-    "transport", "digests"}`` where ``digests`` has one entry per job —
-    the two legs must produce identical digest lists
-    (:func:`tier4_bench` asserts this before it compares any timing).
-    """
-    from .runner import WarmPool, resolve_transport, run_sessions
-    from .runner.workers import SessionSpec
-
-    if mode not in ("session-batch", "tier4"):
-        raise ValueError(f"unknown tier4 leg mode {mode!r}")
-    if min(jobs, sessions, queries) < 1:
-        raise ValueError("jobs, sessions and queries must all be >= 1")
-    common: dict[str, Any] = dict(
-        queries=queries, seed=seed, chunk_size=1
-    )
-    digests: list[str] = []
-    if mode == "tier4":
-        spec = SessionSpec(warm=True)
-        transport = resolve_transport("auto")
-        start = time.perf_counter()
-        with WarmPool(n_workers) as pool:
-            for _ in range(jobs):
-                result = run_sessions(
-                    spec, sessions, pool=pool, transport="auto", **common
-                )
-                digests.append(_values_digest(result.values))
-        wall_s = time.perf_counter() - start
-    else:
-        spec = SessionSpec()
-        transport = "pickle"
-        start = time.perf_counter()
-        for _ in range(jobs):
-            result = run_sessions(
-                spec,
-                sessions,
-                executor="process",
-                n_workers=n_workers,
-                transport="pickle",
-                **common,
-            )
-            digests.append(_values_digest(result.values))
-        wall_s = time.perf_counter() - start
-    return {
-        "mode": mode,
-        "wall_s": wall_s,
-        "jobs_per_s": jobs / wall_s,
-        "sessions_per_s": jobs * sessions / wall_s,
-        "transport": transport,
-        "digests": digests,
-    }
-
-
-def _run_leg_subprocess(params: dict[str, Any]) -> dict[str, Any]:
-    """Run :func:`tier4_leg` in a cold child interpreter.
-
-    A cold parent is the honest harness for this benchmark: the serve
-    and sweep coordinators never execute physics themselves, so every
-    fresh pool worker pays the full first-use cost (coded-BER table,
-    channel caches, frame memo) that the warm pool exists to amortise.
-    Running legs in the *bench* process would let leftover parent state
-    leak into the fork-based reference leg and understate that cost.
-    """
-    import json as json_mod
-    import subprocess
-    import sys as sys_mod
-
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        src_dir if not existing else os.pathsep.join([src_dir, existing])
-    )
-    code = (
-        "import sys, json\n"
-        "from repro.bench import tier4_leg\n"
-        "print(json.dumps(tier4_leg(**json.loads(sys.argv[1]))))\n"
-    )
-    proc = subprocess.run(
-        [sys_mod.executable, "-c", code, json_mod.dumps(params)],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=False,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"tier4 bench leg failed (rc={proc.returncode}):\n{proc.stderr}"
-        )
-    return json_mod.loads(proc.stdout.splitlines()[-1])
-
-
-def tier4_bench(
-    jobs: int = 8,
-    sessions: int = 4,
-    queries: int = 16,
-    *,
-    seed: int = 0,
-    n_workers: int = 2,
-    repeats: int = 1,
-    cold_parent: bool = True,
-) -> dict[str, Any]:
-    """Time the tier-4 fast path against the tier-3 parallel reference.
-
-    Runs both :func:`tier4_leg` modes (``repeats`` times each, keeping
-    the fastest), asserts their per-job value digests are identical —
-    a faster-but-wrong pool fails before any timing compares — and
-    reports the wall-clock ratio.
-
-    ``cold_parent=True`` (the default, used by ``repro bench --tier4``
-    and the gated benchmark) executes each leg in a fresh child
-    interpreter; see :func:`_run_leg_subprocess` for why.  The
-    ``bench_smoke`` twin sets it to ``False`` to keep tier-1 cheap
-    while exercising the same code path in-process.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    params = dict(
-        jobs=jobs,
-        sessions=sessions,
-        queries=queries,
-        seed=seed,
-        n_workers=n_workers,
-    )
-    legs: dict[str, dict[str, Any]] = {}
-    for mode in ("session-batch", "tier4"):
-        best: dict[str, Any] | None = None
-        for _ in range(repeats):
-            if cold_parent:
-                run = _run_leg_subprocess({"mode": mode, **params})
-            else:
-                run = tier4_leg(mode, **params)
-            if best is None or run["wall_s"] < best["wall_s"]:
-                best = run
-        legs[mode] = best
-    identical = legs["session-batch"]["digests"] == legs["tier4"]["digests"]
-    if not identical:
-        raise AssertionError(
-            "tier4 leg produced different results than the session-batch "
-            "reference — digests diverge"
-        )
-    return {
-        **params,
-        "cold_parent": cold_parent,
-        "legs": legs,
-        "identical": identical,
-        "speedup_tier4_vs_session_batch": (
-            legs["session-batch"]["wall_s"] / legs["tier4"]["wall_s"]
-        ),
-    }
-
-
-def tier4_payload(result: dict[str, Any]) -> dict[str, Any]:
-    """JSON-safe view of a :func:`tier4_bench` result (drops digests)."""
-    return {
-        key: result[key]
-        for key in (
-            "jobs",
-            "sessions",
-            "queries",
-            "seed",
-            "n_workers",
-            "cold_parent",
-            "identical",
-            "speedup_tier4_vs_session_batch",
-        )
-    } | {
-        "legs": {
-            mode: {
-                k: leg[k]
-                for k in (
-                    "wall_s",
-                    "jobs_per_s",
-                    "sessions_per_s",
-                    "transport",
-                )
-            }
-            for mode, leg in result["legs"].items()
-        }
-    }
-
-
 def _fleet_round_digest(results: dict[str, Any]) -> str:
     """Stable digest of one poll round's results (fleet or scalar)."""
     normalized = [
@@ -418,7 +211,6 @@ def fleet_bench(
     seed: int = 0,
     bits_per_tag: int = 64,
     batch_tags: int = 256,
-    kernel_tier: str = "auto",
     equivalence_tags: int = 64,
     repeats: int = 1,
 ) -> dict[str, Any]:
@@ -433,16 +225,16 @@ def fleet_bench(
     * ``fleet`` — the vectorized :class:`repro.core.fleet.TagFleet`
       decoding each round as chunked ``(n_tags, n_subframes)`` batch
       passes, in its default configuration (interpolated coded-BER
-      table, like execution tiers 2–4).
+      table, like execution tiers 2 and 3).
 
     Before any timing, an **equivalence gate** builds a small
     ``equivalence_tags`` fleet with ``phy_exact_coding=True`` and
     asserts one full poll round is bit-identical to its scalar
     reference cell — a faster-but-wrong engine fails here, before any
-    timing compares (same contract as :func:`tier4_bench`; the full
-    equivalence matrix lives in ``tests/test_fleet.py``).  The timed
-    legs then load identical data bits and differ only through the
-    coded-BER interpolation, exactly like tiers 2–4 versus tier 1.
+    timing compares (the full equivalence matrix lives in
+    ``tests/test_fleet.py``).  The timed legs then load identical data
+    bits and differ only through the coded-BER interpolation, exactly
+    like tiers 2 and 3 versus tier 1.
     Builds happen outside the timed region; ``repeats`` reruns each
     leg from a fresh build and keeps the fastest wall-clock.
 
@@ -468,7 +260,6 @@ def fleet_bench(
     gate_spec = FleetSpec(
         n_tags=equivalence_tags,
         batch_tags=batch_tags,
-        kernel_tier=kernel_tier,
         phy_exact_coding=True,
     )
     gate_fleet = gate_spec(ctx)
@@ -489,9 +280,7 @@ def fleet_bench(
             "MultiTagCell reference — equivalence gate digests diverge"
         )
 
-    spec = FleetSpec(
-        n_tags=n_tags, batch_tags=batch_tags, kernel_tier=kernel_tier
-    )
+    spec = FleetSpec(n_tags=n_tags, batch_tags=batch_tags)
     payloads = [
         [int(b) for b in data_rng.integers(0, 2, bits_per_tag * rounds)]
         for _ in range(n_tags)
@@ -526,7 +315,6 @@ def fleet_bench(
         "seed": seed,
         "bits_per_tag": bits_per_tag,
         "batch_tags": batch_tags,
-        "kernel_tier": kernel_tier,
         "equivalence_tags": equivalence_tags,
         "legs": legs,
         "identical": identical,
@@ -546,7 +334,6 @@ def fleet_payload(result: dict[str, Any]) -> dict[str, Any]:
             "seed",
             "bits_per_tag",
             "batch_tags",
-            "kernel_tier",
             "equivalence_tags",
             "identical",
             "speedup_fleet_vs_scalar",
@@ -588,7 +375,7 @@ def adaptive_bench(
     asserts the reports (ride/skip decision string, rung trajectory,
     delivered bits, goodput) are bit-identical; a faster-but-different
     traffic layer fails here, before any quality numbers are compared
-    (same contract as :func:`tier4_bench` / :func:`fleet_bench`).
+    (same contract as :func:`fleet_bench`).
 
     Returns per-leg aggregates plus the headline ratios:
     ``goodput_ratio_adaptive_vs_static`` (mean adaptive goodput over
@@ -828,20 +615,18 @@ def _json_safe_tier(tier: dict[str, Any]) -> dict[str, Any]:
 def bench_payload(
     result: dict[str, Any],
     *,
-    tier4: dict[str, Any] | None = None,
     fleet: dict[str, Any] | None = None,
     adaptive: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """JSON-serializable view of a :func:`three_tier_bench` result.
 
-    ``tier4`` optionally attaches a :func:`tier4_bench` result as a
-    fourth-tier block (stored via :func:`tier4_payload`); ``fleet``
-    likewise attaches a :func:`fleet_bench` result (via
+    ``fleet`` optionally attaches a :func:`fleet_bench` result (via
     :func:`fleet_payload`); ``adaptive`` an :func:`adaptive_bench`
     result (via :func:`adaptive_payload`).  Entries without these
-    blocks remain valid — trajectory readers must treat ``tier4``,
-    ``fleet`` and ``adaptive`` as optional, and schema-1 entries (no
-    ``schema`` field) as equivalent to ``schema: 1``.
+    blocks remain valid — trajectory readers must treat ``fleet`` and
+    ``adaptive`` as optional, ignore the ``tier4`` block older entries
+    carry, and read schema-1 entries (no ``schema`` field) as
+    ``schema: 1``.
     """
     payload = {
         "schema": BENCH_SCHEMA,
@@ -854,8 +639,6 @@ def bench_payload(
             for label, tier in result["tiers"].items()
         },
     }
-    if tier4 is not None:
-        payload["tier4"] = tier4_payload(tier4)
     if fleet is not None:
         payload["fleet"] = fleet_payload(fleet)
     if adaptive is not None:
@@ -912,8 +695,8 @@ def load_baseline(
 #: The regression gates ``bench_check`` walks: each maps a check name
 #: to (baseline key, baseline field, extractor over a trajectory
 #: entry).  Extractors return ``None`` when the entry doesn't carry
-#: the measurement — schema 1 entries have no ``tier4``/``fleet``
-#: blocks, and readers must tolerate every schema in one file.
+#: the measurement — schema 1 entries have no ``fleet`` block, and
+#: readers must tolerate every schema in one file.
 _BENCH_CHECKS: tuple[tuple[str, str, str, Any], ...] = (
     (
         "session_batch",
@@ -921,16 +704,6 @@ _BENCH_CHECKS: tuple[tuple[str, str, str, Any], ...] = (
         "speedup_session_vs_vectorized",
         lambda entry: (entry.get("speedups") or {}).get(
             "session_vs_vectorized"
-        ),
-    ),
-    (
-        "tier4",
-        "tier4",
-        "speedup_tier4_vs_session_batch",
-        lambda entry: (
-            entry["tier4"].get("speedup_tier4_vs_session_batch")
-            if isinstance(entry.get("tier4"), dict)
-            else None
         ),
     ),
     (

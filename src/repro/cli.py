@@ -9,7 +9,7 @@ Usage::
                           [--resume]
     python -m repro bench [--queries 300] [--distance 4.0] [--json OUT.json]
                           [--update-baseline] [--trajectory PATH.json]
-                          [--tier4] [--fleet] [--fleet-tags 2000]
+                          [--fleet] [--fleet-tags 2000]
                           [--fleet-rounds 1] [--fleet-aps 4]
                           [--metrics-out M.json] [--trace-out T.jsonl]
     python -m repro bench check [--trajectory PATH.json] [--threshold 0.8]
@@ -159,7 +159,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         fn = functools.partial(
             los_ber_point,
             sim_seconds=args.seconds,
-            kernel_tier=args.kernel_tier,
             warm=args.warm_workers > 0,
         )
         if args.warm_workers > 0:
@@ -173,7 +172,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             faults=faults,
             checkpoint=args.checkpoint,
             resume=args.resume,
-            transport=args.transport,
             pool=pool,
         )
         if live is not None:
@@ -358,7 +356,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         fleet_bench,
         record_bench_trajectory,
         three_tier_bench,
-        tier4_bench,
         update_baseline,
     )
 
@@ -404,38 +401,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         ):
             stages.add_row([group, stage, seconds, calls, per_call_us])
     print(stages.render())
-    t4 = None
-    if args.tier4:
-        t4 = tier4_bench(
-            args.tier4_jobs,
-            args.tier4_sessions,
-            args.tier4_queries,
-            seed=args.seed,
-            repeats=args.repeats,
-        )
-        t4_table = Table(
-            f"tier-4 fast path: {t4['jobs']} jobs x {t4['sessions']} "
-            f"sessions x {t4['queries']} queries, "
-            f"{t4['n_workers']} warm worker(s)",
-            ["mode", "wall (s)", "jobs/s", "sessions/s", "transport"],
-        )
-        for mode in ("session-batch", "tier4"):
-            leg = t4["legs"][mode]
-            t4_table.add_row(
-                [
-                    mode,
-                    leg["wall_s"],
-                    leg["jobs_per_s"],
-                    leg["sessions_per_s"],
-                    leg["transport"],
-                ]
-            )
-        print(t4_table.render())
-        print(
-            f"speedup tier4/session-batch: "
-            f"{t4['speedup_tier4_vs_session_batch']:.2f}x "
-            f"(per-job digests identical: {t4['identical']})"
-        )
     fl = None
     if args.fleet:
         fl = fleet_bench(
@@ -501,7 +466,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"deployments; tier equivalence gate: "
             f"{'passed' if ad['identical'] else 'FAILED'})"
         )
-    payload = bench_payload(result, tier4=t4, fleet=fl, adaptive=ad)
+    payload = bench_payload(result, fleet=fl, adaptive=ad)
     entry = record_bench_trajectory(args.trajectory, payload)
     print(f"recorded trajectory entry ({entry['recorded_at']}) in "
           f"{args.trajectory}")
@@ -535,31 +500,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             args.baselines,
         )
         print(f"updated session_batch baseline in {args.baselines}")
-        if t4 is not None:
-            update_baseline(
-                "tier4",
-                {
-                    "recorded": entry["recorded_at"],
-                    "jobs": t4["jobs"],
-                    "sessions": t4["sessions"],
-                    "queries": t4["queries"],
-                    "seed": args.seed,
-                    "n_workers": t4["n_workers"],
-                    "speedup_tier4_vs_session_batch": t4[
-                        "speedup_tier4_vs_session_batch"
-                    ],
-                    "note": (
-                        "Reference machine numbers from `repro bench "
-                        "--tier4 --update-baseline`. "
-                        "benchmarks/test_tier4.py asserts tier-4 >= "
-                        "max(2.5, 0.8 * speedup_tier4_vs_session_batch) "
-                        "over the session-batch reference; absolute "
-                        "rates are trajectory data only."
-                    ),
-                },
-                args.baselines,
-            )
-            print(f"updated tier4 baseline in {args.baselines}")
         if fl is not None:
             update_baseline(
                 "fleet",
@@ -1201,7 +1141,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             slots=args.slots,
             spill_dir=args.spill_dir,
             max_jobs=args.max_jobs,
-            transport=args.transport,
             warm_workers=args.warm_workers,
         )
     except ValueError as error:
@@ -1215,7 +1154,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"repro serve: {config.host}:{config.port} "
         f"slots={config.slots} spill={spill} "
-        f"transport={config.transport} warm_workers={config.warm_workers}",
+        f"warm_workers={config.warm_workers}",
         file=sys.stderr,
     )
     try:
@@ -1316,27 +1255,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(without this flag an existing checkpoint is overwritten)",
     )
     sweep.add_argument(
-        "--transport",
-        choices=("auto", "pickle", "shm"),
-        default="auto",
-        help="chunk payload codec: shared-memory segments (shm) or "
-        "pickle-over-pipe; auto picks shm when available "
-        "(bit-identical results either way)",
-    )
-    sweep.add_argument(
         "--warm-workers",
         type=int,
         default=0,
         metavar="N",
         help="run on a persistent warm worker pool of N processes "
-        "(tier-4 fast path; 0 = classic per-run executors)",
-    )
-    sweep.add_argument(
-        "--kernel-tier",
-        choices=("auto", "numpy", "numba"),
-        default="auto",
-        help="decode kernel implementation; numba requires the "
-        "optional fast extra and falls back bitwise-verified",
+        "(0 = classic per-run executors)",
     )
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -1355,24 +1279,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--json", type=str, default=None, help="write results to this file"
-    )
-    bench.add_argument(
-        "--tier4",
-        action="store_true",
-        help="also benchmark the tier-4 fast path (warm pool + shm "
-        "transport) against the tier-3 parallel reference",
-    )
-    bench.add_argument(
-        "--tier4-jobs",
-        type=int,
-        default=8,
-        help="serve-style identical jobs per tier-4 leg",
-    )
-    bench.add_argument(
-        "--tier4-sessions", type=int, default=4, help="sessions per job"
-    )
-    bench.add_argument(
-        "--tier4-queries", type=int, default=16, help="queries per session"
     )
     bench.add_argument(
         "--fleet",
@@ -1690,19 +1596,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on active (non-terminal) jobs",
     )
     serve.add_argument(
-        "--transport",
-        choices=("auto", "pickle", "shm"),
-        default="auto",
-        help="chunk payload codec for job execution (bit-identical "
-        "results either way)",
-    )
-    serve.add_argument(
         "--warm-workers",
         type=int,
         default=0,
         metavar="N",
-        help="persistent warm worker pool size per slot (tier-4 fast "
-        "path; 0 = classic per-job executors)",
+        help="persistent warm worker pool size per slot "
+        "(0 = classic per-job executors)",
     )
     serve.add_argument(
         "--print-config",

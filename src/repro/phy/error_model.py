@@ -57,13 +57,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..perf import StageCounters
 from ..seeding import component_rng
 from .channel import BackscatterChannel, TagState
-from .coding import coded_bit_error_rate, packet_error_rate
+from .coding import (
+    coded_bit_error_rate,
+    coded_bit_error_rate_batch,
+    packet_error_rate,
+    packet_error_rate_batch,
+)
 from .csi import (
     csi_noise_scale,
     eesm_effective_sinr,
+    eesm_effective_sinr_batch,
     estimate_csi,
 )
-from .kernels import KernelSet, get_kernels
 from .mcs import Mcs
 from .noise import ReceiverNoise, dbm_to_watts
 
@@ -104,7 +109,6 @@ def mpdu_success_probabilities(
     effective_sinrs_linear,
     *,
     exact: bool = False,
-    kernels: KernelSet | None = None,
 ) -> np.ndarray:
     """Vectorized :func:`mpdu_success_probability` over many subframes.
 
@@ -118,10 +122,6 @@ def mpdu_success_probabilities(
             and the interpolated coded-BER table — accurate to ~1e-3
             relative on the coded BER, which is far below anything
             observable at packet level.
-        kernels: the :class:`repro.phy.kernels.KernelSet` evaluating the
-            fast path; defaults to the numpy reference tier.  Every tier
-            is probe-verified bitwise against the reference, so the
-            choice never changes results.
 
     Returns:
         Array of success probabilities in [0, 1].
@@ -138,9 +138,9 @@ def mpdu_success_probabilities(
                 for b, s in zip(bits_by_subframe.ravel(), sinrs.ravel())
             ]
         ).reshape(sinrs.shape)
-    if kernels is None:
-        kernels = get_kernels("numpy")
-    return kernels.mpdu_success(mcs, bits, sinrs)
+    uncoded = mcs.modulation.bit_error_rate_array(np.maximum(sinrs, 0.0))
+    coded = coded_bit_error_rate_batch(mcs.coding_rate, uncoded)
+    return 1.0 - packet_error_rate_batch(coded, bits)
 
 
 @dataclass(frozen=True)
@@ -210,12 +210,11 @@ class LinkErrorModel:
             ``phy_effective_sinr`` histogram.  All three tiers (scalar,
             per-query vectorized, session-batch 2-D) observe the same
             values in the same order, so histograms are tier-invariant.
-        kernel_tier: which :mod:`repro.phy.kernels` implementation the
-            vectorized decode stages run on — ``"numpy"``, ``"numba"``
-            or ``"auto"`` (the default: compiled when numba is
-            installed, reference otherwise).  Every tier is
-            probe-verified bitwise against the numpy reference at
-            resolution time, so this knob changes speed, never results.
+
+    The vectorized decode calls the numpy array functions directly:
+    :func:`repro.phy.csi.eesm_effective_sinr_batch` for EESM,
+    :func:`mpdu_success_probabilities` for uncoded -> coded BER -> PER,
+    and ``uniforms < probabilities`` for the outcome draw.
     """
 
     channel: BackscatterChannel
@@ -230,23 +229,12 @@ class LinkErrorModel:
     telemetry: "Telemetry | None" = field(
         default=None, repr=False, compare=False
     )
-    kernel_tier: str = "auto"
 
     def __post_init__(self) -> None:
         self._tx_ref_snr = (
             dbm_to_watts(self.tx_power_dbm) / self.receiver.noise_floor_w
         )
         self._mismatch_gain = 10.0 ** (self.mismatch_gain_db / 10.0)
-        # Kernel resolution is lazy: "auto" with numba installed JIT-
-        # compiles on first use, which scalar-only consumers never pay.
-        self._kernel_set: KernelSet | None = None
-
-    @property
-    def kernels(self) -> KernelSet:
-        """The resolved (cached) decode kernel set for this model."""
-        if self._kernel_set is None:
-            self._kernel_set = get_kernels(self.kernel_tier)
-        return self._kernel_set
 
     @property
     def tx_referred_snr_linear(self) -> float:
@@ -435,7 +423,7 @@ class LinkErrorModel:
             np.add(tag_mismatch, safe_est_sq, out=tag_mismatch)
             np.divide(1.0, tag_mismatch, out=tag_mismatch)
             middle = time.perf_counter()
-            effective[lo:hi] = self.kernels.eesm(
+            effective[lo:hi] = eesm_effective_sinr_batch(
                 tag_mismatch.reshape((hi - lo) * k, n), self.mcs.modulation
             ).reshape(hi - lo, k)
             csi_s += middle - start
@@ -471,8 +459,7 @@ class LinkErrorModel:
         )
         start = time.perf_counter()
         probabilities = mpdu_success_probabilities(
-            self.mcs, mpdu_bits, sinrs, exact=exact_coding,
-            kernels=self.kernels,
+            self.mcs, mpdu_bits, sinrs, exact=exact_coding
         )
         self.counters.add("coding", time.perf_counter() - start, sinrs.size)
         return probabilities
@@ -509,7 +496,7 @@ class LinkErrorModel:
             rngs=rngs,
             _uniforms=uniforms,
         )
-        return self.kernels.sample_outcomes(uniforms, probabilities)
+        return uniforms < probabilities
 
     def subframe_effective_sinr(
         self,
@@ -650,7 +637,7 @@ class LinkErrorModel:
             sinr_rows = 1.0 / (tag_mismatch + est_mismatch + noise)
             self.counters.add("csi", time.perf_counter() - start, k)
             start = time.perf_counter()
-            effective = self.kernels.eesm(
+            effective = eesm_effective_sinr_batch(
                 sinr_rows, self.mcs.modulation
             )[row]
             self.counters.add("eesm", time.perf_counter() - start, k)
@@ -680,7 +667,7 @@ class LinkErrorModel:
         sinr_rows = 1.0 / (tag_mismatch + est_mismatch + noise)
         self.counters.add("csi", time.perf_counter() - start, k)
         start = time.perf_counter()
-        effective = self.kernels.eesm(sinr_rows, self.mcs.modulation)
+        effective = eesm_effective_sinr_batch(sinr_rows, self.mcs.modulation)
         self.counters.add("eesm", time.perf_counter() - start, k)
         if self.telemetry is not None:
             self.telemetry.observe_sinrs(effective)
@@ -710,8 +697,7 @@ class LinkErrorModel:
         )
         start = time.perf_counter()
         probabilities = mpdu_success_probabilities(
-            self.mcs, mpdu_bits, sinrs, exact=exact_coding,
-            kernels=self.kernels,
+            self.mcs, mpdu_bits, sinrs, exact=exact_coding
         )
         self.counters.add("coding", time.perf_counter() - start, sinrs.size)
         return probabilities

@@ -57,7 +57,6 @@ from .transport import (
     EncodedChunk,
     TransportError,
     TransportEvent,
-    resolve_transport,
 )
 from .warm import WarmPool
 from .workers import FleetSpec, SessionSpec
@@ -88,7 +87,6 @@ __all__ = [
     "checkpoint_fingerprint",
     "load_checkpoint",
     "resolve_executor",
-    "resolve_transport",
     "run_sessions",
     "run_sweep",
     "run_units",

@@ -19,12 +19,14 @@ File format (one JSON object per line):
 * ``chunk`` — one completed chunk: its index, unit span, worker pid,
   busy seconds, and a base64 chunk stream of ``(values,
   telemetry_snapshot)`` guarded by a BLAKE2b digest.  The stream is
-  encoded by :mod:`repro.runner.transport` — the *same* codec that
-  carried the chunk across the process boundary, so spilling reuses
-  the worker's bytes instead of re-pickling (schema 2 records carry
-  the ``codec`` name and the stream's ``payload_bytes``; schema 1
-  records, plain base64 pickles, still load).  Values are serialized
-  (not JSON) because work functions return arbitrary Python objects
+  the :mod:`repro.runner.transport` pickle stream that carried the
+  chunk across the process boundary, so spilling reuses the worker's
+  bytes instead of re-pickling.  Schema 2 records carry ``"codec":
+  "pickle"`` and the stream's ``payload_bytes``; schema 1 records,
+  plain base64 pickles, still load.  A record of the retired ``shm``
+  codec raises :class:`CheckpointError` rather than being skipped,
+  so its chunks never re-run silently.  Values are serialized (not
+  JSON) because work functions return arbitrary Python objects
   (``SessionStats``, numpy scalars, dataclasses) and resume must
   reproduce them bit-identically.
 
@@ -40,11 +42,11 @@ import base64
 import hashlib
 import json
 import os
-import pickle
 from dataclasses import dataclass
 from typing import Any
 
 from .transport import (
+    CODEC,
     TransportError,
     decode_payload,
     encode_chunk,
@@ -95,10 +97,8 @@ def checkpoint_fingerprint(
 class CompletedChunk:
     """One chunk restored from (or recorded to) a checkpoint.
 
-    ``codec`` names the :mod:`repro.runner.transport` codec the spilled
-    stream used and ``payload_bytes`` its encoded size — the
-    measurability hook for the one-codec spill path (schema-1 records
-    load as ``codec="pickle"`` with ``payload_bytes=0``).
+    ``payload_bytes`` is the spilled stream's encoded size (schema-1
+    records load with ``payload_bytes=0``).
     """
 
     chunk_index: int
@@ -108,7 +108,6 @@ class CompletedChunk:
     busy_s: float
     values: list[Any]
     telemetry: dict[str, Any] | None
-    codec: str = "pickle"
     payload_bytes: int = 0
 
 
@@ -124,33 +123,13 @@ class CheckpointState:
         return str(self.meta.get("fingerprint", ""))
 
 
-def _encode_payload(
-    values: list[Any],
-    telemetry: dict[str, Any] | None,
-    codec: str = "pickle",
-) -> tuple[str, str, int]:
-    """Encode a payload for spilling; returns (base64, digest, nbytes).
-
-    Delegates to :func:`repro.runner.transport.encode_chunk` so the
-    spill format is the transport format — one codec for both
-    boundaries.
-    """
-    encoded = encode_chunk(values, telemetry, codec)
-    raw = encoded.payload
-    return (
-        base64.b64encode(raw).decode("ascii"),
-        encoded.digest,
-        encoded.nbytes,
-    )
-
-
 def _decode_payload(
-    encoded: str, digest: str, codec: str = "pickle"
+    encoded: str, digest: str
 ) -> tuple[list[Any], dict[str, Any] | None]:
     raw = base64.b64decode(encoded.encode("ascii"), validate=True)
     if payload_digest(raw) != digest:
         raise ValueError("chunk payload digest mismatch")
-    return decode_payload(raw, codec)
+    return decode_payload(raw)
 
 
 class CheckpointWriter:
@@ -202,28 +181,17 @@ class CheckpointWriter:
         self.records_written += 1
 
     def record_chunk(
-        self,
-        chunk: CompletedChunk,
-        encoded: tuple[str, bytes | bytearray] | None = None,
+        self, chunk: CompletedChunk, encoded: bytes | None = None
     ) -> None:
         """Persist one completed chunk (values + telemetry snapshot).
 
-        ``encoded`` is the fix for the historical double-encoding: when
-        the chunk already crossed the process boundary as a
-        ``(codec, stream)`` pair, the coordinator hands those bytes in
-        verbatim and the writer spills them without re-serializing the
-        values.  Serial runs (no boundary crossed) encode here, once.
+        ``encoded`` is the stream that carried the chunk across the
+        process boundary: the coordinator hands those bytes in verbatim
+        and the writer spills them without re-serializing the values.
+        Serial runs (no boundary crossed) encode here, once.
         """
-        if encoded is not None:
-            codec, raw = encoded
-            payload = base64.b64encode(raw).decode("ascii")
-            digest = payload_digest(raw)
-            nbytes = len(raw)
-        else:
-            codec = chunk.codec
-            payload, digest, nbytes = _encode_payload(
-                chunk.values, chunk.telemetry, codec
-            )
+        if encoded is None:
+            encoded = encode_chunk(chunk.values, chunk.telemetry).payload
         self._write_line(
             {
                 "schema": CHECKPOINT_SCHEMA,
@@ -233,10 +201,10 @@ class CheckpointWriter:
                 "n_units": chunk.n_units,
                 "worker": chunk.worker,
                 "busy_s": chunk.busy_s,
-                "codec": codec,
-                "payload_bytes": nbytes,
-                "payload": payload,
-                "digest": digest,
+                "codec": CODEC,
+                "payload_bytes": len(encoded),
+                "payload": base64.b64encode(encoded).decode("ascii"),
+                "digest": payload_digest(encoded),
             }
         )
 
@@ -255,8 +223,9 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointState:
 
     Raises :class:`CheckpointError` when the file's first intact record
     is not a compatible header (wrong schema, or not a checkpoint file
-    at all); individual bad chunk lines are counted in
-    ``skipped_lines`` and otherwise ignored.
+    at all), or when a chunk record names a codec other than
+    ``"pickle"`` (the retired ``shm`` codec); individual bad chunk
+    lines are counted in ``skipped_lines`` and otherwise ignored.
     """
     path = os.fspath(path)
     meta: dict[str, Any] | None = None
@@ -288,10 +257,17 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointState:
             if kind != "chunk":
                 skipped += 1
                 continue
+            codec = record.get("codec", CODEC)
+            if codec != CODEC:
+                raise CheckpointError(
+                    f"{path}: chunk {record.get('chunk')!r} was spilled "
+                    f"with the retired {codec!r} codec, which this "
+                    f"version cannot read; delete the checkpoint (or run "
+                    f"without resume) to start over"
+                )
             try:
-                codec = str(record.get("codec", "pickle"))
                 values, telemetry = _decode_payload(
-                    record["payload"], record["digest"], codec
+                    record["payload"], record["digest"]
                 )
                 chunk = CompletedChunk(
                     chunk_index=int(record["chunk"]),
@@ -301,14 +277,12 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointState:
                     busy_s=float(record["busy_s"]),
                     values=values,
                     telemetry=telemetry,
-                    codec=codec,
                     payload_bytes=int(record.get("payload_bytes", 0)),
                 )
             except (
                 KeyError,
                 ValueError,
                 TypeError,
-                pickle.PickleError,
                 TransportError,
             ):
                 skipped += 1

@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-import secrets
 import signal
 import threading
 import time
@@ -68,17 +67,13 @@ from .checkpoint import (
 )
 from .faults import CorruptPayload, FaultSpec, RetryEvent, RetryPolicy
 from .transport import (
+    CODEC,
     EncodedChunk,
     TransportError,
     TransportEvent,
-    cleanup_segment,
     decode_payload,
     encode_chunk,
-    ensure_tracker,
-    fetch_payload,
     payload_digest,
-    resolve_transport,
-    segment_name,
 )
 
 __all__ = [
@@ -316,10 +311,6 @@ class SweepResult:
     retries: tuple[RetryEvent, ...] = ()
     #: Chunks restored from a checkpoint instead of being re-run.
     resumed_chunks: int = 0
-    #: Transport codec chunk payloads crossed the process boundary
-    #: with ("pickle" or "shm"); "none" for in-process serial runs,
-    #: where values never leave the coordinator.
-    transport: str = "none"
 
     @property
     def values(self) -> list[Any]:
@@ -390,11 +381,11 @@ class _ChunkOutcome:
     #: Wire form: the payload as encoded by the worker (values and
     #: telemetry are then empty until the coordinator materializes it).
     encoded: EncodedChunk | None = None
-    #: Coordinator-side: the decoded payload's ``(codec, raw bytes)``,
-    #: kept alive exactly long enough for the checkpoint writer to
-    #: spill the same stream (the single-encode contract), then
-    #: stripped before the outcome is stored.
-    stream: tuple[str, Any] | None = None
+    #: Coordinator-side: the decoded payload's raw bytes, kept alive
+    #: exactly long enough for the checkpoint writer to spill the same
+    #: stream (the single-encode contract), then stripped before the
+    #: outcome is stored.
+    stream: bytes | None = None
 
 
 @contextmanager
@@ -531,40 +522,24 @@ def _run_chunk_wire(
     faults: FaultSpec | None = None,
     attempt: int = 0,
     timeout_s: float | None = None,
-    codec: str | None = None,
-    segment: str | None = None,
 ) -> _ChunkOutcome:
     """Run a chunk and encode its payload for the result channel.
 
     The worker-side entry point for the pooled executors: the chunk
     body is :func:`_run_chunk` unchanged, but a successful outcome's
-    ``(values, telemetry)`` payload is encoded *once* here — inline
-    bytes for the ``pickle`` codec, a named shared-memory segment for
-    ``shm`` — instead of riding the executor's own pickler.  Failed
-    chunks return as-is (their partial values are never used).  A
-    failed ``shm`` encode (segment limit, stale name) falls back to
-    inline pickle rather than failing the chunk; the coordinator reads
-    the codec from the outcome, not the request.
+    ``(values, telemetry)`` payload is encoded *once* here, as a
+    digested pickle stream, and rides the executor's result channel
+    as bytes.  Failed chunks return as-is (their partial values are
+    never used).
     """
     outcome = _run_chunk(fn, units, telemetry_spec, faults, attempt, timeout_s)
-    if codec is None or outcome.failure is not None:
+    if outcome.failure is not None:
         return outcome
-    start = time.perf_counter()
-    try:
-        encoded = encode_chunk(
-            outcome.values,
-            outcome.telemetry,
-            codec,
-            segment=segment if codec == "shm" else None,
-        )
-    except Exception:  # noqa: BLE001 - shm exhaustion must not kill the chunk
-        encoded = encode_chunk(outcome.values, outcome.telemetry, "pickle")
-    encode_s = time.perf_counter() - start
     return replace(
         outcome,
         values=[],
         telemetry=None,
-        encoded=replace(encoded, encode_s=encode_s),
+        encoded=encode_chunk(outcome.values, outcome.telemetry),
     )
 
 
@@ -615,10 +590,6 @@ def resolve_executor(requested: str, n_workers: int) -> str:
     return "process"
 
 
-#: Backwards-compatible alias (pre-rename internal name).
-_pick_executor = resolve_executor
-
-
 def _first_corrupt(outcome: _ChunkOutcome) -> int | None:
     """Unit index of the first corrupt payload in a chunk, if any."""
     for offset, value in enumerate(outcome.values):
@@ -654,9 +625,7 @@ class _ChunkScheduler:
         faults: FaultSpec | None,
         seed: int,
         on_complete: Callable[[int, _ChunkOutcome], None] | None = None,
-        codec: str | None = None,
         pool: Any | None = None,
-        token: str = "",
     ) -> None:
         self.fn = fn
         self.chunks = chunks
@@ -675,16 +644,9 @@ class _ChunkScheduler:
         self.terminal: dict[int, _UnitFailure] = {}
         self.events: list[RetryEvent] = []
         self.pool_breaks = 0
-        #: Transport codec for pooled rounds (None = serial, in-process).
-        self.codec = codec
         #: Optional :class:`repro.runner.warm.WarmPool` ("warm" rounds).
         self.pool = pool
-        self.token = token
         self.transport_events: list[TransportEvent] = []
-        #: Segment names issued to in-flight shm chunks, keyed by
-        #: (chunk_index, attempt) — the coordinator can clean these up
-        #: even when the worker that owned them died silently.
-        self.issued_segments: dict[tuple[int, int], str] = {}
 
     # -- event plumbing -------------------------------------------------
 
@@ -710,80 +672,55 @@ class _ChunkScheduler:
 
     def _wire_args(self, chunk_index: int) -> tuple:
         """Positional args of :func:`_run_chunk_wire` for one chunk."""
-        attempt = self.attempts.get(chunk_index, 0)
-        segment = None
-        if self.codec == "shm":
-            segment = segment_name(self.token, chunk_index, attempt)
-            self.issued_segments[(chunk_index, attempt)] = segment
         return (
             self.fn,
             self.chunks[chunk_index],
             self.telemetry_spec,
             self.faults,
-            attempt,
+            self.attempts.get(chunk_index, 0),
             self.retry.timeout_s,
-            self.codec,
-            segment,
         )
-
-    def _reclaim_segment(self, chunk_index: int) -> None:
-        """Unlink whatever segment this chunk's current attempt holds.
-
-        Safe in every state: not yet created (worker died early, or the
-        worker's shm encode fell back to pickle), created but orphaned
-        (worker died after writing), or already consumed and unlinked
-        by :func:`fetch_payload` — cleanup is a no-op then.
-        """
-        attempt = self.attempts.get(chunk_index, 0)
-        name = self.issued_segments.pop((chunk_index, attempt), None)
-        if name is not None:
-            cleanup_segment(name)
 
     def _materialize(
         self, chunk_index: int, outcome: _ChunkOutcome
     ) -> _ChunkOutcome:
         """Decode a wire outcome into a settleable one.
 
-        Fetches the encoded stream (unlinking its segment), verifies
-        the digest, decodes values + telemetry, and records the
-        transport event.  A transport failure becomes an ordinary
-        chunk failure (reason ``transport``) charged against the retry
-        budget — the chunk's work is repeatable, so re-running it is
-        strictly better than dying.
+        Verifies the encoded stream's digest, decodes values +
+        telemetry, and records the transport event.  A transport
+        failure becomes an ordinary chunk failure (reason
+        ``transport``) charged against the retry budget — the chunk's
+        work is repeatable, so re-running it is strictly better than
+        dying.
         """
         if outcome.encoded is None:
             return outcome
         encoded = outcome.encoded
+        raw = encoded.payload
         start = time.perf_counter()
         try:
-            try:
-                raw = fetch_payload(encoded)
-                if payload_digest(raw) != encoded.digest:
-                    raise TransportError(
-                        "chunk stream failed its integrity check"
-                    )
-                values, telemetry = decode_payload(raw, encoded.codec)
-            except TransportError as exc:
-                first = self.chunks[chunk_index][0]
-                return replace(
-                    outcome,
-                    encoded=None,
-                    failure=_UnitFailure(
-                        index=first.index,
-                        parameters=first.parameters,
-                        cause=f"{type(exc).__name__}: {exc}",
-                        remote_traceback=(
-                            "(chunk payload could not be fetched or "
-                            "decoded; no remote traceback)\n"
-                        ),
-                        reason="transport",
+            if payload_digest(raw) != encoded.digest:
+                raise TransportError("chunk stream failed its integrity check")
+            values, telemetry = decode_payload(raw)
+        except TransportError as exc:
+            first = self.chunks[chunk_index][0]
+            return replace(
+                outcome,
+                encoded=None,
+                failure=_UnitFailure(
+                    index=first.index,
+                    parameters=first.parameters,
+                    cause=f"{type(exc).__name__}: {exc}",
+                    remote_traceback=(
+                        "(chunk payload could not be decoded; no remote "
+                        "traceback)\n"
                     ),
-                )
-        finally:
-            self._reclaim_segment(chunk_index)
+                    reason="transport",
+                ),
+            )
         event = TransportEvent(
             chunk_index=chunk_index,
-            codec=encoded.codec,
+            codec=CODEC,
             nbytes=encoded.nbytes,
             encode_s=encoded.encode_s,
             decode_s=time.perf_counter() - start,
@@ -797,7 +734,7 @@ class _ChunkScheduler:
             values=values,
             telemetry=telemetry,
             encoded=None,
-            stream=(encoded.codec, raw),
+            stream=raw,
         )
 
     # -- classification -------------------------------------------------
@@ -926,9 +863,6 @@ class _ChunkScheduler:
                 # pool broke before it ran).  That is an executor
                 # failure, not the chunk's: it does not spend the
                 # chunk's retry budget, only the circuit breaker's.
-                # The worker may have died *after* creating the chunk's
-                # shm segment, so reclaim it before the retry reissues.
-                self._reclaim_segment(i)
                 self._emit(
                     i, self.attempts.get(i, 0), "executor", "retry"
                 )
@@ -1006,10 +940,16 @@ def run_units(
     checkpoint: str | os.PathLike | None = None,
     resume: bool = True,
     on_chunk: Callable[[ChunkProgress], None] | None = None,
-    transport: str = "auto",
     pool: Any | None = None,
 ) -> SweepResult:
     """Execute arbitrary work units; the primitive under :func:`run_sweep`.
+
+    Pooled workers return each chunk as one digested pickle stream
+    over the executor's result channel (:mod:`repro.runner.transport`);
+    a stream that fails its digest is a ``transport`` chunk failure,
+    charged to the retry budget.  The checkpoint spills those same
+    bytes, so values are encoded once per chunk; serial runs encode
+    only when they spill.
 
     Args:
         fn: work function, called once per unit with its
@@ -1056,14 +996,6 @@ def run_units(
             Raising from the observer aborts the run — the cooperative
             cancellation point for callers driving the engine from an
             event loop.
-        transport: chunk payload codec for pooled executors — "auto"
-            (zero-copy shared memory where available), "pickle", or
-            "shm" (see :mod:`repro.runner.transport`).  A pure
-            scheduling concern: results are bit-identical across
-            codecs, and the checkpoint spills whichever stream carried
-            the chunk, so values are encoded once per chunk.  Serial
-            runs never encode (but still spill with the resolved
-            codec).
         pool: optional :class:`repro.runner.warm.WarmPool` of
             persistent workers to dispatch on instead of a fresh
             process pool — the caller owns its lifetime, so session
@@ -1089,10 +1021,6 @@ def run_units(
     executor_kind = resolve_executor(executor, n_workers)
     if pool is not None:
         executor_kind = "warm"
-    resolved_codec = resolve_transport(transport)
-    codec = resolved_codec if executor_kind in ("process", "warm") else None
-    if codec == "shm":
-        ensure_tracker()
     own_pool = None
     if executor_kind == "warm" and pool is None:
         from .warm import WarmPool
@@ -1191,11 +1119,6 @@ def run_units(
                     busy_s=outcome.busy_s,
                     values=outcome.values,
                     telemetry=outcome.telemetry,
-                    codec=(
-                        outcome.stream[0]
-                        if outcome.stream is not None
-                        else resolved_codec
-                    ),
                 ),
                 # Reuse the exact bytes that crossed the process
                 # boundary; only serial chunks (no boundary) encode
@@ -1214,9 +1137,7 @@ def run_units(
         faults,
         seed,
         on_complete=spill,
-        codec=codec,
         pool=pool,
-        token=secrets.token_hex(4),
     )
     scheduler.outcomes.update(resumed)
     try:
@@ -1226,11 +1147,6 @@ def run_units(
     finally:
         if checkpoint_writer is not None:
             checkpoint_writer.close()
-        # Belt and braces: no shm segment outlives the run, even when
-        # the scheduler raised with chunks in flight.
-        for name in scheduler.issued_segments.values():
-            cleanup_segment(name)
-        scheduler.issued_segments.clear()
         if own_pool is not None:
             own_pool.close()
     wall_s = time.perf_counter() - start
@@ -1300,7 +1216,6 @@ def run_units(
         telemetry=aggregate,
         retries=events,
         resumed_chunks=len(resumed),
-        transport=codec if codec is not None else "none",
     )
 
 
@@ -1317,7 +1232,6 @@ def run_sweep(
     checkpoint: str | os.PathLike | None = None,
     resume: bool = True,
     on_chunk: Callable[[ChunkProgress], None] | None = None,
-    transport: str = "auto",
     pool: Any | None = None,
 ) -> SweepResult:
     """Evaluate ``measure`` at every grid point of ``spec``.
@@ -1342,6 +1256,5 @@ def run_sweep(
         checkpoint=checkpoint,
         resume=resume,
         on_chunk=on_chunk,
-        transport=transport,
         pool=pool,
     )

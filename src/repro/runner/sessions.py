@@ -66,7 +66,6 @@ def run_sessions(
     checkpoint: str | os.PathLike | None = None,
     resume: bool = True,
     on_chunk: Callable[[ChunkProgress], None] | None = None,
-    transport: str = "auto",
     pool: Any | None = None,
 ) -> SweepResult:
     """Run ``n_sessions`` independent sessions; values are SessionStats.
@@ -110,9 +109,8 @@ def run_sessions(
         on_chunk: per-chunk progress observer
             (:class:`repro.runner.engine.ChunkProgress`); see
             :func:`repro.runner.engine.run_units`.
-        transport / pool: chunk payload codec and optional persistent
-            :class:`repro.runner.warm.WarmPool`; see
-            :func:`repro.runner.engine.run_units`.  Pair a caller-owned
+        pool: optional persistent :class:`repro.runner.warm.WarmPool`;
+            see :func:`repro.runner.engine.run_units`.  Pair a caller-owned
             pool with :class:`repro.runner.workers.SessionSpec`
             (``warm=True``) so workers keep session caches across jobs.
     """
@@ -152,6 +150,5 @@ def run_sessions(
         checkpoint=checkpoint,
         resume=resume,
         on_chunk=on_chunk,
-        transport=transport,
         pool=pool,
     )

@@ -1,173 +1,85 @@
-"""Chunk payload codecs for the runner's result and checkpoint channels.
+"""Chunk payload codec for the runner's result and checkpoint channels.
 
 Every chunk a worker completes has to cross two boundaries: the
 process boundary back to the coordinator, and (optionally) the spill
-boundary into a checkpoint file.  Historically both crossings pickled
-independently — the pool channel pickled the values inside the chunk
-outcome, and the checkpoint writer pickled them *again* into a base64
-payload.  This module gives both crossings one codec:
+boundary into a checkpoint file.  Both crossings use one codec,
+``pickle``:
 
-* ``pickle`` — the portable fallback: one explicit
-  ``pickle.dumps((values, telemetry))`` byte stream, shipped inline
-  through the executor's result channel.
-* ``shm`` — the zero-copy path: the same logical payload serialized
-  with pickle protocol 5, but with every contiguous buffer (numpy
-  arrays dominate) split out-of-band and memcpy'd into a named
-  POSIX shared-memory segment the worker creates and the coordinator
-  maps.  Array bytes cross the process boundary through the kernel's
-  page cache instead of the executor's pipe, and the coordinator's
-  copy of the stream is handed unchanged to the checkpoint writer —
-  values are encoded exactly once per chunk no matter how many
-  boundaries they cross.
+1. The worker encodes its ``(values, telemetry)`` payload once, as one
+   explicit ``pickle.dumps`` byte stream with a BLAKE2b digest
+   (:func:`encode_chunk`).
+2. The stream rides the executor's own result channel back to the
+   coordinator.
+3. The coordinator checks the digest, decodes (:func:`decode_payload`)
+   and hands the same bytes to the checkpoint writer.
 
-Both codecs produce a self-contained byte stream, so a checkpoint
-record can be decoded regardless of which channel originally carried
-it, and cross-codec equivalence is property-testable
-(``decode(encode(x, "shm")) == decode(encode(x, "pickle"))``
-bit-for-bit).
+Values are therefore encoded exactly once per chunk, however many
+boundaries they cross, and a digest mismatch is caught before any
+value is used.
 
-Segment lifecycle (the part that must not leak):
-
-1. The *coordinator* calls :func:`ensure_tracker` before starting any
-   workers, so every process shares one ``resource_tracker``.
-2. The worker creates the segment under a coordinator-chosen
-   deterministic name (:func:`segment_name`), writes the stream, and
-   closes its mapping.  Creation registers the name with the shared
-   tracker.
-3. The coordinator attaches, copies the stream into process-owned
-   memory, closes, and unlinks — which unregisters the same tracker
-   entry.  Decoded arrays alias the coordinator's own copy, never the
-   (by then unlinked) segment.
-4. If the worker dies mid-chunk the coordinator still knows the name
-   it assigned and calls :func:`cleanup_segment`; if the *coordinator*
-   dies, the shared tracker unlinks leftovers at shutdown.  Either
-   way ``/dev/shm`` ends empty (asserted by the chaos tests).
+Nothing here creates shared memory.  :func:`leaked_segments` and
+:func:`cleanup_segment` audit ``/dev/shm`` for ``rpr-*`` entries, the
+segments of the retired ``shm`` codec; ``canonbench/run.py`` imports
+both in every run.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
-import struct
 import time
 from dataclasses import dataclass
 from typing import Any
 
 __all__ = [
+    "CODEC",
     "EncodedChunk",
     "SEGMENT_PREFIX",
-    "TRANSPORT_CODECS",
     "TransportError",
     "TransportEvent",
     "cleanup_segment",
     "decode_payload",
     "encode_chunk",
-    "ensure_tracker",
-    "fetch_payload",
     "leaked_segments",
     "payload_digest",
-    "resolve_transport",
-    "segment_name",
-    "shm_available",
 ]
 
-try:  # POSIX shared memory; absent on some embedded platforms.
-    from multiprocessing import resource_tracker as _resource_tracker
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - platform without _posixshmem
-    _resource_tracker = None
-    _shared_memory = None
+#: The codec name recorded wherever a format carries one: checkpoint
+#: chunk records, :class:`TransportEvent` and the
+#: ``runner_chunk_bytes_total{codec}`` metric.
+CODEC = "pickle"
 
-#: Codecs a chunk payload may be encoded with.
-TRANSPORT_CODECS = ("pickle", "shm")
-
-#: Every segment this module creates starts with this prefix, so tests
-#: (and operators) can audit ``/dev/shm`` for leaks without false
-#: positives from other tenants.
+#: Name prefix of the shared-memory segments the retired ``shm`` codec
+#: created; :func:`leaked_segments` scans ``/dev/shm`` for it.
 SEGMENT_PREFIX = "rpr-"
 
-_MAGIC = b"RPC1"  # repro chunk stream, layout version 1
-_ALIGN = 16
+_SHM_DIR = "/dev/shm"
 _DIGEST_BYTES = 16
-_HEADER = struct.Struct("<4sIQ")  # magic, n_buffers, meta_len
-_U64 = struct.Struct("<Q")
 
 
 class TransportError(RuntimeError):
-    """A chunk payload could not be encoded, fetched, or decoded."""
-
-
-def shm_available() -> bool:
-    """Whether the zero-copy ``shm`` codec can run on this platform."""
-    return _shared_memory is not None
-
-
-def resolve_transport(requested: str) -> str:
-    """The codec the engine will actually use for a request.
-
-    ``auto`` prefers the zero-copy ``shm`` codec and falls back to
-    ``pickle`` where POSIX shared memory is unavailable; asking for
-    ``shm`` explicitly on such a platform is an error rather than a
-    silent downgrade.
-    """
-    if requested not in ("auto", "pickle", "shm"):
-        raise ValueError(
-            f"transport must be 'auto', 'pickle' or 'shm', "
-            f"got {requested!r}"
-        )
-    if requested == "auto":
-        return "shm" if shm_available() else "pickle"
-    if requested == "shm" and not shm_available():
-        raise TransportError(
-            "shared-memory transport is unavailable on this platform"
-        )
-    return requested
-
-
-def ensure_tracker() -> None:
-    """Start the coordinator's resource tracker before forking workers.
-
-    Workers inherit the tracker's pipe, so a segment registered by a
-    worker's ``create`` and unregistered by the coordinator's
-    ``unlink`` hit the *same* tracker — without this, each side spawns
-    its own tracker and both sides warn about the other's bookkeeping.
-    """
-    if _resource_tracker is not None:
-        _resource_tracker.ensure_running()
-
-
-def segment_name(token: str, chunk_index: int, attempt: int) -> str:
-    """Deterministic segment name for one (chunk, attempt).
-
-    The coordinator picks the name *before* dispatching the chunk, so
-    it can clean the segment up even when the worker dies between
-    creating it and reporting back.
-    """
-    return f"{SEGMENT_PREFIX}{token}-c{chunk_index}a{attempt}"
+    """A chunk payload failed its integrity check or could not be decoded."""
 
 
 @dataclass(frozen=True)
 class EncodedChunk:
-    """One chunk payload, encoded but not yet crossed to the coordinator.
+    """One chunk payload, encoded by the worker.
 
     Attributes:
-        codec: ``"pickle"`` or ``"shm"``.
-        payload: the byte stream, inline (``pickle`` codec, or ``shm``
-            encoded without a segment); ``None`` when the stream lives
-            in a named segment instead.
-        segment: shared-memory segment holding the stream, or ``None``.
-        nbytes: length of the stream in bytes.
-        digest: BLAKE2b hexdigest of the stream (integrity check; the
-            checkpoint layer reuses it verbatim).
+        payload: the pickle byte stream of ``(values, telemetry)``.
+        digest: BLAKE2b hexdigest of ``payload`` (integrity check).
         encode_s: wall-clock seconds spent encoding.
     """
 
-    codec: str
-    payload: bytes | None
-    segment: str | None
-    nbytes: int
+    payload: bytes
     digest: str
     encode_s: float
+
+    @property
+    def nbytes(self) -> int:
+        """Length of the stream in bytes."""
+        return len(self.payload)
 
 
 @dataclass(frozen=True)
@@ -194,237 +106,66 @@ def payload_digest(raw: bytes | bytearray | memoryview) -> str:
     return hashlib.blake2b(raw, digest_size=_DIGEST_BYTES).hexdigest()
 
 
-def _shm_parts(
-    values: list[Any], telemetry: dict[str, Any] | None
-) -> tuple[list[bytes], list[memoryview], int]:
-    """Serialize to (header parts, out-of-band buffers, total size).
-
-    ``meta`` is a protocol-5 pickle whose contiguous buffers (numpy
-    array data) are split out via ``buffer_callback`` — they are
-    *views* of the live arrays, not copies.  The caller memcpys each
-    part into its destination (segment or bytearray); that single copy
-    is the only time array bytes are touched.
-    """
-    pickle_buffers: list[pickle.PickleBuffer] = []
-    meta = pickle.dumps(
-        (values, telemetry),
-        protocol=5,
-        buffer_callback=pickle_buffers.append,
-    )
-    views: list[memoryview] = []
-    for buf in pickle_buffers:
-        view = buf.raw()
-        if not view.contiguous:  # pragma: no cover - raw() is contiguous
-            view = memoryview(bytes(view))
-        views.append(view.cast("B"))
-    header = bytearray(_HEADER.pack(_MAGIC, len(views), len(meta)))
-    for view in views:
-        header += _U64.pack(view.nbytes)
-    total = len(header) + len(meta)
-    for view in views:
-        total = _aligned(total) + view.nbytes
-    return [bytes(header), meta], views, total
-
-
-def _aligned(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-def _write_stream(
-    target: memoryview | bytearray,
-    head: list[bytes],
-    views: list[memoryview],
-) -> None:
-    """memcpy header + meta + aligned buffers into ``target``.
-
-    Alignment gaps are left as the target's existing bytes — zero for
-    both a fresh segment (the kernel zero-fills) and a fresh
-    ``bytearray`` — so the stream is byte-deterministic.
-    """
-    mv = memoryview(target)
-    pos = 0
-    for part in head:
-        mv[pos : pos + len(part)] = part
-        pos += len(part)
-    for view in views:
-        pos = _aligned(pos)
-        mv[pos : pos + view.nbytes] = view
-        pos += view.nbytes
-
-
-def _decode_stream(
-    raw: bytes | bytearray,
-) -> tuple[list[Any], dict[str, Any] | None]:
-    mv = memoryview(raw)
-    if len(mv) < _HEADER.size:
-        raise TransportError("chunk stream truncated before header")
-    magic, n_buffers, meta_len = _HEADER.unpack_from(mv, 0)
-    if magic != _MAGIC:
-        raise TransportError(
-            f"bad chunk stream magic {bytes(magic)!r}"
-        )
-    pos = _HEADER.size
-    lengths = []
-    for _ in range(n_buffers):
-        lengths.append(_U64.unpack_from(mv, pos)[0])
-        pos += _U64.size
-    meta = bytes(mv[pos : pos + meta_len])
-    if len(meta) != meta_len:
-        raise TransportError("chunk stream truncated inside metadata")
-    pos += meta_len
-    buffers: list[memoryview] = []
-    for length in lengths:
-        pos = _aligned(pos)
-        if pos + length > len(mv):
-            raise TransportError("chunk stream truncated inside buffer")
-        buffers.append(mv[pos : pos + length])
-        pos += length
-    return pickle.loads(meta, buffers=buffers)
-
-
 def encode_chunk(
-    values: list[Any],
-    telemetry: dict[str, Any] | None,
-    codec: str,
-    *,
-    segment: str | None = None,
+    values: list[Any], telemetry: dict[str, Any] | None
 ) -> EncodedChunk:
-    """Encode one chunk payload with ``codec``.
-
-    With ``codec="shm"`` and a ``segment`` name the stream is written
-    directly into a freshly created shared-memory segment (the
-    worker-side path); without a name it is returned inline (the
-    checkpoint re-encode path).  Digests are computed over the full
-    stream either way, so the two forms are interchangeable.
-    """
+    """Encode one chunk payload as a digested pickle stream."""
     start = time.perf_counter()
-    if codec == "pickle":
-        raw = pickle.dumps(
-            (values, telemetry), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        return EncodedChunk(
-            codec="pickle",
-            payload=raw,
-            segment=None,
-            nbytes=len(raw),
-            digest=payload_digest(raw),
-            encode_s=time.perf_counter() - start,
-        )
-    if codec != "shm":
-        raise ValueError(f"unknown transport codec {codec!r}")
-    head, views, total = _shm_parts(values, telemetry)
-    if segment is None:
-        stream = bytearray(total)
-        _write_stream(stream, head, views)
-        return EncodedChunk(
-            codec="shm",
-            payload=bytes(stream),
-            segment=None,
-            nbytes=total,
-            digest=payload_digest(stream),
-            encode_s=time.perf_counter() - start,
-        )
-    if _shared_memory is None:
-        raise TransportError(
-            "shared-memory transport is unavailable on this platform"
-        )
-    shm = _shared_memory.SharedMemory(
-        name=segment, create=True, size=max(total, 1)
-    )
-    try:
-        _write_stream(shm.buf, head, views)
-        digest = payload_digest(shm.buf[:total])
-    finally:
-        shm.close()
+    raw = pickle.dumps((values, telemetry), protocol=pickle.HIGHEST_PROTOCOL)
     return EncodedChunk(
-        codec="shm",
-        payload=None,
-        segment=segment,
-        nbytes=total,
-        digest=digest,
+        payload=raw,
+        digest=payload_digest(raw),
         encode_s=time.perf_counter() - start,
     )
 
 
-def fetch_payload(encoded: EncodedChunk) -> bytes | bytearray:
-    """Bring an encoded stream into coordinator-owned memory.
-
-    For the ``shm`` codec this attaches the worker's segment, copies
-    the stream into a ``bytearray`` the coordinator owns, then closes
-    *and unlinks* the segment — after this call no shared memory
-    remains, and decoded arrays alias the returned buffer instead of a
-    vanished mapping.  Inline payloads are returned as-is.
-    """
-    if encoded.payload is not None:
-        return encoded.payload
-    if encoded.segment is None:
-        raise TransportError("encoded chunk carries no payload")
-    if _shared_memory is None:  # pragma: no cover - guarded upstream
-        raise TransportError("shared-memory transport is unavailable")
-    try:
-        shm = _shared_memory.SharedMemory(name=encoded.segment)
-    except FileNotFoundError as exc:
-        raise TransportError(
-            f"chunk segment {encoded.segment!r} vanished before the "
-            f"coordinator could map it"
-        ) from exc
-    try:
-        raw = bytearray(shm.buf[: encoded.nbytes])
-    finally:
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - racing cleanup
-            pass
-    return raw
-
-
 def decode_payload(
-    raw: bytes | bytearray, codec: str
+    raw: bytes | bytearray,
 ) -> tuple[list[Any], dict[str, Any] | None]:
-    """Decode a stream produced by :func:`encode_chunk`."""
-    if codec == "pickle":
+    """Decode a stream produced by :func:`encode_chunk`.
+
+    Raises :class:`TransportError` when the stream does not unpickle to
+    a ``(values, telemetry)`` pair (truncated or foreign bytes).
+    """
+    try:
         values, telemetry = pickle.loads(raw)
-        return values, telemetry
-    if codec != "shm":
-        raise ValueError(f"unknown transport codec {codec!r}")
-    return _decode_stream(raw)
+    except Exception as exc:  # noqa: BLE001 - any unpickling failure
+        raise TransportError(
+            f"chunk stream could not be decoded: {type(exc).__name__}: {exc}"
+        ) from exc
+    return values, telemetry
 
 
 def cleanup_segment(name: str) -> bool:
-    """Unlink a segment that may or may not exist; True if it did.
+    """Unlink the ``/dev/shm`` entry ``name`` if it exists; True if it did.
 
-    The coordinator calls this for every segment it assigned to a
-    chunk the executor ate (worker killed mid-chunk): the worker may
-    have died before creating it, after creating it, or after the
-    coordinator already consumed it — all three are fine.
+    Nothing in the runner creates segments any more.  This stays for
+    ``canonbench/run.py``, which imports it in every run to remove what
+    :func:`leaked_segments` reports.  Unlinking the file directly (not
+    through ``multiprocessing.shared_memory``) needs no mapping, so an
+    empty entry unlinks as well as a full one.
     """
-    if _shared_memory is None:
-        return False
+    if "/" in name:
+        raise ValueError(f"segment name must not contain '/': {name!r}")
     try:
-        shm = _shared_memory.SharedMemory(name=name)
+        os.unlink(os.path.join(_SHM_DIR, name))
     except FileNotFoundError:
-        return False
-    shm.close()
-    try:
-        shm.unlink()
-    except FileNotFoundError:  # pragma: no cover - racing cleanup
         return False
     return True
 
 
 def leaked_segments(token: str | None = None) -> list[str]:
-    """Names of live repro segments (test/audit helper).
+    """Names of live ``rpr-*`` segments (test/audit helper).
 
     Scans ``/dev/shm`` for :data:`SEGMENT_PREFIX` entries, optionally
-    narrowed to one run's ``token``.  Returns an empty list on
-    platforms without a visible shm filesystem.
+    narrowed to names that continue with ``token`` and a dash.  Returns
+    an empty list on platforms without a visible shm filesystem.
+    ``canonbench/run.py`` imports this in every run; the tier-1 chaos
+    tests use it to assert a pooled run leaves nothing behind.
     """
-    import os
-
     prefix = SEGMENT_PREFIX if token is None else f"{SEGMENT_PREFIX}{token}-"
     try:
-        entries = os.listdir("/dev/shm")
+        entries = os.listdir(_SHM_DIR)
     except OSError:
         return []
     return sorted(name for name in entries if name.startswith(prefix))

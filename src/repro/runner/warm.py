@@ -12,8 +12,8 @@ small jobs (see :mod:`repro.serve`) repays those costs on every job.
 rounds *and across engine runs*.  Workers run a tiny recv/execute/send
 loop over a duplex pipe; the chunk body is the engine's own
 ``_run_chunk_wire``, so in-worker deadlines (``SIGALRM``), fault
-injection, telemetry snapshots, and transport encoding behave exactly
-as they do on the one-shot pool.  Determinism is untouched: workers
+injection, telemetry snapshots, and the chunk payload encoding behave
+exactly as they do on the one-shot pool.  Determinism is untouched: workers
 never share randomness, they only execute the same pure-per-unit
 chunks, so results stay bit-identical to the serial and process
 executors.
@@ -42,8 +42,6 @@ import multiprocessing
 from collections import deque
 from multiprocessing.connection import wait as _connection_wait
 from typing import Any
-
-from .transport import ensure_tracker
 
 __all__ = ["WarmPool"]
 
@@ -128,10 +126,6 @@ class WarmPool:
         self.n_workers = n_workers
         self._method = context if context is not None else _pick_start_method()
         self._ctx = multiprocessing.get_context(self._method)
-        # Workers inherit the coordinator's resource tracker so their
-        # shm registrations and our unlinks hit the same bookkeeping
-        # (see repro.runner.transport.ensure_tracker).
-        ensure_tracker()
         self._closed = False
         self.respawns = 0
         self._workers: list[_WorkerHandle] = [

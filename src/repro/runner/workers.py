@@ -139,9 +139,6 @@ class SessionSpec:
         batch_queries: session-engine chunk size.
         data_stream: context substream index for the session's random
             data bits.
-        kernel_tier: decode kernel implementation
-            (``"auto"``/``"numpy"``/``"numba"``, see
-            :mod:`repro.phy.kernels`); bitwise identical across tiers.
         warm: reuse memoized pure state (frame templates, alignment
             vectors, static channel vectors) from previous builds of the
             same scenario in this process.  Only useful under a
@@ -156,7 +153,6 @@ class SessionSpec:
     session_fast_path: bool = True
     batch_queries: int = 256
     data_stream: int = 1
-    kernel_tier: str = "auto"
     warm: bool = False
 
     def __post_init__(self) -> None:
@@ -174,7 +170,7 @@ class SessionSpec:
                 "nlos",
                 str(ctx.parameters.get("location", self.location)),
             )
-        return where + (self.phy_fast_path, self.kernel_tier)
+        return where + (self.phy_fast_path,)
 
     def __call__(self, ctx: UnitContext) -> MeasurementSession:
         if self.kind == "los":
@@ -185,7 +181,6 @@ class SessionSpec:
                 distance_m,
                 seed=ctx.seed,
                 phy_fast_path=self.phy_fast_path,
-                kernel_tier=self.kernel_tier,
             )
         else:
             location = str(ctx.parameters.get("location", self.location))
@@ -193,7 +188,6 @@ class SessionSpec:
                 location,
                 seed=ctx.seed,
                 phy_fast_path=self.phy_fast_path,
-                kernel_tier=self.kernel_tier,
             )
         if self.warm:
             _adopt_warm_caches(self._scenario_key(ctx), ctx.seed, system)
@@ -215,8 +209,8 @@ class FleetSpec:
     positions drawn uniformly over a warehouse floorplan from the
     context's position substream, link/tag/error streams derived from
     ``ctx.seed`` by ``TagFleet.build`` — so fleet workloads ride the
-    same engine machinery (process pools, warm pool, shm chunk
-    transport, checkpoint/resume) as session workloads.
+    same engine machinery (process pools, warm pool, chunk integrity
+    checks, checkpoint/resume) as session workloads.
 
     Attributes:
         n_tags: fleet size.
@@ -227,8 +221,6 @@ class FleetSpec:
         client_xy / ap_xy: reader antenna positions.
         batch_tags: decode chunk size (memory bound; results are
             bit-identical for any value).
-        kernel_tier: decode kernel implementation (bitwise identical
-            across tiers).
         phy_exact_coding: exact per-subframe coded BER instead of the
             interpolation table (bitwise-matches the scalar reference).
         position_stream: context substream index for tag placement.
@@ -242,7 +234,6 @@ class FleetSpec:
     client_xy: tuple[float, float] = (0.0, 0.0)
     ap_xy: tuple[float, float] = (8.0, 0.0)
     batch_tags: int = 256
-    kernel_tier: str = "auto"
     phy_exact_coding: bool = False
     position_stream: int = 2
     warm: bool = False
@@ -269,7 +260,6 @@ class FleetSpec:
             ap_xy=self.ap_xy,
             seed=ctx.seed,
             batch_tags=self.batch_tags,
-            kernel_tier=self.kernel_tier,
             phy_exact_coding=self.phy_exact_coding,
         )
         if self.warm:
@@ -505,7 +495,6 @@ def los_ber_point(
     sim_seconds: float = 1.0,
     phy_fast_path: bool = True,
     session_fast_path: bool = True,
-    kernel_tier: str = "auto",
     warm: bool = False,
 ) -> dict[str, Any]:
     """One Figure-5-style LOS point: BER/throughput at a tag distance.
@@ -516,21 +505,17 @@ def los_ber_point(
     ``phy_fast_path=False`` selects the scalar PHY reference loop — the
     fast-path benchmarks sweep the same physics both ways through the
     engine; ``session_fast_path`` likewise selects between the batched
-    session engine and the scalar per-query loop; ``kernel_tier``
-    selects the decode kernel implementation and ``warm`` reuses
+    session engine and the scalar per-query loop; ``warm`` reuses
     memoized pure state from prior builds in the same process
     (bitwise-identical results in every combination).
     """
     distance_m = float(ctx.parameters["distance_m"])
     system, info = los_scenario(
-        distance_m,
-        seed=ctx.seed,
-        phy_fast_path=phy_fast_path,
-        kernel_tier=kernel_tier,
+        distance_m, seed=ctx.seed, phy_fast_path=phy_fast_path
     )
     if warm:
         _adopt_warm_caches(
-            ("los", distance_m, phy_fast_path, kernel_tier), ctx.seed, system
+            ("los", distance_m, phy_fast_path), ctx.seed, system
         )
     attach_active(system)
     session = MeasurementSession(

@@ -78,8 +78,6 @@ class ServeConfig:
         spill_dir: directory for job sidecars + engine checkpoints;
             ``None`` runs ephemeral (no durability, no resume).
         max_jobs: cap on non-terminal jobs in the store.
-        transport: chunk payload codec for job execution (``"auto"`` /
-            ``"pickle"`` / ``"shm"``; see :mod:`repro.runner.transport`).
         warm_workers: per-slot persistent warm-pool size; 0 (default)
             keeps the classic per-job executors.  See
             :class:`repro.serve.jobs.ExecutorPool`.
@@ -90,7 +88,6 @@ class ServeConfig:
     slots: int = 2
     spill_dir: str | None = None
     max_jobs: int = 1024
-    transport: str = "auto"
     warm_workers: int = 0
 
     def __post_init__(self) -> None:
@@ -102,10 +99,6 @@ class ServeConfig:
             raise ValueError("port must be in [0, 65535]")
         if self.warm_workers < 0:
             raise ValueError("warm_workers must be >= 0")
-        if self.transport not in ("auto", "pickle", "shm"):
-            raise ValueError(
-                f"transport must be auto/pickle/shm, got {self.transport!r}"
-            )
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -114,7 +107,6 @@ class ServeConfig:
             "slots": self.slots,
             "spill_dir": self.spill_dir,
             "max_jobs": self.max_jobs,
-            "transport": self.transport,
             "warm_workers": self.warm_workers,
         }
 
@@ -150,7 +142,6 @@ class SweepService:
             self.queue,
             slots=self.config.slots,
             metrics=self.metrics,
-            transport=self.config.transport,
             warm_workers=self.config.warm_workers,
         )
         self._server: asyncio.Server | None = None

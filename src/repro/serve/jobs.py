@@ -154,7 +154,6 @@ def execute_request(
     resume: bool = True,
     on_chunk: Callable[[ChunkProgress], None] | None = None,
     warn_key: object | None = None,
-    transport: str = "auto",
     pool: Any | None = None,
 ) -> SweepResult:
     """Run one validated job request through the engine (synchronous).
@@ -164,11 +163,10 @@ def execute_request(
     call it directly to assert a served job's values are bit-identical
     to a direct engine run of the same spec.
 
-    ``transport`` selects the chunk payload codec and ``pool`` an
-    optional persistent :class:`repro.runner.WarmPool` the job should
-    run on (the serve tier-4 fast path: one pool per executor slot,
-    reused across jobs).  Neither changes results — the engine's
-    determinism contract covers both knobs.
+    ``pool`` is an optional persistent :class:`repro.runner.WarmPool`
+    the job should run on (one pool per executor slot, reused across
+    jobs).  It never changes results — the engine's determinism
+    contract covers it.
     """
     if request.kind == "sweep":
         fn: Callable = WORK_FUNCTIONS[request.fn]
@@ -182,7 +180,6 @@ def execute_request(
             checkpoint=checkpoint,
             resume=resume,
             on_chunk=on_chunk,
-            transport=transport,
             pool=pool,
         )
     return run_parallel_sessions(
@@ -198,7 +195,6 @@ def execute_request(
         resume=resume,
         on_chunk=on_chunk,
         warn_key=warn_key,
-        transport=transport,
         pool=pool,
     )
 
@@ -672,12 +668,9 @@ class ExecutorPool:
         *,
         slots: int = 2,
         metrics: ServerMetrics | None = None,
-        transport: str = "auto",
         warm_workers: int = 0,
     ) -> None:
-        """``transport``/``warm_workers`` opt the pool into the tier-4
-        fast path: chunk payloads move over the selected codec, and a
-        positive ``warm_workers`` gives each slot a persistent
+        """A positive ``warm_workers`` gives each slot a persistent
         :class:`repro.runner.WarmPool` of that many workers, created
         lazily on the slot's first job and reused across jobs (worker
         session caches stay warm between requests).  A slot pool
@@ -692,7 +685,6 @@ class ExecutorPool:
         self.queue = queue
         self.slots = slots
         self.metrics = metrics
-        self.transport = transport
         self.warm_workers = warm_workers
         self._tasks: list[asyncio.Task] = []
         self._slot_pools: dict[int, Any] = {}
@@ -755,7 +747,6 @@ class ExecutorPool:
                 resume=True,
                 on_chunk=self._on_chunk(loop, job),
                 warn_key=job.id,
-                transport=self.transport,
                 pool=self._slot_pool(slot),
             )
         except JobCancelled:

@@ -92,7 +92,6 @@ def build_system(
     temperature_c: float = 25.0,
     coherence_time_s: float | None = None,
     phy_fast_path: bool = True,
-    kernel_tier: str = "auto",
     seed: int = 0,
 ) -> tuple[WiTagSystem, ScenarioInfo]:
     """Construct a runnable :class:`WiTagSystem` from raw geometry.
@@ -113,9 +112,6 @@ def build_system(
         phy_fast_path: decode A-MPDUs through the vectorized PHY batch
             path (default) or the scalar per-subframe reference loop;
             see :class:`repro.core.system.WiTagSystem`.
-        kernel_tier: decode kernel implementation for the vectorized
-            stages (``"auto"``/``"numpy"``/``"numba"``); see
-            :mod:`repro.phy.kernels`.  Bitwise identical across tiers.
         seed: master seed; all component streams derive from it.
 
     Returns:
@@ -164,7 +160,6 @@ def build_system(
         receiver=receiver,
         mismatch_gain_db=mismatch_gain_db,
         rng=rngs["error"],
-        kernel_tier=kernel_tier,
     )
     if tag is None:
         tag = TagStateMachine(rng=rngs["tag"])

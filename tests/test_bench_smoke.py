@@ -103,34 +103,11 @@ def test_cli_bench_smoke_runs_and_records(tmp_path, capsys):
 
 
 @pytest.mark.bench_smoke
-def test_tier4_bench_smoke_identical_and_fast_path_shm(tmp_path):
-    from repro.bench import BENCH_SCHEMA, tier4_bench, tier4_payload
-    from repro.runner.transport import shm_available
-
-    # cold_parent=False keeps this in-process (tier-1 cheap) while
-    # exercising the exact legs the gated benchmark times.
-    result = tier4_bench(
-        2, 2, 3, seed=1, n_workers=1, cold_parent=False
-    )
-    assert result["identical"] is True
-    legs = result["legs"]
-    assert legs["session-batch"]["transport"] == "pickle"
-    expected = "shm" if shm_available() else "pickle"
-    assert legs["tier4"]["transport"] == expected
-    assert result["speedup_tier4_vs_session_batch"] > 0.0
-
-    payload = tier4_payload(result)
-    assert json.loads(json.dumps(payload)) == payload
-    assert "digests" not in str(payload)
-    assert BENCH_SCHEMA == 4
-
-
-@pytest.mark.bench_smoke
 def test_trajectory_readers_tolerate_mixed_schemas(tmp_path):
     """Schema-1 entries (no schema field, no tier4 block) and schema-2
-    entries (no fleet block) must keep loading next to schema-3 entries
-    in the same trajectory file."""
-    from repro.bench import BENCH_SCHEMA, fleet_bench, fleet_payload, tier4_bench
+    entries (a tier4 block, no fleet block) must keep loading next to
+    current entries in the same trajectory file."""
+    from repro.bench import BENCH_SCHEMA, bench_check, fleet_bench
 
     trajectory = tmp_path / "BENCH_mixed.json"
     legacy = {
@@ -143,32 +120,63 @@ def test_trajectory_readers_tolerate_mixed_schemas(tmp_path):
         "tiers": {},
         "recorded_at": "2026-01-01T00:00:00+00:00",
     }
-    trajectory.write_text(json.dumps([legacy]))
+    # A schema-2 entry as the retired `repro bench --tier4` mode wrote
+    # it (warm pool + shm leg against the session-batch leg).
+    with_tier4 = {
+        "schema": 2,
+        "queries": 2,
+        "distance_m": 4.0,
+        "seed": 0,
+        "speedups": {"session_vs_vectorized": 2.2},
+        "tiers": {},
+        "tier4": {
+            "jobs": 2,
+            "sessions": 2,
+            "queries": 3,
+            "seed": 1,
+            "n_workers": 1,
+            "cold_parent": False,
+            "identical": True,
+            "speedup_tier4_vs_session_batch": 1.5,
+            "legs": {
+                "session-batch": {
+                    "wall_s": 0.3,
+                    "jobs_per_s": 6.7,
+                    "sessions_per_s": 13.3,
+                    "transport": "pickle",
+                },
+                "tier4": {
+                    "wall_s": 0.2,
+                    "jobs_per_s": 10.0,
+                    "sessions_per_s": 20.0,
+                    "transport": "shm",
+                },
+            },
+        },
+        "recorded_at": "2026-02-01T00:00:00+00:00",
+    }
+    trajectory.write_text(json.dumps([legacy, with_tier4]))
 
     result = three_tier_bench(2, warmup=1)
-    t4 = tier4_bench(2, 2, 3, seed=1, n_workers=1, cold_parent=False)
-    entry = record_bench_trajectory(
-        str(trajectory), bench_payload(result, tier4=t4)
-    )
-    assert entry["schema"] == BENCH_SCHEMA
-    assert "tier4" in entry and "fleet" not in entry
-
     fl = fleet_bench(n_tags=8, rounds=1, bits_per_tag=8, equivalence_tags=6)
     entry = record_bench_trajectory(
-        str(trajectory), bench_payload(result, tier4=t4, fleet=fl)
+        str(trajectory), bench_payload(result, fleet=fl)
     )
-    assert "fleet" in entry
+    assert entry["schema"] == BENCH_SCHEMA
+    assert "fleet" in entry and "tier4" not in entry
 
     history = json.loads(trajectory.read_text())
     assert len(history) == 3
     # Reader tolerance contract: treat a missing schema field as
     # schema 1, and the tier4/fleet blocks as optional.
     schemas = [e.get("schema", 1) for e in history]
-    assert schemas == [1, BENCH_SCHEMA, BENCH_SCHEMA]
+    assert schemas == [1, 2, BENCH_SCHEMA]
     assert "tier4" not in history[0] and "fleet" not in history[0]
     assert history[1]["tier4"]["legs"]["tier4"]["wall_s"] > 0.0
     assert "fleet" not in history[1]
     assert history[2]["fleet"]["legs"]["fleet"]["wall_s"] > 0.0
+    # The watchdog reads through the whole mixed file.
+    assert bench_check(str(trajectory), str(tmp_path / "none.json"))["ok"]
     # Appending again on top of the mixed file still works.
     record_bench_trajectory(str(trajectory), bench_payload(result))
     assert len(json.loads(trajectory.read_text())) == 4
@@ -310,40 +318,3 @@ def test_cli_bench_adaptive_smoke_records_baseline(tmp_path, capsys):
     assert entry["goodput_ratio_adaptive_vs_static"] > 0.0
     history = json.loads(trajectory.read_text())
     assert history[-1]["adaptive"]["units"] == 1
-
-
-@pytest.mark.bench_smoke
-def test_cli_bench_tier4_smoke_records_baseline(tmp_path, capsys):
-    from repro.cli import main
-
-    trajectory = tmp_path / "BENCH_session_batch.json"
-    baselines = tmp_path / "baselines.json"
-    code = main(
-        [
-            "bench",
-            "--queries",
-            "2",
-            "--repeats",
-            "1",
-            "--tier4",
-            "--tier4-jobs",
-            "2",
-            "--tier4-sessions",
-            "2",
-            "--tier4-queries",
-            "3",
-            "--trajectory",
-            str(trajectory),
-            "--update-baseline",
-            "--baselines",
-            str(baselines),
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "tier4/session-batch" in out
-    entry = load_baseline("tier4", str(baselines))
-    assert entry is not None
-    assert entry["speedup_tier4_vs_session_batch"] > 0.0
-    history = json.loads(trajectory.read_text())
-    assert history[-1]["tier4"]["jobs"] == 2

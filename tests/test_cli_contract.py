@@ -216,11 +216,9 @@ class TestServe:
             "slots",
             "spill_dir",
             "max_jobs",
-            "transport",
             "warm_workers",
         }
         assert payload["slots"] == 2
-        assert payload["transport"] == "auto"
         assert payload["warm_workers"] == 0
 
     def test_print_config_honors_flags(self, capsys, tmp_path):
@@ -234,8 +232,6 @@ class TestServe:
                 "4",
                 "--spill-dir",
                 str(tmp_path),
-                "--transport",
-                "shm",
                 "--warm-workers",
                 "2",
                 "--print-config",
@@ -245,7 +241,6 @@ class TestServe:
         payload = json.loads(out)
         assert payload["slots"] == 4
         assert payload["spill_dir"] == str(tmp_path)
-        assert payload["transport"] == "shm"
         assert payload["warm_workers"] == 2
 
     def test_invalid_slots_exit_2(self, capsys):

@@ -168,7 +168,6 @@ class TestTraceExportCli:
 
 BASELINES = {
     "session_batch": {"speedup_session_vs_vectorized": 2.0},
-    "tier4": {"speedup_tier4_vs_session_batch": 3.0},
     "fleet": {"speedup_fleet_vs_scalar": 10.0},
     "adaptive": {"goodput_ratio_adaptive_vs_static": 1.4},
 }
@@ -205,13 +204,12 @@ class TestBenchCheck:
     def test_all_gates_above_floor_pass(self, tmp_path):
         trajectory, baselines = write_files(
             tmp_path,
-            [entry(session=1.9, tier4=2.9, fleet=9.0, adaptive=1.3)],
+            [entry(session=1.9, fleet=9.0, adaptive=1.3)],
         )
         report = bench_check(trajectory, baselines)
         assert report["ok"] is True
         assert {c["name"] for c in report["checks"]} == {
             "session_batch",
-            "tier4",
             "fleet",
             "adaptive",
         }
@@ -235,22 +233,25 @@ class TestBenchCheck:
         assert fleet["ok"] is False and report["ok"] is False
 
     def test_mixed_schema_entries_are_tolerated(self, tmp_path):
-        # Schema-1 entries lack tier4/fleet blocks entirely; the
-        # watchdog reads through them without failing.
+        # Schema-1 entries lack the fleet block entirely, and schema-2
+        # entries carry a tier4 block no gate reads any more (even
+        # against a stale tier4 baseline); the watchdog reads through
+        # both without failing.
         trajectory, baselines = write_files(
             tmp_path,
             [
                 {"speedups": {"session_vs_vectorized": 2.1}},
-                entry(tier4=3.5),
+                entry(tier4=0.1),
                 {"schema": 3, "unrelated": True},
             ],
+            baselines={
+                **BASELINES,
+                "tier4": {"speedup_tier4_vs_session_batch": 3.0},
+            },
         )
         report = bench_check(trajectory, baselines)
         assert report["ok"] is True
-        assert {c["name"] for c in report["checks"]} == {
-            "session_batch",
-            "tier4",
-        }
+        assert {c["name"] for c in report["checks"]} == {"session_batch"}
         assert {s["name"] for s in report["skipped"]} == {
             "fleet",
             "adaptive",
@@ -263,7 +264,7 @@ class TestBenchCheck:
     def test_unpinned_baseline_is_skipped_not_failed(self, tmp_path):
         trajectory, baselines = write_files(
             tmp_path,
-            [entry(session=0.1, tier4=0.1, fleet=0.1)],
+            [entry(session=0.1, fleet=0.1)],
             baselines={},
         )
         report = bench_check(trajectory, baselines)
@@ -290,7 +291,7 @@ class TestBenchCheck:
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         trajectory, baselines = write_files(
-            tmp_path, [entry(session=1.9, tier4=2.9, fleet=9.0)]
+            tmp_path, [entry(session=1.9, fleet=9.0)]
         )
         assert (
             main(
@@ -306,7 +307,7 @@ class TestBenchCheck:
             == 0
         )
         regressed, _ = write_files(
-            tmp_path, [entry(session=1.9, tier4=2.9, fleet=5.0)]
+            tmp_path, [entry(session=1.9, fleet=5.0)]
         )
         assert (
             main(

@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from repro.phy.channel import BackscatterChannel, ChannelGeometry, TagState
+from repro.phy.coding import (
+    coded_bit_error_rate_batch,
+    packet_error_rate_batch,
+)
 from repro.phy.csi import (
     eesm_effective_sinr,
     estimate_csi,
@@ -14,9 +18,10 @@ from repro.phy.csi import (
 from repro.phy.error_model import (
     FadingSample,
     LinkErrorModel,
+    mpdu_success_probabilities,
     mpdu_success_probability,
 )
-from repro.phy.mcs import ht_mcs
+from repro.phy.mcs import ht_mcs, vht_mcs
 from repro.phy.modulation import Modulation
 
 
@@ -128,6 +133,46 @@ class TestMpduSuccess:
     def test_invalid_bits(self):
         with pytest.raises(ValueError):
             mpdu_success_probability(ht_mcs(0), 0, 10.0)
+
+
+def probe_sinr_matrix():
+    """Linear SINRs over the ranges the simulator visits.
+
+    Deep fades, mid-range and very strong rows, plus an all-zero row
+    and a row with every third subcarrier at zero.
+    """
+    rng = np.random.default_rng(0x5EED_CAFE)
+    base = rng.uniform(0.0, 40.0, size=(17, 56))
+    base[3] *= 1e-6
+    base[5] *= 1e4
+    base[7, :] = 0.0
+    base[11, ::3] = 0.0
+    return base
+
+
+class TestMpduSuccessProbabilities:
+    """The vectorized fast path: uncoded BER -> coded BER -> PER."""
+
+    def test_mpdu_success_matches_composed_reference(self):
+        probe = probe_sinr_matrix()
+        bits = np.full(probe.shape, 12000.0)
+        bits[::2] = 288.0
+        for index in range(10):
+            mcs = vht_mcs(index)
+            uncoded = mcs.modulation.bit_error_rate_array(
+                np.maximum(probe, 0.0)
+            )
+            coded = coded_bit_error_rate_batch(mcs.coding_rate, uncoded)
+            expected = 1.0 - packet_error_rate_batch(coded, bits)
+            out = mpdu_success_probabilities(mcs, bits, probe)
+            assert out.shape == expected.shape
+            assert out.tobytes() == expected.tobytes()
+
+    def test_mpdu_success_broadcasts_scalar_bits(self):
+        row = probe_sinr_matrix()[0]
+        out = mpdu_success_probabilities(vht_mcs(4), 8000, row)
+        assert out.shape == row.shape
+        assert np.all((out >= 0.0) & (out <= 1.0))
 
 
 def make_model(d_tag=4.0, seed=5, **kwargs):

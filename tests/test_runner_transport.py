@@ -1,41 +1,47 @@
-"""Zero-copy chunk transport: codec roundtrips, leaks, determinism.
+"""Chunk transport: the pickle codec, its integrity check, and no leaks.
 
-The ``shm`` codec moves chunk payloads through named POSIX
-shared-memory segments instead of the executor's pickle pipe; the
-engine's determinism contract requires every codec choice to be
-invisible in the results (bit-identical values for any worker count,
-chunk size, and transport) and invisible in ``/dev/shm`` afterwards
-(no leaked segments — even when workers crash, exit, or the run is
-killed and resumed).  This suite pins both halves, plus the codec
-layer's own invariants: cross-codec equivalence, digest stability
-between the inline and segment forms of a stream, and cleanup
-idempotence.
+A pooled worker encodes each chunk's ``(values, telemetry)`` payload
+once as a digested pickle stream that rides the executor's own result
+channel; the coordinator checks the digest before decoding, and the
+checkpoint spills the same bytes.  The determinism contract requires
+that channel to be invisible in the results (bit-identical values for
+any executor, worker count and chunk size), a stream that fails its
+digest to cost a ``transport`` retry rather than a wrong value, and
+``/dev/shm`` to hold no ``rpr-*`` entry afterwards, even when workers
+crash or exit.  Checkpoints spilled by the retired ``shm`` codec must
+refuse to resume instead of silently re-running their chunks.
 """
+
+import base64
+import json
+import os
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.runner import (
-    FaultSpec,
+    CheckpointError,
     RetryPolicy,
+    SweepError,
     SweepSpec,
+    TelemetrySpec,
     UnitContext,
+    WorkUnitError,
+    checkpoint_fingerprint,
+    load_checkpoint,
     run_sweep,
     run_units,
 )
+from repro.runner import engine
+from repro.runner.checkpoint import CheckpointWriter, CompletedChunk
 from repro.runner.transport import (
-    SEGMENT_PREFIX,
-    TRANSPORT_CODECS,
     TransportError,
     cleanup_segment,
     decode_payload,
     encode_chunk,
-    fetch_payload,
     leaked_segments,
     payload_digest,
-    resolve_transport,
-    segment_name,
-    shm_available,
 )
 from repro.runner.workers import rng_probe
 
@@ -48,10 +54,6 @@ except ImportError:  # pragma: no cover - hypothesis ships in the image
     HAVE_HYPOTHESIS = False
 
 pytestmark = pytest.mark.runner
-
-needs_shm = pytest.mark.skipif(
-    not shm_available(), reason="POSIX shared memory unavailable"
-)
 
 
 def units(n, seed=0):
@@ -80,7 +82,7 @@ def canon(obj):
 
 
 def array_probe(ctx: UnitContext):
-    """A unit whose payload is numpy-heavy (exercises oob buffers)."""
+    """A unit whose payload is numpy-heavy."""
     rng = ctx.rng(0)
     return {
         "index": ctx.index,
@@ -103,114 +105,36 @@ def payload_values():
 class TestCodecLayer:
     def test_pickle_roundtrip(self):
         values = payload_values()
-        encoded = encode_chunk(values, {"k": 1}, "pickle")
-        assert encoded.codec == "pickle"
-        assert encoded.segment is None
-        raw = fetch_payload(encoded)
-        decoded, telemetry = decode_payload(raw, "pickle")
+        encoded = encode_chunk(values, {"k": 1})
+        assert encoded.nbytes == len(encoded.payload) > 0
+        assert encoded.digest == payload_digest(encoded.payload)
+        decoded, telemetry = decode_payload(encoded.payload)
         assert telemetry == {"k": 1}
         assert canon(decoded) == canon(values)
 
-    def test_shm_inline_roundtrip(self):
-        # codec="shm" without a segment name: the checkpoint re-encode
-        # path — same stream layout, carried inline.
-        values = payload_values()
-        encoded = encode_chunk(values, None, "shm")
-        assert encoded.codec == "shm"
-        assert encoded.payload is not None
-        decoded, telemetry = decode_payload(
-            fetch_payload(encoded), "shm"
-        )
-        assert telemetry is None
-        assert canon(decoded) == canon(values)
+    def test_truncated_stream_raises(self):
+        raw = encode_chunk(payload_values(), None).payload
+        with pytest.raises(TransportError):
+            decode_payload(raw[: len(raw) // 2])
+        with pytest.raises(TransportError):
+            decode_payload(b"XXXX" + raw[4:])
 
-    @needs_shm
-    def test_shm_segment_roundtrip_and_unlink(self):
-        values = payload_values()
-        name = segment_name("t0ken", 3, 1)
-        encoded = encode_chunk(values, {"m": 2}, "shm", segment=name)
-        assert encoded.payload is None
-        assert encoded.segment == name
-        assert leaked_segments("t0ken") == [name]
-        raw = fetch_payload(encoded)
-        # fetch_payload copies then unlinks: nothing left in /dev/shm.
-        assert leaked_segments("t0ken") == []
-        decoded, telemetry = decode_payload(raw, "shm")
-        assert telemetry == {"m": 2}
-        assert canon(decoded) == canon(values)
-
-    @needs_shm
-    def test_segment_and_inline_streams_share_digest(self):
-        # The two forms of the shm codec must be interchangeable: a
-        # checkpoint records the digest of whichever stream carried the
-        # chunk and must verify against a re-encode.
-        values = payload_values()
-        inline = encode_chunk(values, {"t": 1}, "shm")
-        name = segment_name("d1gest", 0, 0)
-        via_segment = encode_chunk(values, {"t": 1}, "shm", segment=name)
-        raw = fetch_payload(via_segment)
-        assert via_segment.digest == inline.digest
-        assert payload_digest(raw) == inline.digest
-        assert via_segment.nbytes == inline.nbytes
-
-    def test_cross_codec_equivalence(self):
-        values = payload_values()
-        for telemetry in (None, {"chunk": 4}):
-            a = decode_payload(
-                fetch_payload(encode_chunk(values, telemetry, "pickle")),
-                "pickle",
-            )
-            b = decode_payload(
-                fetch_payload(encode_chunk(values, telemetry, "shm")),
-                "shm",
-            )
-            assert canon(a) == canon(b)
-
-    def test_decoded_arrays_are_usable_after_fetch(self):
-        # Decoded arrays alias the coordinator-owned copy, never the
-        # (unlinked) segment; summing must not fault and values match.
-        values = [np.arange(1000, dtype=np.float64)]
-        name = segment_name("al1as", 1, 0) if shm_available() else None
-        encoded = encode_chunk(values, None, "shm", segment=name)
-        decoded, _ = decode_payload(fetch_payload(encoded), "shm")
-        assert float(decoded[0].sum()) == float(values[0].sum())
-
-    def test_resolve_transport(self):
-        assert resolve_transport("pickle") == "pickle"
-        expected = "shm" if shm_available() else "pickle"
-        assert resolve_transport("auto") == expected
-        with pytest.raises(ValueError):
-            resolve_transport("carrier-pigeon")
-
-    def test_segment_names_are_deterministic_and_prefixed(self):
-        name = segment_name("abcd", 7, 2)
-        assert name == segment_name("abcd", 7, 2)
-        assert name.startswith(SEGMENT_PREFIX)
-        assert name != segment_name("abcd", 7, 3)
-        assert name != segment_name("abcd", 8, 2)
-
-    @needs_shm
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="no /dev/shm filesystem"
+    )
     def test_cleanup_segment_is_idempotent(self):
-        name = segment_name("cl3an", 0, 0)
+        # An empty entry is what a worker killed between creating and
+        # sizing a segment used to leave behind.
+        token = f"cl3an{os.getpid()}"
+        name = f"rpr-{token}-c0a0"
         assert cleanup_segment(name) is False  # never created
-        encode_chunk([1, 2], None, "shm", segment=name)
+        open(os.path.join("/dev/shm", name), "wb").close()
+        assert leaked_segments(token) == [name]
         assert cleanup_segment(name) is True
         assert cleanup_segment(name) is False  # already gone
-        assert leaked_segments("cl3an") == []
-
-    def test_truncated_stream_raises(self):
-        encoded = encode_chunk(payload_values(), None, "shm")
-        raw = fetch_payload(encoded)
-        with pytest.raises(TransportError):
-            decode_payload(raw[: len(raw) // 2], "shm")
-        with pytest.raises(TransportError):
-            decode_payload(b"XXXX" + bytes(raw[4:]), "shm")
-
-    def test_unknown_codec_raises(self):
+        assert leaked_segments(token) == []
         with pytest.raises(ValueError):
-            encode_chunk([1], None, "gzip")
-        with pytest.raises(ValueError):
-            decode_payload(b"", "gzip")
+            cleanup_segment("rpr-../x")
 
 
 if HAVE_HYPOTHESIS:
@@ -239,49 +163,32 @@ if HAVE_HYPOTHESIS:
     )
 
     @settings(max_examples=40, deadline=None)
-    @given(values=payloads, codec=st.sampled_from(TRANSPORT_CODECS))
-    def test_property_roundtrip_any_codec(values, codec):
-        encoded = encode_chunk(values, None, codec)
+    @given(values=payloads)
+    def test_property_roundtrip(values):
         decoded, telemetry = decode_payload(
-            fetch_payload(encoded), codec
+            encode_chunk(values, None).payload
         )
         assert telemetry is None
         assert canon(decoded) == canon(values)
 
-    @settings(max_examples=25, deadline=None)
-    @given(values=payloads)
-    def test_property_cross_codec_bitwise_equal(values):
-        legs = [
-            decode_payload(
-                fetch_payload(encode_chunk(values, None, codec)), codec
-            )
-            for codec in TRANSPORT_CODECS
-        ]
-        assert canon(legs[0]) == canon(legs[1])
 
-
-@needs_shm
 class TestEngineTransport:
-    def test_values_identical_across_codecs(self):
+    @pytest.mark.parametrize("executor", ["process", "warm"])
+    def test_pooled_values_match_serial(self, executor):
         serial = run_units(array_probe, units(6), seed=1)
-        assert serial.transport == "none"  # serial runs never encode
-        for codec in ("pickle", "shm"):
-            pooled = run_units(
-                array_probe,
-                units(6),
-                seed=1,
-                n_workers=2,
-                executor="process",
-                chunk_size=2,
-                transport=codec,
-            )
-            assert pooled.transport == codec
-            assert canon(pooled.values) == canon(serial.values)
+        pooled = run_units(
+            array_probe,
+            units(6),
+            seed=1,
+            n_workers=2,
+            executor=executor,
+            chunk_size=2,
+        )
+        assert pooled.executor == executor
+        assert canon(pooled.values) == canon(serial.values)
         assert leaked_segments() == []
 
-    def test_shm_run_with_telemetry_and_arrays(self):
-        from repro.runner import TelemetrySpec
-
+    def test_pooled_run_records_pickle_transport_metrics(self):
         result = run_units(
             rng_probe,
             units(8),
@@ -289,17 +196,56 @@ class TestEngineTransport:
             n_workers=2,
             executor="process",
             chunk_size=2,
-            transport="shm",
             telemetry=TelemetrySpec(metrics=True),
         )
-        assert result.transport == "shm"
         assert len(result.values) == 8
-        assert leaked_segments() == []
+        series = result.telemetry.transport_snapshot()["metrics"][
+            "runner_chunk_bytes_total"
+        ]["series"]
+        assert [s["labels"] for s in series] == [{"codec": "pickle"}]
+        assert series[0]["value"] > 0
+
+    def test_digest_mismatch_is_a_transport_retry(self, monkeypatch):
+        clean = run_units(rng_probe, units(6), seed=4, chunk_size=2)
+        real = engine.payload_digest
+        calls = []
+
+        def flaky(raw):
+            # The coordinator's check; workers digest with the
+            # transport module's own function, which stays intact.
+            calls.append(1)
+            return "0" * 32 if len(calls) == 1 else real(raw)
+
+        monkeypatch.setattr(engine, "payload_digest", flaky)
+        retried = run_units(
+            rng_probe,
+            units(6),
+            seed=4,
+            n_workers=2,
+            executor="process",
+            chunk_size=2,
+            retry=RetryPolicy(max_attempts=3),
+        )
+        assert retried.retry_summary() == {"transport": 1}
+        assert [e.action for e in retried.retries] == ["retry"]
+        assert retried.values == clean.values
+
+    def test_digest_mismatch_without_budget_fails_the_unit(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(engine, "payload_digest", lambda raw: "0" * 32)
+        with pytest.raises(WorkUnitError, match="integrity check"):
+            run_units(
+                rng_probe,
+                units(4),
+                n_workers=2,
+                executor="process",
+                chunk_size=2,
+            )
 
 
-@needs_shm
 class TestChaosNoLeaks:
-    """Worker faults must not leave segments in /dev/shm."""
+    """Worker faults must not leave ``rpr-*`` entries in /dev/shm."""
 
     def test_crash_faults_leave_no_segments(self, chaos):
         baseline, chaotic = chaos.check_bit_identical(
@@ -309,14 +255,13 @@ class TestChaosNoLeaks:
             n_workers=2,
             executor="process",
             chunk_size=2,
-            transport="shm",
         )
-        assert chaotic.retries
+        assert "unit-error" in {e.reason for e in chaotic.retries}
         assert leaked_segments() == []
 
     def test_worker_exit_faults_leave_no_segments(self, chaos):
-        # os._exit kills the worker after it may have created its
-        # segment; the coordinator must clean the assigned name up.
+        # os._exit kills the worker mid-chunk; its result never reaches
+        # the coordinator, which must retry the chunk elsewhere.
         baseline, chaotic = chaos.check_bit_identical(
             rng_probe,
             units(8),
@@ -324,39 +269,50 @@ class TestChaosNoLeaks:
             n_workers=2,
             executor="process",
             chunk_size=2,
-            transport="shm",
         )
-        assert leaked_segments() == []
-
-    def test_permanent_failure_leaves_no_segments(self):
-        from repro.runner import WorkUnitError
-
-        with pytest.raises(WorkUnitError):
-            run_units(
-                rng_probe,
-                units(6),
-                faults=FaultSpec(crash=(3,), failures=10**6),
-                retry=RetryPolicy(max_attempts=2),
-                n_workers=2,
-                executor="process",
-                chunk_size=2,
-                transport="shm",
-            )
+        assert "executor" in {e.reason for e in chaotic.retries}
         assert leaked_segments() == []
 
 
-@needs_shm
-class TestResumeWithShm:
+def write_records(path, records):
+    path.write_text(
+        "".join(json.dumps(record) + "\n" for record in records)
+    )
+
+
+def header(seed, n_units, chunk_size, schema=2):
+    return {
+        "schema": schema,
+        "kind": "header",
+        "producer": "repro",
+        "version": "0",
+        "seed": seed,
+        "n_units": n_units,
+        "chunk_size": chunk_size,
+        "fingerprint": checkpoint_fingerprint(seed, n_units, chunk_size),
+    }
+
+
+def chunk_record(index, raw, **fields):
+    return {
+        "kind": "chunk",
+        "chunk": index,
+        "first_index": 2 * index,
+        "n_units": 2,
+        "worker": 1,
+        "busy_s": 0.0,
+        "payload": base64.b64encode(raw).decode("ascii"),
+        "digest": payload_digest(raw),
+        **fields,
+    }
+
+
+class TestResume:
     def test_kill_and_resume_bit_identical(self, tmp_path, chaos):
-        """Killed-run checkpoints written via shm resume bit-identical."""
-        spec = SweepSpec(
-            axes={"x": list(range(8))}, seed=5, chunk_size=2
-        )
-        clean = run_sweep(rng_probe, spec, transport="shm")
+        spec = SweepSpec(axes={"x": list(range(8))}, seed=5, chunk_size=2)
+        clean = run_sweep(rng_probe, spec)
         path = tmp_path / "ckpt.jsonl"
-        chaos.partial_checkpoint(
-            rng_probe, spec, str(path), crash_unit=5
-        )
+        chaos.partial_checkpoint(rng_probe, spec, str(path), crash_unit=5)
         resumed = run_sweep(
             rng_probe,
             spec,
@@ -364,21 +320,14 @@ class TestResumeWithShm:
             resume=True,
             n_workers=2,
             executor="process",
-            transport="shm",
         )
         assert resumed.resumed_chunks > 0
         assert canon(resumed.values) == canon(clean.values)
         assert leaked_segments() == []
 
-    def test_checkpoint_records_decode_regardless_of_codec(
-        self, tmp_path
-    ):
-        """A chunk spilled from an shm run reloads via the same codec."""
-        from repro.runner import load_checkpoint
-
-        spec = SweepSpec(
-            axes={"x": list(range(4))}, seed=2, chunk_size=2
-        )
+    def test_checkpoint_round_trip(self, tmp_path):
+        """A pooled run spills the worker's pickle bytes; they reload."""
+        spec = SweepSpec(axes={"x": list(range(4))}, seed=2, chunk_size=2)
         path = tmp_path / "ckpt.jsonl"
         first = run_sweep(
             rng_probe,
@@ -386,17 +335,72 @@ class TestResumeWithShm:
             checkpoint=str(path),
             n_workers=2,
             executor="process",
-            transport="shm",
         )
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["codec"] for r in records[1:]] == ["pickle", "pickle"]
         loaded = load_checkpoint(str(path))
-        assert all(
-            chunk.codec == "shm" and chunk.payload_bytes > 0
-            for chunk in loaded.chunks.values()
-        )
+        assert all(c.payload_bytes > 0 for c in loaded.chunks.values())
         values = [
-            v
-            for _, chunk in sorted(loaded.chunks.items())
-            for v in chunk.values
+            v for _, c in sorted(loaded.chunks.items()) for v in c.values
         ]
         assert canon(values) == canon(first.values)
-        assert leaked_segments() == []
+
+    def test_shm_records_refuse_to_resume(self, tmp_path):
+        seed, n = 9, 4
+        clean = run_units(rng_probe, units(n, seed), seed=seed, chunk_size=2)
+
+        # A record spilled by the retired shm codec: intact and digested,
+        # so it would otherwise be mistaken for nothing worse than torn.
+        shm_path = tmp_path / "shm.jsonl"
+        stream = b"RPC1" + bytes(60)
+        write_records(
+            shm_path,
+            [
+                header(seed, n, 2),
+                chunk_record(
+                    0, stream, schema=2, codec="shm",
+                    payload_bytes=len(stream),
+                ),
+            ],
+        )
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(shm_path)
+        message = str(excinfo.value)
+        assert str(shm_path) in message
+        assert "chunk 0" in message and "'shm'" in message
+        with pytest.raises(SweepError, match="'shm'"):
+            run_units(
+                rng_probe,
+                units(n, seed),
+                seed=seed,
+                chunk_size=2,
+                checkpoint=shm_path,
+                resume=True,
+            )
+
+        # A schema-1 record (no codec field) and a schema-2 pickle
+        # record written by this version still resume bit-identically.
+        ok_path = tmp_path / "ok.jsonl"
+        legacy = pickle.dumps((clean.values[:2], None))
+        write_records(
+            ok_path,
+            [header(seed, n, 2, schema=1), chunk_record(0, legacy, schema=1)],
+        )
+        with CheckpointWriter(ok_path, {}) as writer:
+            writer.record_chunk(
+                CompletedChunk(1, 2, 2, 1, 0.0, clean.values[2:], None)
+            )
+        state = load_checkpoint(ok_path)
+        assert state.skipped_lines == 0
+        assert state.chunks[0].payload_bytes == 0
+        assert state.chunks[1].payload_bytes > 0
+        resumed = run_units(
+            rng_probe,
+            units(n, seed),
+            seed=seed,
+            chunk_size=2,
+            checkpoint=ok_path,
+            resume=True,
+        )
+        assert resumed.resumed_chunks == 2
+        assert resumed.values == clean.values

@@ -6,8 +6,8 @@ transplant memoized pure state (frame templates, tag alignment
 vectors, static channel vectors) between session builds.  Both are
 pure scheduling/caching concerns: every test here ultimately asserts
 the same thing — results bit-identical to the serial reference — under
-pool reuse, worker death and respawn, shm transport, and warm cache
-adoption across differing seeds and scenarios.
+pool reuse, worker death and respawn, and warm cache adoption across
+differing seeds and scenarios.
 """
 
 import pytest
@@ -19,7 +19,7 @@ from repro.runner import (
     run_sessions,
     run_units,
 )
-from repro.runner.transport import leaked_segments, shm_available
+from repro.runner.transport import leaked_segments
 from repro.runner.workers import (
     SessionSpec,
     reset_warm_caches,
@@ -102,10 +102,7 @@ class TestPoolFaults:
             )
             assert again.values == baseline.values
 
-    @pytest.mark.skipif(
-        not shm_available(), reason="POSIX shared memory unavailable"
-    )
-    def test_worker_exit_with_shm_leaves_no_segments(self, chaos):
+    def test_worker_exit_leaves_no_segments(self, chaos):
         with WarmPool(2) as pool:
             chaos.check_bit_identical(
                 rng_probe,
@@ -114,7 +111,6 @@ class TestPoolFaults:
                 n_workers=2,
                 chunk_size=2,
                 pool=pool,
-                transport="shm",
             )
         assert leaked_segments() == []
 
@@ -161,7 +157,6 @@ class TestWarmSessions:
                 n_workers=2,
                 chunk_size=1,
                 pool=pool,
-                transport="auto",
             )
             # Run the same job again on the now-cache-warm workers.
             warm_again = run_sessions(
@@ -172,7 +167,6 @@ class TestWarmSessions:
                 n_workers=2,
                 chunk_size=1,
                 pool=pool,
-                transport="auto",
             )
         assert self._stats(warm) == self._stats(serial)
         assert self._stats(warm_again) == self._stats(serial)

@@ -8,6 +8,7 @@ run's values bit-for-bit from the engine checkpoint.
 """
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -419,16 +420,16 @@ class TestRestartResume:
 
 
 class TestWarmTransportPool:
-    """Tier-4 serve knobs: shm transport and per-slot warm pools."""
+    """Served jobs over the pooled result channel and per-slot warm pools."""
 
-    def test_execute_request_codec_invariant(self):
+    def test_execute_request_pooled_matches_serial(self):
         request = sweep_request(n_units=6)
         reference = result_to_json(execute_request(request))
-        for transport in ("pickle", "shm", "auto"):
-            served = result_to_json(
-                execute_request(request, transport=transport)
-            )
-            assert served == reference
+        pooled = result_to_json(
+            execute_request(dataclasses.replace(request, n_workers=2))
+        )
+        assert pooled["executor"] == "process"
+        assert pooled["points"] == reference["points"]
 
     def test_session_jobs_on_shared_warm_pool_bit_identical(self):
         from repro.runner import WarmPool
@@ -446,23 +447,19 @@ class TestWarmTransportPool:
             chunk_size=1,
         )
         def physics(payload):
-            # Drop pure scheduling metadata: the executor and codec a
-            # job ran on may differ, its values and points must not.
+            # Drop pure scheduling metadata: the executor a job ran on
+            # may differ, its values and points must not.
             return {
                 key: value
                 for key, value in payload.items()
-                if key not in ("executor", "transport")
+                if key != "executor"
             }
 
         reset_warm_caches()
         reference = result_to_json(execute_request(request))
         with WarmPool(1) as pool:
-            first = result_to_json(
-                execute_request(request, transport="auto", pool=pool)
-            )
-            second = result_to_json(
-                execute_request(request, transport="auto", pool=pool)
-            )
+            first = result_to_json(execute_request(request, pool=pool))
+            second = result_to_json(execute_request(request, pool=pool))
         assert physics(first) == physics(reference)
         assert physics(second) == physics(reference)
         reset_warm_caches()
@@ -480,7 +477,6 @@ class TestWarmTransportPool:
                 store,
                 queue,
                 slots=1,
-                transport="auto",
                 warm_workers=1,
             )
             await pool.start()
@@ -499,7 +495,7 @@ class TestWarmTransportPool:
                 return {
                     key: value
                     for key, value in payload.items()
-                    if key not in ("executor", "transport")
+                    if key != "executor"
                 }
 
             for job in done:
