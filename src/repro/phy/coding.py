@@ -20,6 +20,14 @@ from :mod:`repro.phy.modulation`):
 The weight spectra below are the published values for the 133/171 code and
 its standard puncturing patterns (Frenger et al., "Multi-rate convolutional
 codes", and the tables used by ns-3/Matlab WLAN toolboxes).
+
+The vectorized decode interpolates a log-log table of the bound per
+coding rate.  All four tables are built once, when this module is
+imported, from one grid of powers ``p**k`` and ``(1-p)**j`` shared by
+every rate.  Each entry is bitwise the per-point union bound
+(``tests/oracles/coding.py`` keeps that fill as the reference), and
+worker processes forked afterwards inherit the tables instead of
+building them again.
 """
 
 from __future__ import annotations
@@ -94,8 +102,10 @@ def coded_bit_error_rate(rate: CodingRate, uncoded_ber: float) -> float:
     key = (rate.numerator, rate.denominator)
     if key not in _WEIGHT_SPECTRA:
         raise ValueError(f"unsupported coding rate {rate}")
-    # Round to stabilise the cache; 1e-7 relative resolution is far below
-    # any effect observable in packet-level experiments.
+    # Round to stabilise the cache.  That is an absolute step of 1e-9: a
+    # BER below 5e-10 evaluates as exactly 0, where the true bound is at
+    # most ~1e-17 even at rate 5/6, far below any effect observable in
+    # packet-level experiments.
     p_rounded = round(uncoded_ber, 9)
     return _coded_ber_cached(key, p_rounded)
 
@@ -108,36 +118,75 @@ TABLE_P_MIN = 1e-12
 TABLE_POINTS = 4096
 
 
-@lru_cache(maxsize=len(_WEIGHT_SPECTRA))
-def _coded_ber_table(rate_key: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Log-log sample grid of the union bound for one coding rate.
+def _build_coded_ber_tables() -> dict[tuple[int, int], tuple]:
+    """Log-log sample grid of the union bound for every coding rate.
 
-    Returns ``(log_p, log_coded)`` arrays of :data:`TABLE_POINTS` samples
-    with ``p`` log-spaced over [:data:`TABLE_P_MIN`, 0.5].  The union
-    bound is smooth and near-polynomial in log-log space, so linear
-    interpolation on this grid reproduces the exact bound to better than
-    1e-3 relative error everywhere (asserted by the test suite).
+    Maps each rate to ``(log_p, log_coded)``: :data:`TABLE_POINTS`
+    samples with ``p`` log-spaced over [:data:`TABLE_P_MIN`, 0.5].  The
+    union bound is smooth and near-polynomial in log-log space, so
+    linear interpolation on this grid reproduces the exact bound to
+    better than 1e-3 relative error everywhere (asserted by the test
+    suite).  Each sample is bitwise :func:`_coded_ber_cached` at its
+    grid point: the powers come from Python's ``**`` (libm ``pow``,
+    which numpy's vectorized power need not match bit for bit), and
+    numpy only repeats the scalar multiplies, adds and clips in order.
     """
     log_p = np.linspace(
         math.log(TABLE_P_MIN), math.log(0.5), TABLE_POINTS
     )
-    coded = np.array(
-        [_coded_ber_cached(rate_key, float(p)) for p in np.exp(log_p)]
+    log_p.setflags(write=False)
+    p = np.exp(log_p)
+    grid = p.tolist()
+    max_d = max(
+        d_free + len(spectrum) - 1
+        for d_free, spectrum in _WEIGHT_SPECTRA.values()
     )
-    # The bound is strictly positive for p > 0; clip defensively so the
-    # log never sees a zero.
-    return log_p, np.log(np.maximum(coded, 1e-300))
+    p_pow = [np.array([x**k for x in grid]) for k in range(max_d + 1)]
+    q_pow = [
+        np.array([(1.0 - x) ** j for x in grid]) for j in range(max_d // 2 + 1)
+    ]
+    tables = {}
+    for rate_key, (d_free, spectrum) in _WEIGHT_SPECTRA.items():
+        bound = np.zeros_like(p)
+        for offset, a_d in enumerate(spectrum):
+            d = d_free + offset
+            if a_d == 0:
+                continue
+            total = np.zeros_like(p)
+            if d % 2 == 0:
+                half = d // 2
+                total += 0.5 * math.comb(d, half) * p_pow[half] * q_pow[half]
+                start = half + 1
+            else:
+                start = (d + 1) // 2
+            for k in range(start, d + 1):
+                total += math.comb(d, k) * p_pow[k] * q_pow[d - k]
+            total = np.where(p >= 0.5, 0.5, np.minimum(total, 1.0))
+            bound += a_d * np.where(p <= 0.0, 0.0, total)
+        # The bound is strictly positive for p > 0; clip defensively so
+        # the log never sees a zero.
+        log_coded = np.log(np.maximum(np.minimum(0.5, bound), 1e-300))
+        log_coded.setflags(write=False)
+        tables[rate_key] = (log_p, log_coded)
+    return tables
+
+
+_CODED_BER_TABLES = _build_coded_ber_tables()
 
 
 def coded_bit_error_rate_batch(rate: CodingRate, uncoded_ber) -> np.ndarray:
     """Vectorized :func:`coded_bit_error_rate` via table interpolation.
 
     This is the fast-path variant used by the vectorized PHY decode: it
-    interpolates the precomputed union-bound table in log-log space
-    instead of evaluating the weight-spectrum sum per value.  Accuracy is
-    better than 1e-3 relative against the exact bound; uncoded BERs below
-    :data:`TABLE_P_MIN` map to exactly 0 (the bound there is < 1e-22).
-    :func:`coded_bit_error_rate` remains the exact reference.
+    interpolates the rate's union-bound table in log-log space instead
+    of evaluating the weight-spectrum sum per value.  The tables are
+    built once at import from a power grid shared by all rates, are
+    bitwise the per-point union bound (``tests/oracles/coding.py``), and
+    are inherited by forked workers, so no call here fills anything.
+    Accuracy is better than 1e-3 relative against the exact bound;
+    uncoded BERs below :data:`TABLE_P_MIN` map to exactly 0 (the bound
+    there is < 1e-22).  :func:`coded_bit_error_rate` remains the exact
+    reference.
 
     Args:
         rate: the punctured convolutional coding rate (1/2, 2/3, 3/4, 5/6).
@@ -155,7 +204,7 @@ def coded_bit_error_rate_batch(rate: CodingRate, uncoded_ber) -> np.ndarray:
     key = (rate.numerator, rate.denominator)
     if key not in _WEIGHT_SPECTRA:
         raise ValueError(f"unsupported coding rate {rate}")
-    log_p_grid, log_coded_grid = _coded_ber_table(key)
+    log_p_grid, log_coded_grid = _CODED_BER_TABLES[key]
     out = np.zeros_like(p)
     in_table = p > TABLE_P_MIN
     if np.any(in_table):

@@ -823,8 +823,10 @@ class _ChunkScheduler:
         context = multiprocessing.get_context(method)
         collected: dict[int, _ChunkOutcome] = {}
         broken: Exception | None = None
+        # Under fork the executor starts every worker up front, so size
+        # the pool to the round: a retry of one chunk forks one process.
         with ProcessPoolExecutor(
-            max_workers=self.n_workers, mp_context=context
+            max_workers=min(self.n_workers, len(pending)), mp_context=context
         ) as pool:
             futures = {
                 pool.submit(_run_chunk_wire, *self._wire_args(i)): i

@@ -4,7 +4,8 @@ Three layers of guarantees:
 
 * **Bitwise**: the batch SINR/outcome APIs draw randomness in exactly
   the scalar order, so from the same generator state they must return
-  bit-identical results to the per-subframe reference loop.
+  bit-identical results to the per-subframe reference loop; the
+  coded-BER tables built at import equal their per-point fill.
 * **Tolerance**: the interpolated coded-BER table (the one deliberate
   approximation on the fast path) stays within ~1e-3 relative of the
   exact union bound, and whole sessions agree with the scalar path.
@@ -13,7 +14,11 @@ Three layers of guarantees:
   banded BER) with the fast path on.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,8 @@ from repro.phy.channel import (
     TagState,
 )
 from repro.phy.coding import (
+    SUPPORTED_RATES,
+    _CODED_BER_TABLES,
     coded_bit_error_rate,
     coded_bit_error_rate_batch,
     packet_error_rate,
@@ -41,6 +48,7 @@ from repro.phy.mcs import ht_mcs
 
 MCS_TABLE = [ht_mcs(i) for i in range(8)]
 from repro.sim.scenario import los_scenario
+from tests.oracles.coding import coded_ber_table_reference
 
 STATES = [
     TagState.REFLECT_0,
@@ -222,6 +230,39 @@ class TestCodedBerTable:
                 mcs.coding_rate, probabilities
             )
             np.testing.assert_allclose(table, exact, rtol=2e-3)
+
+    @pytest.mark.parametrize("rate", SUPPORTED_RATES, ids=str)
+    def test_tables_bitwise_equal_per_point_fill(self, rate):
+        key = (rate.numerator, rate.denominator)
+        log_p, log_coded = _CODED_BER_TABLES[key]
+        ref_log_p, ref_log_coded = coded_ber_table_reference(key)
+        assert log_p.tobytes() == ref_log_p.tobytes()
+        assert log_coded.tobytes() == ref_log_coded.tobytes()
+
+    def test_batch_never_goes_through_the_scalar_cache(self):
+        # In a fresh interpreter, so that no earlier test can have
+        # filled a table already.  A fill through the scalar bound's
+        # 4,096-entry LRU would also evict the rounded entries that
+        # coded_bit_error_rate relies on.
+        script = (
+            "from repro.phy import coding\n"
+            "coding._coded_ber_cached.cache_clear()\n"
+            "for rate in coding.SUPPORTED_RATES:\n"
+            "    coding.coded_bit_error_rate_batch(rate, [1e-6, 1e-3, 0.2])\n"
+            "print(coding._coded_ber_cached.cache_info().misses)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0"]
 
     def test_tiny_probabilities_map_to_zero(self):
         out = coded_bit_error_rate_batch(

@@ -6,6 +6,8 @@ serial fallback, error propagation out of workers, timing counters, and
 result rendering.
 """
 
+import os
+
 import pytest
 
 from repro.runner import (
@@ -196,6 +198,28 @@ class TestTimingCounters:
         assert result.executor == "process"
         assert sum(t.n_units for t in result.worker_timings) == 8
         assert sum(t.n_chunks for t in result.worker_timings) == 4
+
+
+class TestProcessPoolSizing:
+    def test_one_unit_forks_one_process(self, monkeypatch):
+        # The fork start method launches every pool worker up front, so
+        # the number of forks is the size of the pool the round opened.
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            pid = real_fork()
+            forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        spec = SweepSpec(axes={"x": [21]}, seed=4)
+        pooled = run_sweep(double_x, spec, n_workers=4, executor="process")
+        assert len(forks) == 1
+        assert pooled.executor == "process"
+        assert pooled.n_workers == 4
+        serial = run_sweep(double_x, spec, n_workers=1)
+        assert pooled.points == serial.points
 
 
 class TestRunSweepAndResult:
