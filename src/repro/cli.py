@@ -85,7 +85,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         RetryPolicy,
         SweepError,
         SweepSpec,
-        WarmPool,
         WorkUnitError,
         run_sweep,
     )
@@ -149,20 +148,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             return 2
     elif args.metrics_out:
         telemetry_spec = TelemetrySpec(metrics=True)
-    pool = None
     try:
         spec = SweepSpec(
             axes={"distance_m": distances},
             seed=args.seed,
             chunk_size=args.chunk,
         )
-        fn = functools.partial(
-            los_ber_point,
-            sim_seconds=args.seconds,
-            warm=args.warm_workers > 0,
-        )
-        if args.warm_workers > 0:
-            pool = WarmPool(args.warm_workers)
+        fn = functools.partial(los_ber_point, sim_seconds=args.seconds)
         run = functools.partial(
             run_sweep,
             fn,
@@ -172,7 +164,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             faults=faults,
             checkpoint=args.checkpoint,
             resume=args.resume,
-            pool=pool,
         )
         if live is not None:
             with activate(live):
@@ -212,9 +203,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except SweepError as error:
         print(f"sweep failed: {error}", file=sys.stderr)
         return 1
-    finally:
-        if pool is not None:
-            pool.close()
     print(
         result.table(
             f"LOS sweep: {args.seconds:g}s per point, seed {args.seed}, "
@@ -1131,6 +1119,7 @@ def _cmd_pcap(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
+    import signal
 
     from .serve import ServeConfig, SweepService
 
@@ -1141,7 +1130,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             slots=args.slots,
             spill_dir=args.spill_dir,
             max_jobs=args.max_jobs,
-            warm_workers=args.warm_workers,
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -1150,13 +1138,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(json.dumps(config.to_json(), sort_keys=True))
         return 0
     service = SweepService(config)
-    spill = config.spill_dir or "(ephemeral: no resume across restarts)"
-    print(
-        f"repro serve: {config.host}:{config.port} "
-        f"slots={config.slots} spill={spill} "
-        f"warm_workers={config.warm_workers}",
-        file=sys.stderr,
-    )
+    # SIGTERM takes Ctrl-C's path: the running job's thread finishes,
+    # its pool workers are joined, and the server exits 0.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         service.run_forever()
     except KeyboardInterrupt:
@@ -1253,14 +1237,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="resume from --checkpoint, skipping completed chunks "
         "(without this flag an existing checkpoint is overwritten)",
-    )
-    sweep.add_argument(
-        "--warm-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="run on a persistent warm worker pool of N processes "
-        "(0 = classic per-run executors)",
     )
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -1594,14 +1570,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-jobs", type=int, default=1024,
         help="cap on active (non-terminal) jobs",
-    )
-    serve.add_argument(
-        "--warm-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="persistent warm worker pool size per slot "
-        "(0 = classic per-job executors)",
     )
     serve.add_argument(
         "--print-config",

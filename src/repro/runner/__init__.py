@@ -58,7 +58,6 @@ from .transport import (
     TransportError,
     TransportEvent,
 )
-from .warm import WarmPool
 from .workers import FleetSpec, SessionSpec
 
 __all__ = [
@@ -81,7 +80,6 @@ __all__ = [
     "TransportError",
     "TransportEvent",
     "UnitContext",
-    "WarmPool",
     "WorkUnitError",
     "WorkerTiming",
     "checkpoint_fingerprint",

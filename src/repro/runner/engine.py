@@ -525,7 +525,7 @@ def _run_chunk_wire(
 ) -> _ChunkOutcome:
     """Run a chunk and encode its payload for the result channel.
 
-    The worker-side entry point for the pooled executors: the chunk
+    The worker-side entry point for the process executor: the chunk
     body is :func:`_run_chunk` unchanged, but a successful outcome's
     ``(values, telemetry)`` payload is encoded *once* here, as a
     digested pickle stream, and rides the executor's result channel
@@ -568,16 +568,11 @@ def resolve_executor(requested: str, n_workers: int) -> str:
     tests asserting dispatch behaviour — can predict them without
     duplicating the policy.
     """
-    if requested not in ("auto", "serial", "process", "warm"):
+    if requested not in ("auto", "serial", "process"):
         raise ValueError(
-            f"executor must be 'auto', 'serial', 'process' or 'warm', "
+            f"executor must be 'auto', 'serial' or 'process', "
             f"got {requested!r}"
         )
-    if requested == "warm":
-        # A warm pool is explicitly requested persistence: even a
-        # single worker is worth keeping alive across runs, so no
-        # silent serial fallback here.
-        return "warm"
     if requested == "serial" or n_workers == 1:
         return "serial"
     if requested == "auto":
@@ -625,7 +620,6 @@ class _ChunkScheduler:
         faults: FaultSpec | None,
         seed: int,
         on_complete: Callable[[int, _ChunkOutcome], None] | None = None,
-        pool: Any | None = None,
     ) -> None:
         self.fn = fn
         self.chunks = chunks
@@ -644,8 +638,6 @@ class _ChunkScheduler:
         self.terminal: dict[int, _UnitFailure] = {}
         self.events: list[RetryEvent] = []
         self.pool_breaks = 0
-        #: Optional :class:`repro.runner.warm.WarmPool` ("warm" rounds).
-        self.pool = pool
         self.transport_events: list[TransportEvent] = []
 
     # -- event plumbing -------------------------------------------------
@@ -669,17 +661,6 @@ class _ChunkScheduler:
             live.on_chunk_retry(event)
 
     # -- transport ------------------------------------------------------
-
-    def _wire_args(self, chunk_index: int) -> tuple:
-        """Positional args of :func:`_run_chunk_wire` for one chunk."""
-        return (
-            self.fn,
-            self.chunks[chunk_index],
-            self.telemetry_spec,
-            self.faults,
-            self.attempts.get(chunk_index, 0),
-            self.retry.timeout_s,
-        )
 
     def _materialize(
         self, chunk_index: int, outcome: _ChunkOutcome
@@ -825,11 +806,26 @@ class _ChunkScheduler:
         broken: Exception | None = None
         # Under fork the executor starts every worker up front, so size
         # the pool to the round: a retry of one chunk forks one process.
+        # Workers take SIGTERM's default action whatever handler the
+        # coordinator installed (``repro serve`` routes it to
+        # KeyboardInterrupt): a broken pool ends its survivors with
+        # SIGTERM, and a worker that caught it would keep pulling chunks.
         with ProcessPoolExecutor(
-            max_workers=min(self.n_workers, len(pending)), mp_context=context
+            max_workers=min(self.n_workers, len(pending)),
+            mp_context=context,
+            initializer=signal.signal,
+            initargs=(signal.SIGTERM, signal.SIG_DFL),
         ) as pool:
             futures = {
-                pool.submit(_run_chunk_wire, *self._wire_args(i)): i
+                pool.submit(
+                    _run_chunk_wire,
+                    self.fn,
+                    self.chunks[i],
+                    self.telemetry_spec,
+                    self.faults,
+                    self.attempts.get(i, 0),
+                    self.retry.timeout_s,
+                ): i
                 for i in pending
             }
             for future, i in futures.items():
@@ -846,15 +842,6 @@ class _ChunkScheduler:
                             f"(unpicklable work function or crashed "
                             f"worker process?)"
                         ) from exc
-        unresolved = self._resolve_round(pending, collected)
-        if broken is not None:
-            self.pool_breaks += 1
-        return unresolved
-
-    def _resolve_round(
-        self, pending: list[int], collected: dict[int, _ChunkOutcome]
-    ) -> list[int]:
-        """Settle a pooled round's outcomes; returns unresolved chunks."""
         unresolved: list[int] = []
         for i in pending:
             if i in collected:
@@ -869,28 +856,7 @@ class _ChunkScheduler:
                     i, self.attempts.get(i, 0), "executor", "retry"
                 )
                 unresolved.append(i)
-        return unresolved
-
-    def _run_warm_round(self, pending: list[int]) -> list[int]:
-        """One round on the persistent warm pool (see ``warm.py``)."""
-        jobs = {i: self._wire_args(i) for i in pending}
-        try:
-            collected, died = self.pool.run_round(jobs)
-        except Exception as exc:  # pool torn down / coordinator-side error
-            if not self.tolerant:
-                raise SweepError(
-                    f"warm pool failed before the work function could "
-                    f"report: {type(exc).__name__}: {exc}"
-                ) from exc
-            collected, died = {}, True
-        if died and not self.tolerant:
-            eaten = [i for i in pending if i not in collected]
-            raise SweepError(
-                f"warm worker died while executing chunk(s) {eaten} "
-                f"(crashed worker process?)"
-            )
-        unresolved = self._resolve_round(pending, collected)
-        if died:
+        if broken is not None:
             self.pool_breaks += 1
         return unresolved
 
@@ -906,10 +872,7 @@ class _ChunkScheduler:
             if executor_used == "serial":
                 self._run_serial(pending)
                 break
-            if executor_used == "warm":
-                pending = self._run_warm_round(pending)
-            else:
-                pending = self._run_process_round(pending)
+            pending = self._run_process_round(pending)
             pending = [
                 i
                 for i in pending
@@ -942,7 +905,6 @@ def run_units(
     checkpoint: str | os.PathLike | None = None,
     resume: bool = True,
     on_chunk: Callable[[ChunkProgress], None] | None = None,
-    pool: Any | None = None,
 ) -> SweepResult:
     """Execute arbitrary work units; the primitive under :func:`run_sweep`.
 
@@ -998,13 +960,6 @@ def run_units(
             Raising from the observer aborts the run — the cooperative
             cancellation point for callers driving the engine from an
             event loop.
-        pool: optional :class:`repro.runner.warm.WarmPool` of
-            persistent workers to dispatch on instead of a fresh
-            process pool — the caller owns its lifetime, so session
-            caches built by warm work functions (e.g.
-            ``SessionSpec(warm=True)``) survive across runs.  Passing a
-            pool forces the "warm" executor; ``executor="warm"`` with
-            no pool spins up a pool for just this run.
 
     Returns:
         A :class:`SweepResult`; ``values`` are in unit order and
@@ -1021,14 +976,6 @@ def run_units(
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
     executor_kind = resolve_executor(executor, n_workers)
-    if pool is not None:
-        executor_kind = "warm"
-    own_pool = None
-    if executor_kind == "warm" and pool is None:
-        from .warm import WarmPool
-
-        own_pool = WarmPool(n_workers)
-        pool = own_pool
     if chunk_size is None:
         chunk_size = _auto_chunk_size(len(units), n_workers)
     if chunk_size < 1:
@@ -1139,7 +1086,6 @@ def run_units(
         faults,
         seed,
         on_complete=spill,
-        pool=pool,
     )
     scheduler.outcomes.update(resumed)
     try:
@@ -1149,8 +1095,6 @@ def run_units(
     finally:
         if checkpoint_writer is not None:
             checkpoint_writer.close()
-        if own_pool is not None:
-            own_pool.close()
     wall_s = time.perf_counter() - start
 
     events = tuple(scheduler.events)
@@ -1234,7 +1178,6 @@ def run_sweep(
     checkpoint: str | os.PathLike | None = None,
     resume: bool = True,
     on_chunk: Callable[[ChunkProgress], None] | None = None,
-    pool: Any | None = None,
 ) -> SweepResult:
     """Evaluate ``measure`` at every grid point of ``spec``.
 
@@ -1258,5 +1201,4 @@ def run_sweep(
         checkpoint=checkpoint,
         resume=resume,
         on_chunk=on_chunk,
-        pool=pool,
     )

@@ -28,87 +28,8 @@ __all__ = [
     "fleet_poll_stats",
     "los_ber_point",
     "nlos_session_stats",
-    "reset_warm_caches",
     "rng_probe",
 ]
-
-# ---------------------------------------------------------------------------
-# Warm-worker donor registries (process-local).
-#
-# A persistent worker (repro.runner.warm.WarmPool) rebuilds a session per
-# unit but keeps the *process* alive across chunks, so memoized pure
-# state can survive from one build to the next.  Three caches qualify:
-#
-# * ``QueryBuilder._templates`` / ``_schedule`` / ``_frame_memo`` —
-#   deterministic functions of the (config, client, ap) triple; guarded
-#   by config/address equality and shared live (the memo keeps filling
-#   across sessions).
-# * ``TagStateMachine._align_cache`` — self-keyed by every timing and
-#   oscillator parameter the cached vectors depend on, so the dict is
-#   shareable between any two tag FSMs unconditionally.
-# * ``BackscatterChannel._static_vectors`` — pure given the channel's
-#   LOS phases, which are *seed-dependent* random draws; donors are
-#   therefore keyed by seed as well, and injection is additionally
-#   guarded by bitwise equality of the derived phase terms.
-#
-# None of these touch generator state or per-session dynamics, so a warm
-# rebuild stays bit-identical to a cold one — asserted by the warm-pool
-# equivalence tests.
-
-#: scenario key -> donor WiTagSystem (for seed-independent caches).
-_WARM_DONORS: dict[tuple, Any] = {}
-#: (scenario key, seed) -> donor BackscatterChannel.
-_WARM_CHANNELS: dict[tuple, Any] = {}
-_WARM_CHANNELS_MAX = 128
-#: Process-wide tag alignment cache shared by warm fleet builds.  The
-#: cache is self-keyed by every timing/oscillator parameter the vectors
-#: depend on, so sharing one dict across fleets is unconditionally safe
-#: (same argument as ``TagStateMachine._align_cache`` above).
-_WARM_FLEET_ALIGN: dict[tuple, Any] = {}
-
-
-def reset_warm_caches() -> None:
-    """Drop this process's warm donor registries (tests / leak checks)."""
-    _WARM_DONORS.clear()
-    _WARM_CHANNELS.clear()
-    _WARM_FLEET_ALIGN.clear()
-
-
-def _adopt_warm_caches(key: tuple, seed: int, system: Any) -> None:
-    """Transplant memoized pure state from donors into ``system``."""
-    donor = _WARM_DONORS.get(key)
-    if donor is not None:
-        if (
-            donor.config == system.config
-            and donor.client == system.client
-            and donor.ap == system.ap
-        ):
-            if (
-                system.builder._templates is None
-                and donor.builder._templates is not None
-            ):
-                system.builder._templates = donor.builder._templates
-                system.builder._schedule = donor.builder._schedule
-            system.builder._frame_memo = donor.builder._frame_memo
-        donor_align = getattr(donor.tag, "_align_cache", None)
-        if donor_align is not None:
-            system.tag._align_cache = donor_align
-    channel_key = key + (seed,)
-    donor_channel = _WARM_CHANNELS.get(channel_key)
-    if donor_channel is not None:
-        channel = system.error_model.channel
-        if (
-            donor_channel._h_direct_los == channel._h_direct_los
-            and donor_channel._h_tag_los == channel._h_tag_los
-            and np.array_equal(
-                donor_channel._tag_rotation, channel._tag_rotation
-            )
-        ):
-            channel._static_vectors = donor_channel._static_vectors
-    _WARM_DONORS[key] = system
-    while len(_WARM_CHANNELS) >= _WARM_CHANNELS_MAX:
-        _WARM_CHANNELS.pop(next(iter(_WARM_CHANNELS)))
-    _WARM_CHANNELS[channel_key] = system.error_model.channel
 
 
 @dataclass(frozen=True)
@@ -139,11 +60,6 @@ class SessionSpec:
         batch_queries: session-engine chunk size.
         data_stream: context substream index for the session's random
             data bits.
-        warm: reuse memoized pure state (frame templates, alignment
-            vectors, static channel vectors) from previous builds of the
-            same scenario in this process.  Only useful under a
-            persistent worker (:class:`repro.runner.warm.WarmPool`) or a
-            serial run; results are bit-identical either way.
     """
 
     kind: str = "los"
@@ -153,24 +69,10 @@ class SessionSpec:
     session_fast_path: bool = True
     batch_queries: int = 256
     data_stream: int = 1
-    warm: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("los", "nlos"):
             raise ValueError(f"kind must be 'los' or 'nlos', got {self.kind}")
-
-    def _scenario_key(self, ctx: UnitContext) -> tuple:
-        if self.kind == "los":
-            where: tuple = (
-                "los",
-                float(ctx.parameters.get("distance_m", self.distance_m)),
-            )
-        else:
-            where = (
-                "nlos",
-                str(ctx.parameters.get("location", self.location)),
-            )
-        return where + (self.phy_fast_path,)
 
     def __call__(self, ctx: UnitContext) -> MeasurementSession:
         if self.kind == "los":
@@ -189,8 +91,6 @@ class SessionSpec:
                 seed=ctx.seed,
                 phy_fast_path=self.phy_fast_path,
             )
-        if self.warm:
-            _adopt_warm_caches(self._scenario_key(ctx), ctx.seed, system)
         return MeasurementSession(
             system,
             rng=ctx.rng(self.data_stream),
@@ -209,8 +109,8 @@ class FleetSpec:
     positions drawn uniformly over a warehouse floorplan from the
     context's position substream, link/tag/error streams derived from
     ``ctx.seed`` by ``TagFleet.build`` — so fleet workloads ride the
-    same engine machinery (process pools, warm pool, chunk integrity
-    checks, checkpoint/resume) as session workloads.
+    same engine machinery (process pools, chunk integrity checks,
+    checkpoint/resume) as session workloads.
 
     Attributes:
         n_tags: fleet size.
@@ -224,9 +124,6 @@ class FleetSpec:
         phy_exact_coding: exact per-subframe coded BER instead of the
             interpolation table (bitwise-matches the scalar reference).
         position_stream: context substream index for tag placement.
-        warm: share the process-wide tag alignment cache across fleet
-            builds (useful under :class:`repro.runner.warm.WarmPool`);
-            bit-identical either way.
     """
 
     n_tags: int = 100
@@ -236,7 +133,6 @@ class FleetSpec:
     batch_tags: int = 256
     phy_exact_coding: bool = False
     position_stream: int = 2
-    warm: bool = False
 
     def __post_init__(self) -> None:
         if self.n_tags < 1:
@@ -254,7 +150,7 @@ class FleetSpec:
                 rng.uniform(-height / 2.0, height / 2.0, n_tags),
             ]
         )
-        fleet = TagFleet.build(
+        return TagFleet.build(
             positions,
             client_xy=self.client_xy,
             ap_xy=self.ap_xy,
@@ -262,12 +158,6 @@ class FleetSpec:
             batch_tags=self.batch_tags,
             phy_exact_coding=self.phy_exact_coding,
         )
-        if self.warm:
-            # Merge this fleet's (empty) cache into the process-wide
-            # one and share it, so later builds reuse alignment vectors.
-            for fsm in fleet._fsms:
-                fsm._align_cache = _WARM_FLEET_ALIGN
-        return fleet
 
 
 def fleet_poll_stats(
@@ -495,7 +385,6 @@ def los_ber_point(
     sim_seconds: float = 1.0,
     phy_fast_path: bool = True,
     session_fast_path: bool = True,
-    warm: bool = False,
 ) -> dict[str, Any]:
     """One Figure-5-style LOS point: BER/throughput at a tag distance.
 
@@ -505,18 +394,13 @@ def los_ber_point(
     ``phy_fast_path=False`` selects the scalar PHY reference loop — the
     fast-path benchmarks sweep the same physics both ways through the
     engine; ``session_fast_path`` likewise selects between the batched
-    session engine and the scalar per-query loop; ``warm`` reuses
-    memoized pure state from prior builds in the same process
-    (bitwise-identical results in every combination).
+    session engine and the scalar per-query loop (bitwise-identical
+    results either way).
     """
     distance_m = float(ctx.parameters["distance_m"])
     system, info = los_scenario(
         distance_m, seed=ctx.seed, phy_fast_path=phy_fast_path
     )
-    if warm:
-        _adopt_warm_caches(
-            ("los", distance_m, phy_fast_path), ctx.seed, system
-        )
     attach_active(system)
     session = MeasurementSession(
         system, rng=ctx.rng(1), session_fast_path=session_fast_path

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 from dataclasses import dataclass
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
@@ -78,9 +79,6 @@ class ServeConfig:
         spill_dir: directory for job sidecars + engine checkpoints;
             ``None`` runs ephemeral (no durability, no resume).
         max_jobs: cap on non-terminal jobs in the store.
-        warm_workers: per-slot persistent warm-pool size; 0 (default)
-            keeps the classic per-job executors.  See
-            :class:`repro.serve.jobs.ExecutorPool`.
     """
 
     host: str = "127.0.0.1"
@@ -88,7 +86,6 @@ class ServeConfig:
     slots: int = 2
     spill_dir: str | None = None
     max_jobs: int = 1024
-    warm_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.slots < 1:
@@ -97,8 +94,6 @@ class ServeConfig:
             raise ValueError("max_jobs must be >= 1")
         if not (0 <= self.port <= 65535):
             raise ValueError("port must be in [0, 65535]")
-        if self.warm_workers < 0:
-            raise ValueError("warm_workers must be >= 0")
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -107,7 +102,6 @@ class ServeConfig:
             "slots": self.slots,
             "spill_dir": self.spill_dir,
             "max_jobs": self.max_jobs,
-            "warm_workers": self.warm_workers,
         }
 
 
@@ -142,7 +136,6 @@ class SweepService:
             self.queue,
             slots=self.config.slots,
             metrics=self.metrics,
-            warm_workers=self.config.warm_workers,
         )
         self._server: asyncio.Server | None = None
 
@@ -173,11 +166,24 @@ class SweepService:
         await self.pool.stop()
 
     def run_forever(self) -> None:
-        """Blocking entry point for the CLI (Ctrl-C stops cleanly)."""
+        """Blocking entry point for the CLI (Ctrl-C stops cleanly).
+
+        Once the listener is bound, prints one ``repro serve:
+        host:port ...`` line to stderr with the bound port, so a
+        ``port=0`` server can be found from outside the process.
+        """
 
         async def _main() -> None:
             await self.start()
             assert self._server is not None
+            config = self.config
+            spill = config.spill_dir or "(ephemeral: no resume across restarts)"
+            print(
+                f"repro serve: {config.host}:{self.port} "
+                f"slots={config.slots} spill={spill}",
+                file=sys.stderr,
+                flush=True,
+            )
             try:
                 await self._server.serve_forever()
             except asyncio.CancelledError:

@@ -154,7 +154,6 @@ def execute_request(
     resume: bool = True,
     on_chunk: Callable[[ChunkProgress], None] | None = None,
     warn_key: object | None = None,
-    pool: Any | None = None,
 ) -> SweepResult:
     """Run one validated job request through the engine (synchronous).
 
@@ -162,11 +161,6 @@ def execute_request(
     the executor pool runs exactly this on a worker thread, and tests
     call it directly to assert a served job's values are bit-identical
     to a direct engine run of the same spec.
-
-    ``pool`` is an optional persistent :class:`repro.runner.WarmPool`
-    the job should run on (one pool per executor slot, reused across
-    jobs).  It never changes results — the engine's determinism
-    contract covers it.
     """
     if request.kind == "sweep":
         fn: Callable = WORK_FUNCTIONS[request.fn]
@@ -180,7 +174,6 @@ def execute_request(
             checkpoint=checkpoint,
             resume=resume,
             on_chunk=on_chunk,
-            pool=pool,
         )
     return run_parallel_sessions(
         request.sessions,
@@ -195,7 +188,6 @@ def execute_request(
         resume=resume,
         on_chunk=on_chunk,
         warn_key=warn_key,
-        pool=pool,
     )
 
 
@@ -668,43 +660,18 @@ class ExecutorPool:
         *,
         slots: int = 2,
         metrics: ServerMetrics | None = None,
-        warm_workers: int = 0,
     ) -> None:
-        """A positive ``warm_workers`` gives each slot a persistent
-        :class:`repro.runner.WarmPool` of that many workers, created
-        lazily on the slot's first job and reused across jobs (worker
-        session caches stay warm between requests).  A slot pool
-        overrides each request's ``n_workers``; results remain
-        bit-identical either way.
-        """
         if slots < 1:
             raise ValueError("slots must be >= 1")
-        if warm_workers < 0:
-            raise ValueError("warm_workers must be >= 0")
         self.store = store
         self.queue = queue
         self.slots = slots
         self.metrics = metrics
-        self.warm_workers = warm_workers
         self._tasks: list[asyncio.Task] = []
-        self._slot_pools: dict[int, Any] = {}
-
-    def _slot_pool(self, slot: int) -> Any | None:
-        """The slot's persistent warm pool (created lazily), or None."""
-        if self.warm_workers < 1:
-            return None
-        pool = self._slot_pools.get(slot)
-        if pool is None:
-            from ..runner import WarmPool
-
-            pool = self._slot_pools[slot] = WarmPool(self.warm_workers)
-        return pool
 
     async def start(self) -> None:
         self._tasks = [
-            asyncio.create_task(
-                self._worker(i), name=f"serve-slot-{i}"
-            )
+            asyncio.create_task(self._worker(), name=f"serve-slot-{i}")
             for i in range(self.slots)
         ]
 
@@ -713,10 +680,6 @@ class ExecutorPool:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks = []
-        pools = list(self._slot_pools.values())
-        self._slot_pools = {}
-        for pool in pools:
-            pool.close()
 
     def _on_chunk(
         self, loop: asyncio.AbstractEventLoop, job: Job
@@ -736,7 +699,7 @@ class ExecutorPool:
 
         return forward
 
-    async def _run_job(self, job: Job, slot: int = 0) -> None:
+    async def _run_job(self, job: Job) -> None:
         loop = asyncio.get_running_loop()
         checkpoint = self.store.checkpoint_path(job.id)
         try:
@@ -747,7 +710,6 @@ class ExecutorPool:
                 resume=True,
                 on_chunk=self._on_chunk(loop, job),
                 warn_key=job.id,
-                pool=self._slot_pool(slot),
             )
         except JobCancelled:
             await self.store.advance(job.id, CANCELLED)
@@ -760,7 +722,7 @@ class ExecutorPool:
         else:
             await self.store.complete(job.id, result)
 
-    async def _worker(self, slot: int = 0) -> None:
+    async def _worker(self) -> None:
         while True:
             job_id = await self.queue.get()
             if self.metrics is not None:
@@ -772,4 +734,4 @@ class ExecutorPool:
             if job.state != QUEUED:
                 continue  # cancelled (or deleted) while queued
             await self.store.advance(job_id, RUNNING)
-            await self._run_job(job, slot)
+            await self._run_job(job)

@@ -216,10 +216,8 @@ class TestServe:
             "slots",
             "spill_dir",
             "max_jobs",
-            "warm_workers",
         }
         assert payload["slots"] == 2
-        assert payload["warm_workers"] == 0
 
     def test_print_config_honors_flags(self, capsys, tmp_path):
         code, out, err = run(
@@ -232,8 +230,6 @@ class TestServe:
                 "4",
                 "--spill-dir",
                 str(tmp_path),
-                "--warm-workers",
-                "2",
                 "--print-config",
             ],
         )
@@ -241,21 +237,12 @@ class TestServe:
         payload = json.loads(out)
         assert payload["slots"] == 4
         assert payload["spill_dir"] == str(tmp_path)
-        assert payload["warm_workers"] == 2
 
     def test_invalid_slots_exit_2(self, capsys):
         code, out, err = run(capsys, ["serve", "--slots", "0"])
         assert code == 2
         assert out == ""
         assert "slots" in err
-
-    def test_invalid_warm_workers_exit_2(self, capsys):
-        code, out, err = run(
-            capsys, ["serve", "--warm-workers", "-1"]
-        )
-        assert code == 2
-        assert out == ""
-        assert "warm_workers" in err
 
     def test_invalid_port_exit_2(self, capsys):
         code, out, err = run(capsys, ["serve", "--port", "70000"])

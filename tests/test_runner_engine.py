@@ -127,8 +127,9 @@ class TestSerialFallback:
         assert captured == [0, 1, 2, 3]
 
     def test_rejects_bad_executor_name(self):
-        with pytest.raises(ValueError, match="executor"):
-            run_units(echo, units(1), executor="threads")
+        for name in ("threads", "warm"):
+            with pytest.raises(ValueError, match="executor"):
+                run_units(echo, units(1), executor=name)
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError, match="n_workers"):

@@ -14,8 +14,11 @@ run in the CI chaos job (``pytest -m faults``).
 import copy
 import dataclasses
 import json
+import multiprocessing
 import os
 import random
+import signal
+import threading
 
 import pytest
 
@@ -88,6 +91,19 @@ def executed_units(log_path) -> list[int]:
         return []
     with open(log_path, encoding="utf-8") as handle:
         return [int(line) for line in handle if line.strip()]
+
+
+def sigterm_is_default(ctx: UnitContext) -> bool:
+    """Whether this unit runs with SIGTERM's default action."""
+    return signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+
+
+@pytest.fixture
+def sigterm_raises():
+    """SIGTERM raises KeyboardInterrupt, as ``repro serve`` sets it."""
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGTERM, previous)
 
 
 class TestFaultSpec:
@@ -334,6 +350,59 @@ class TestProcessRetries:
         assert result.values == [0, 3, 6, 9]
         assert result.executor == "serial"
 
+
+
+class TestCoordinatorSigtermHandler:
+    """A broken pool ends its surviving workers with SIGTERM.
+
+    That must kill them even when the coordinating process routes
+    SIGTERM to KeyboardInterrupt, as ``repro serve`` does: a worker
+    that caught it would go on pulling chunks from a dead pool.
+    """
+
+    def test_pool_workers_take_default_sigterm(self, sigterm_raises):
+        result = run_units(
+            sigterm_is_default,
+            units(4),
+            chunk_size=1,
+            n_workers=2,
+            executor="process",
+        )
+        assert result.executor == "process"
+        assert result.values == [True] * 4
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exit_off_main_thread_bit_identical(
+        self, sigterm_raises, chaos
+    ):
+        # A served job runs the engine on a job thread.  Bound the run
+        # so a survivor the pool cannot end fails the test instead of
+        # stalling it.
+        baseline = run_units(rng_probe, units(8), chunk_size=2)
+        outcome = {}
+
+        def job():
+            try:
+                outcome["result"] = chaos.run(
+                    rng_probe,
+                    units(8),
+                    faults=chaos.faults(exit=(2,)),
+                    chunk_size=2,
+                    n_workers=2,
+                    executor="process",
+                )
+            except BaseException as exc:  # surfaced below
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=job, daemon=True)
+        thread.start()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive(), "pooled run still going after 60 s"
+        assert "error" not in outcome, outcome.get("error")
+        chaotic = outcome["result"]
+        assert chaotic.values == baseline.values
+        assert "executor" in {e.reason for e in chaotic.retries}
+        assert multiprocessing.active_children() == []
 
 @pytest.mark.slow
 class TestChunkTimeouts:

@@ -173,7 +173,7 @@ if HAVE_HYPOTHESIS:
 
 
 class TestEngineTransport:
-    @pytest.mark.parametrize("executor", ["process", "warm"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_pooled_values_match_serial(self, executor):
         serial = run_units(array_probe, units(6), seed=1)
         pooled = run_units(

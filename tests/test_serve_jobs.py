@@ -331,6 +331,15 @@ class TestPoolExecution:
 
         asyncio.run(main())
 
+    def test_execute_request_pooled_matches_serial(self):
+        request = sweep_request(n_units=6)
+        reference = result_to_json(execute_request(request))
+        pooled = result_to_json(
+            execute_request(dataclasses.replace(request, n_workers=2))
+        )
+        assert pooled["executor"] == "process"
+        assert pooled["points"] == reference["points"]
+
 
 class TestRestartResume:
     def test_restart_resumes_bit_identical(self, tmp_path, chaos):
@@ -417,108 +426,3 @@ class TestRestartResume:
         assert reloaded.chunks_done == done.chunks_done
         assert reloaded.n_chunks == done.n_chunks
         assert reloaded.resumed_chunks == done.resumed_chunks
-
-
-class TestWarmTransportPool:
-    """Served jobs over the pooled result channel and per-slot warm pools."""
-
-    def test_execute_request_pooled_matches_serial(self):
-        request = sweep_request(n_units=6)
-        reference = result_to_json(execute_request(request))
-        pooled = result_to_json(
-            execute_request(dataclasses.replace(request, n_workers=2))
-        )
-        assert pooled["executor"] == "process"
-        assert pooled["points"] == reference["points"]
-
-    def test_session_jobs_on_shared_warm_pool_bit_identical(self):
-        from repro.runner import WarmPool
-        from repro.runner.workers import (
-            SessionSpec,
-            reset_warm_caches,
-        )
-
-        request = JobRequest(
-            kind="sessions",
-            sessions=SessionSpec(distance_m=3.0, warm=True),
-            n_sessions=3,
-            queries=6,
-            seed=2,
-            chunk_size=1,
-        )
-        def physics(payload):
-            # Drop pure scheduling metadata: the executor a job ran on
-            # may differ, its values and points must not.
-            return {
-                key: value
-                for key, value in payload.items()
-                if key != "executor"
-            }
-
-        reset_warm_caches()
-        reference = result_to_json(execute_request(request))
-        with WarmPool(1) as pool:
-            first = result_to_json(execute_request(request, pool=pool))
-            second = result_to_json(execute_request(request, pool=pool))
-        assert physics(first) == physics(reference)
-        assert physics(second) == physics(reference)
-        reset_warm_caches()
-
-    def test_pool_warm_slots_complete_jobs_and_close(self):
-        async def main():
-            store = JobStore()
-            queue = JobQueue()
-            jobs = []
-            for _ in range(2):
-                job = await store.submit(sweep_request(n_units=6))
-                await queue.put(job)
-                jobs.append(job)
-            pool = ExecutorPool(
-                store,
-                queue,
-                slots=1,
-                warm_workers=1,
-            )
-            await pool.start()
-            done = [await wait_terminal(store, j.id) for j in jobs]
-            slot_pools = list(pool._slot_pools.values())
-            # One slot -> one lazily created warm pool, shared by both
-            # jobs (that sharing is the whole point of the fast path).
-            assert len(slot_pools) == 1
-            assert not slot_pools[0].closed
-            await pool.stop()
-            assert slot_pools[0].closed
-            assert pool._slot_pools == {}
-            direct = result_to_json(execute_request(jobs[0].request))
-
-            def physics(payload):
-                return {
-                    key: value
-                    for key, value in payload.items()
-                    if key != "executor"
-                }
-
-            for job in done:
-                assert job.state == "completed"
-                assert physics(job.result) == physics(direct)
-
-        asyncio.run(main())
-
-    def test_zero_warm_workers_keeps_classic_path(self):
-        async def main():
-            store = JobStore()
-            queue = JobQueue()
-            job = await store.submit(sweep_request(n_units=4))
-            await queue.put(job)
-            pool = ExecutorPool(store, queue, slots=1)
-            await pool.start()
-            done = await wait_terminal(store, job.id)
-            assert pool._slot_pools == {}
-            await pool.stop()
-            assert done.state == "completed"
-
-        asyncio.run(main())
-
-    def test_executor_pool_validates_warm_workers(self):
-        with pytest.raises(ValueError):
-            ExecutorPool(JobStore(), JobQueue(), warm_workers=-1)

@@ -8,6 +8,7 @@ variant, which must resume from the engine checkpoint bit-identically.
 """
 
 import asyncio
+import dataclasses
 import json
 import threading
 
@@ -38,8 +39,20 @@ REFERENCE_REQUEST = JobRequest(
 )
 
 
+#: Upper bound on one HTTP exchange, read to EOF.  A process that keeps
+#: the server's end of the connection open (a forked pool worker, say)
+#: fails the test here instead of stalling it.
+EXCHANGE_TIMEOUT_S = 30.0
+
+
 async def http(port, method, path, body=None, headers=None):
     """Minimal one-shot HTTP client over asyncio streams."""
+    return await asyncio.wait_for(
+        _exchange(port, method, path, body, headers), EXCHANGE_TIMEOUT_S
+    )
+
+
+async def _exchange(port, method, path, body, headers):
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     payload = (
         json.dumps(body).encode("utf-8") if body is not None else b""
@@ -67,7 +80,10 @@ async def http_json(port, method, path, body=None, headers=None):
 
 
 class TestEndToEnd:
-    def test_submit_stream_result_bit_identical(self, tmp_path):
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_submit_stream_result_bit_identical(self, tmp_path, n_workers):
+        request = dataclasses.replace(REFERENCE_REQUEST, n_workers=n_workers)
+
         async def main():
             config = ServeConfig(
                 port=0, slots=2, spill_dir=str(tmp_path / "spill")
@@ -80,7 +96,7 @@ class TestEndToEnd:
                     port,
                     "POST",
                     "/jobs",
-                    body=job_request_to_json(REFERENCE_REQUEST),
+                    body=job_request_to_json(request),
                 )
                 assert status == 202
                 job_id = submitted["id"]
@@ -119,9 +135,7 @@ class TestEndToEnd:
                     port, "GET", f"/jobs/{job_id}/result"
                 )
                 assert status == 200
-                direct = result_to_json(
-                    execute_request(REFERENCE_REQUEST)
-                )
+                direct = result_to_json(execute_request(request))
                 assert served == direct
 
                 # replay from a cursor: everything already seen is
