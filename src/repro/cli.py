@@ -7,12 +7,6 @@ Usage::
                           [--retries 3] [--timeout 30] [--backoff 0.1]
                           [--inject-faults crash:0] [--checkpoint C.jsonl]
                           [--resume]
-    python -m repro bench [--queries 300] [--distance 4.0] [--json OUT.json]
-                          [--update-baseline] [--trajectory PATH.json]
-                          [--fleet] [--fleet-tags 2000]
-                          [--fleet-rounds 1] [--fleet-aps 4]
-                          [--metrics-out M.json] [--trace-out T.jsonl]
-    python -m repro bench check [--trajectory PATH.json] [--threshold 0.8]
     python -m repro metrics [--sessions 4] [--queries 50] [--workers 2]
                             [--format table|json|prometheus] [--out PATH]
                             [--input M1.json --input M2.json]
@@ -248,403 +242,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"wrote trace ({live.writer.records_written} records) to "
             f"{args.trace_out}"
         )
-    return 0
-
-
-def _print_fleet_network_demo(args: argparse.Namespace) -> None:
-    """Run and report the multi-AP warehouse scenario (not baselined).
-
-    ``args.fleet_aps`` reader cells spread along a 30 m x 20 m floor,
-    polling ``args.fleet_tags`` tags for ``args.fleet_rounds``
-    event-driven rounds with mobility and nearest-AP selection — the
-    docs' "warehouse scenario" walkthrough, runnable from the bench
-    CLI.  Diagnostic output only; the gated number is the single-cell
-    fleet-vs-scalar speedup.
-    """
-    import numpy as np
-
-    from .sim.network import (
-        FleetNetwork,
-        RandomWalkMobility,
-        ReaderCell,
-        TrafficStation,
-    )
-
-    width, height = 30.0, 20.0
-    n_aps = args.fleet_aps
-    cells = [
-        ReaderCell(
-            f"ap{k}",
-            ap_xy=(width * (k + 0.5) / n_aps, 0.0),
-            stations=(TrafficStation(f"bg{k}"),),
-        )
-        for k in range(n_aps)
-    ]
-    rng = np.random.default_rng(
-        np.random.SeedSequence(args.seed, spawn_key=(0xF100,))
-    )
-    positions = np.column_stack(
-        [
-            rng.uniform(0.0, width, args.fleet_tags),
-            rng.uniform(1.0, height, args.fleet_tags),
-        ]
-    )
-    network = FleetNetwork(
-        cells,
-        positions,
-        seed=args.seed,
-        mobility=RandomWalkMobility(
-            bounds=(0.0, 1.0, width, height), seed=args.seed
-        ),
-    )
-    data_rng = np.random.default_rng(
-        np.random.SeedSequence(args.seed, spawn_key=(0xF101,))
-    )
-    for name in network.names:
-        network.load_bits(
-            name, [int(b) for b in data_rng.integers(0, 2, args.fleet_bits)]
-        )
-    rounds = network.run_rounds(args.fleet_rounds)
-    table = Table(
-        f"warehouse scenario: {args.fleet_tags} tags x {n_aps} APs x "
-        f"{args.fleet_rounds} round(s), mobility + CSMA contention",
-        ["AP", "rounds", "queries", "responded", "bits", "BER", "busy (s)"],
-    )
-    for k, cell in enumerate(cells):
-        mine = [s for s in rounds if s.ap == cell.name]
-        bits = sum(s.bits_sent for s in mine)
-        errors = sum(s.bit_errors for s in mine)
-        table.add_row(
-            [
-                cell.name,
-                len(mine),
-                sum(s.n_queries for s in mine),
-                sum(s.n_responded for s in mine),
-                bits,
-                (errors / bits) if bits else 0.0,
-                sum(s.duration_s for s in mine),
-            ]
-        )
-    print(table.render())
-    print(
-        f"mobility ticks: {network.mobility_ticks}, handoffs: "
-        f"{network.handoffs}, incrementally refreshed link rows: "
-        f"{network.invalidated_rows}"
-    )
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Three-tier fast-path benchmark with stage timings."""
-    import json
-
-    from .bench import (
-        TIERS,
-        adaptive_bench,
-        bench_payload,
-        fleet_bench,
-        record_bench_trajectory,
-        three_tier_bench,
-        update_baseline,
-    )
-
-    if args.queries < 1:
-        print("--queries must be >= 1", file=sys.stderr)
-        return 2
-    result = three_tier_bench(
-        args.queries,
-        distance_m=args.distance,
-        seed=args.seed,
-        repeats=args.repeats,
-    )
-    speedups = result["speedups"]
-    table = Table(
-        f"fast-path tiers: {args.queries} queries, "
-        f"LOS tag@{args.distance:g}m, seed {args.seed}",
-        ["path", "wall (s)", "queries/s", "BER"],
-    )
-    for label, _phy, _session in TIERS:
-        tier = result["tiers"][label]
-        table.add_row(
-            [label, tier["wall_s"], tier["queries_per_s"], tier["ber"]]
-        )
-    print(table.render())
-    print(
-        f"speedup vectorized/scalar: "
-        f"{speedups['vectorized_vs_scalar']:.2f}x, "
-        f"session-batch/scalar: {speedups['session_vs_scalar']:.2f}x, "
-        f"session-batch/vectorized: "
-        f"{speedups['session_vs_vectorized']:.2f}x"
-    )
-    stages = Table(
-        "session-batch stage timings (cumulative seconds)",
-        ["group", "stage", "seconds", "units", "us/unit"],
-    )
-    batch_session = result["tiers"]["session-batch"]["session"]
-    for group, counters in (
-        ("system", batch_session.system.counters),
-        ("error_model", batch_session.system.error_model.counters),
-    ):
-        for stage, seconds, calls, per_call_us in (
-            counters.as_rows_with_rate()
-        ):
-            stages.add_row([group, stage, seconds, calls, per_call_us])
-    print(stages.render())
-    fl = None
-    if args.fleet:
-        fl = fleet_bench(
-            args.fleet_tags,
-            args.fleet_rounds,
-            seed=args.seed,
-            bits_per_tag=args.fleet_bits,
-            repeats=args.repeats,
-        )
-        fl_table = Table(
-            f"fleet engine: {fl['n_tags']} tags x {fl['rounds']} "
-            f"round(s), {fl['bits_per_tag']} bits/tag",
-            ["mode", "wall (s)", "queries/s"],
-        )
-        for mode in ("scalar", "fleet"):
-            leg = fl["legs"][mode]
-            fl_table.add_row([mode, leg["wall_s"], leg["queries_per_s"]])
-        print(fl_table.render())
-        print(
-            f"speedup fleet/scalar: "
-            f"{fl['speedup_fleet_vs_scalar']:.2f}x "
-            f"(equivalence gate on {fl['equivalence_tags']} tags, "
-            f"exact coding: {'passed' if fl['identical'] else 'FAILED'})"
-        )
-        if args.fleet_aps > 0:
-            _print_fleet_network_demo(args)
-    ad = None
-    if args.adaptive:
-        ad = adaptive_bench(
-            args.adaptive_units,
-            args.adaptive_rounds,
-            args.adaptive_windows,
-            seed=args.seed,
-        )
-        ad_table = Table(
-            f"adaptive FEC + scheduling: {ad['units']} deployment(s) x "
-            f"{ad['rounds']} rounds x {ad['windows_per_round']} windows, "
-            "bursty ON/OFF traffic",
-            [
-                "scheme",
-                "delivered bits",
-                "goodput (bps)",
-                "energy/bit (uJ)",
-            ],
-        )
-        for scheme in ("static", "adaptive"):
-            leg = ad["legs"][scheme]
-            ad_table.add_row(
-                [
-                    scheme,
-                    leg["delivered_bits"],
-                    leg["mean_goodput_bps"],
-                    leg["mean_energy_per_bit_uj"],
-                ]
-            )
-        print(ad_table.render())
-        print(
-            f"goodput adaptive/static: "
-            f"{ad['goodput_ratio_adaptive_vs_static']:.2f}x, "
-            f"energy-per-bit static/adaptive: "
-            f"{ad['energy_ratio_static_vs_adaptive']:.2f}x "
-            f"(adaptive wins {ad['adaptive_wins']}/{ad['units']} "
-            f"deployments; tier equivalence gate: "
-            f"{'passed' if ad['identical'] else 'FAILED'})"
-        )
-    payload = bench_payload(result, fleet=fl, adaptive=ad)
-    entry = record_bench_trajectory(args.trajectory, payload)
-    print(f"recorded trajectory entry ({entry['recorded_at']}) in "
-          f"{args.trajectory}")
-    if args.update_baseline:
-        tiers = payload["tiers"]
-        update_baseline(
-            "session_batch",
-            {
-                "recorded": entry["recorded_at"],
-                "queries": args.queries,
-                "distance_m": args.distance,
-                "seed": args.seed,
-                "scalar_queries_per_s": tiers["scalar"]["queries_per_s"],
-                "vectorized_queries_per_s": tiers["vectorized"][
-                    "queries_per_s"
-                ],
-                "session_batch_queries_per_s": tiers["session-batch"][
-                    "queries_per_s"
-                ],
-                "speedup_session_vs_vectorized": speedups[
-                    "session_vs_vectorized"
-                ],
-                "note": (
-                    "Reference machine numbers from `repro bench "
-                    "--update-baseline`. benchmarks/test_session_batch.py "
-                    "asserts session-batch >= max(2.0, 0.8 * "
-                    "speedup_session_vs_vectorized) over the vectorized "
-                    "tier; absolute queries/s are trajectory data only."
-                ),
-            },
-            args.baselines,
-        )
-        print(f"updated session_batch baseline in {args.baselines}")
-        if fl is not None:
-            update_baseline(
-                "fleet",
-                {
-                    "recorded": entry["recorded_at"],
-                    "n_tags": fl["n_tags"],
-                    "rounds": fl["rounds"],
-                    "bits_per_tag": fl["bits_per_tag"],
-                    "seed": args.seed,
-                    "scalar_queries_per_s": fl["legs"]["scalar"][
-                        "queries_per_s"
-                    ],
-                    "fleet_queries_per_s": fl["legs"]["fleet"][
-                        "queries_per_s"
-                    ],
-                    "speedup_fleet_vs_scalar": fl[
-                        "speedup_fleet_vs_scalar"
-                    ],
-                    "note": (
-                        "Reference machine numbers from `repro bench "
-                        "--fleet --update-baseline`. "
-                        "benchmarks/test_fleet.py asserts fleet >= "
-                        "max(5.0, 0.8 * speedup_fleet_vs_scalar) over "
-                        "the scalar MultiTagCell reference after the "
-                        "bit-identity equivalence gate; absolute rates "
-                        "are trajectory data only."
-                    ),
-                },
-                args.baselines,
-            )
-            print(f"updated fleet baseline in {args.baselines}")
-        if ad is not None:
-            update_baseline(
-                "adaptive",
-                {
-                    "recorded": entry["recorded_at"],
-                    "units": ad["units"],
-                    "rounds": ad["rounds"],
-                    "windows_per_round": ad["windows_per_round"],
-                    "seed": args.seed,
-                    "static_goodput_bps": ad["legs"]["static"][
-                        "mean_goodput_bps"
-                    ],
-                    "adaptive_goodput_bps": ad["legs"]["adaptive"][
-                        "mean_goodput_bps"
-                    ],
-                    "goodput_ratio_adaptive_vs_static": ad[
-                        "goodput_ratio_adaptive_vs_static"
-                    ],
-                    "energy_ratio_static_vs_adaptive": ad[
-                        "energy_ratio_static_vs_adaptive"
-                    ],
-                    "note": (
-                        "Reference numbers from `repro bench --adaptive "
-                        "--update-baseline`. Quality ratio, not a timing: "
-                        "adaptive goodput over static-paper goodput under "
-                        "bursty traffic, after the execution-tier "
-                        "equivalence gate. `repro bench check` fails when "
-                        "the measured ratio drops below threshold x this "
-                        "value; the deterministic seeds make the measured "
-                        "ratio reproducible."
-                    ),
-                },
-                args.baselines,
-            )
-            print(f"updated adaptive baseline in {args.baselines}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"wrote {args.json}")
-    if args.metrics_out or args.trace_out:
-        # One extra instrumented session-batch run; the bench numbers
-        # above stay un-instrumented so baselines are comparable.
-        from .bench import timed_session
-        from .obs import (
-            Telemetry,
-            TelemetryAggregate,
-            TraceSampler,
-            TraceWriter,
-        )
-
-        try:
-            telemetry = Telemetry(
-                metrics=bool(args.metrics_out),
-                writer=(
-                    TraceWriter(args.trace_out) if args.trace_out else None
-                ),
-                sampler=TraceSampler(every_n=args.trace_every_n),
-            )
-        except (OSError, ValueError) as error:
-            print(f"bad telemetry options: {error}", file=sys.stderr)
-            return 2
-        capture = timed_session(
-            args.queries,
-            distance_m=args.distance,
-            seed=args.seed,
-            telemetry=telemetry,
-        )
-        telemetry.close()
-        print(
-            f"telemetry capture run: {capture['queries_per_s']:.0f} "
-            "queries/s instrumented"
-        )
-        if args.metrics_out:
-            aggregate = TelemetryAggregate.from_chunks(
-                [telemetry.chunk_snapshot()]
-            )
-            _write_metrics_payload(aggregate.as_dict(), args.metrics_out)
-        if args.trace_out:
-            print(
-                f"wrote trace ({telemetry.writer.records_written} "
-                f"records) to {args.trace_out}"
-            )
-    return 0
-
-
-def _cmd_bench_check(args: argparse.Namespace) -> int:
-    """The regression watchdog: latest trajectory vs pinned baselines."""
-    from .bench import bench_check
-
-    try:
-        report = bench_check(
-            args.trajectory, args.baselines, threshold=args.threshold
-        )
-    except ValueError as error:
-        print(f"bad bench check options: {error}", file=sys.stderr)
-        return 2
-    table = Table(
-        f"bench regression check: floor = {report['threshold']:g} x "
-        f"baseline ({args.trajectory})",
-        ["gate", "measured", "baseline", "floor", "recorded", "status"],
-    )
-    for check in report["checks"]:
-        table.add_row(
-            [
-                check["name"],
-                check["measured"],
-                check["baseline"],
-                check["floor"],
-                check["recorded_at"] or "-",
-                "ok" if check["ok"] else "REGRESSION",
-            ]
-        )
-    print(table.render())
-    for item in report["skipped"]:
-        print(f"skipped {item['name']}: {item['reason']}")
-    if not report["checks"]:
-        print("no gates checked (nothing measured or pinned yet)")
-        return 0
-    if not report["ok"]:
-        failed = [c["name"] for c in report["checks"] if not c["ok"]]
-        print(
-            f"REGRESSION: {', '.join(failed)} below "
-            f"{report['threshold']:g} x baseline",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -1239,144 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(without this flag an existing checkpoint is overwritten)",
     )
     sweep.set_defaults(func=_cmd_sweep)
-
-    bench = sub.add_parser(
-        "bench",
-        help="three-tier benchmark: scalar vs vectorized vs session-batch",
-    )
-    bench.add_argument("--queries", type=int, default=300)
-    bench.add_argument("--distance", type=float, default=4.0)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="best-of-N wall clock per tier (robust to machine noise)",
-    )
-    bench.add_argument(
-        "--json", type=str, default=None, help="write results to this file"
-    )
-    bench.add_argument(
-        "--fleet",
-        action="store_true",
-        help="also benchmark the struct-of-arrays fleet engine against "
-        "the scalar MultiTagCell reference (equivalence-gated)",
-    )
-    bench.add_argument(
-        "--fleet-tags",
-        type=int,
-        default=2000,
-        help="fleet size for the warehouse benchmark",
-    )
-    bench.add_argument(
-        "--fleet-rounds",
-        type=int,
-        default=1,
-        help="addressed polling rounds per fleet leg",
-    )
-    bench.add_argument(
-        "--fleet-bits",
-        type=int,
-        default=64,
-        help="queued data bits per tag per round",
-    )
-    bench.add_argument(
-        "--fleet-aps",
-        type=int,
-        default=0,
-        help="with --fleet, also run the multi-AP warehouse scenario "
-        "with this many reader cells (diagnostic, not baselined)",
-    )
-    bench.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="also benchmark adaptive scheduling + FEC against the "
-        "static-paper scheme under bursty traffic (equivalence-gated)",
-    )
-    bench.add_argument(
-        "--adaptive-units",
-        type=int,
-        default=3,
-        help="independent deployments per adaptive leg",
-    )
-    bench.add_argument(
-        "--adaptive-rounds",
-        type=int,
-        default=6,
-        help="feedback rounds per adaptive unit",
-    )
-    bench.add_argument(
-        "--adaptive-windows",
-        type=int,
-        default=100,
-        help="transmission-opportunity windows per feedback round",
-    )
-    bench.add_argument(
-        "--trajectory",
-        type=str,
-        default="benchmarks/BENCH_session_batch.json",
-        help="JSON list appended to on every run (timestamped)",
-    )
-    bench.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the session_batch entry of the baselines file "
-        "with this run's numbers",
-    )
-    bench.add_argument(
-        "--baselines",
-        type=str,
-        default="benchmarks/baselines.json",
-        help="baselines file updated by --update-baseline",
-    )
-    bench.add_argument(
-        "--metrics-out",
-        type=str,
-        default=None,
-        help="run one extra instrumented session and write its "
-        "aggregated metrics (JSON) here",
-    )
-    bench.add_argument(
-        "--trace-out",
-        type=str,
-        default=None,
-        help="run one extra instrumented session and write its JSONL "
-        "trace here",
-    )
-    bench.add_argument(
-        "--trace-every-n",
-        type=int,
-        default=100,
-        help="keep every Nth query record in the bench trace",
-    )
-    bench.set_defaults(func=_cmd_bench)
-    bench_sub = bench.add_subparsers(
-        dest="bench_command", metavar="{check}"
-    )
-    bench_check_p = bench_sub.add_parser(
-        "check",
-        help="regression watchdog: latest trajectory entries vs "
-        "pinned baselines (exit 1 on regression)",
-    )
-    bench_check_p.add_argument(
-        "--trajectory",
-        type=str,
-        default="benchmarks/BENCH_session_batch.json",
-        help="trajectory file written by `repro bench`",
-    )
-    bench_check_p.add_argument(
-        "--baselines",
-        type=str,
-        default="benchmarks/baselines.json",
-        help="pinned baselines file",
-    )
-    bench_check_p.add_argument(
-        "--threshold",
-        type=float,
-        default=0.8,
-        help="failure floor as a fraction of the baseline speedup",
-    )
-    bench_check_p.set_defaults(func=_cmd_bench_check)
 
     metrics = sub.add_parser(
         "metrics",

@@ -202,8 +202,9 @@ class MeasurementSession:
         """Cumulative per-stage wall-clock spent by this session's system.
 
         Groups the system-level query-cycle counters and the error
-        model's vectorized-decode counters (see :mod:`repro.perf`); the
-        ``repro bench`` CLI renders exactly this structure.
+        model's vectorized-decode counters (see :mod:`repro.perf`); a
+        traced session record carries exactly this structure, and
+        ``repro trace export --format flamegraph`` renders it.
         """
         return {
             "system": self.system.counters.as_dict(),

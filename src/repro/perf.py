@@ -10,8 +10,9 @@ per subframe).
 
 Consumers: :class:`repro.phy.error_model.LinkErrorModel` times its
 vectorized decode stages, :class:`repro.core.system.WiTagSystem` times
-the query-cycle stages, and the ``repro bench`` CLI subcommand renders
-both.
+the query-cycle stages, and
+:meth:`repro.core.session.MeasurementSession.stage_timings` reports
+both (``repro trace export --format flamegraph`` renders them).
 """
 
 from __future__ import annotations
@@ -78,8 +79,7 @@ class StageCounters:
 
         The batch engines record one sample covering many calls (``add``
         with ``count=n``), so this stays comparable across the scalar,
-        per-query and session-batch paths — the ``repro bench`` stage
-        table uses it as its rate column.
+        per-query and session-batch paths.
         """
         calls = self.calls.get(stage, 0)
         if calls <= 0:
@@ -89,9 +89,9 @@ class StageCounters:
     def as_rows_with_rate(self) -> list[list]:
         """Table rows ``[stage, seconds, calls, per_call_us]`` by cost.
 
-        The one place per-call rate math lives: :meth:`rows` and the
-        ``repro bench`` stage table both derive from this, and the rate
-        column inherits :meth:`per_call_us`'s ``calls > 0`` guard.
+        The one place per-call rate math lives: :meth:`rows` derives
+        from this, and the rate column inherits :meth:`per_call_us`'s
+        ``calls > 0`` guard.
         """
         return [
             [

@@ -216,7 +216,7 @@ class AdaptiveLinkSpec:
     simulator and redundancy controller — entirely from the context's
     substreams, so a sweep of adaptive links is bit-identical between
     serial and process-pool execution and between the scalar and batch
-    session engines (the adaptive bench's equivalence gate pins this).
+    session engines (``tests/test_session_batch.py`` pins this).
 
     With ``adaptive=False`` the same machinery runs the static-paper
     baseline: the scheduler rides every window
@@ -365,11 +365,10 @@ def rng_probe(ctx: UnitContext) -> dict[str, Any]:
     """A cheap physics-free unit: the unit's first few substream draws.
 
     Useful wherever a sweep's *execution* is under test rather than its
-    physics — fault-injection suites, checkpoint/resume roundtrips, the
-    engine-overhead benchmark.  The values are a pure function of
-    ``(root_seed, index)``, so any retried, resumed or rescheduled run
-    must reproduce them bit-for-bit; any drift is an engine bug, not a
-    simulator change.
+    physics — fault-injection suites and checkpoint/resume roundtrips.
+    The values are a pure function of ``(root_seed, index)``, so any
+    retried, resumed or rescheduled run must reproduce them
+    bit-for-bit; any drift is an engine bug, not a simulator change.
     """
     draws = ctx.rng(0).random(4)
     return {
@@ -391,9 +390,8 @@ def los_ber_point(
     Expects ``ctx.parameters["distance_m"]``.  Scenario and data-bit
     streams derive from the unit's substreams, so the same root seed
     reproduces the same point bit-for-bit on any worker layout.
-    ``phy_fast_path=False`` selects the scalar PHY reference loop — the
-    fast-path benchmarks sweep the same physics both ways through the
-    engine; ``session_fast_path`` likewise selects between the batched
+    ``phy_fast_path=False`` selects the scalar PHY reference loop;
+    ``session_fast_path`` likewise selects between the batched
     session engine and the scalar per-query loop (bitwise-identical
     results either way).
     """

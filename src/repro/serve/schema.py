@@ -12,10 +12,11 @@ float repr is shortest-exact), so a spec that crosses the wire drives
 the engine to the same bit-identical results a direct
 :func:`repro.runner.run_sweep` call produces.
 
-Validation is strict: unknown keys, wrong types, and unregistered work
-functions raise :class:`SchemaError` with a message naming the bad
-field, so clients get a 400 with a usable diagnosis instead of a
-worker-side stack trace minutes later.
+Validation is strict: unknown keys, wrong types, unregistered work
+functions and keywords a work function does not take raise
+:class:`SchemaError` with a message naming the bad field, so clients
+get a 400 with a usable diagnosis instead of a worker-side stack trace
+minutes later.
 
 Work functions cannot travel as code (the server will not unpickle or
 ``eval`` anything a client sends); instead clients name one of the
@@ -25,6 +26,7 @@ CLI and benchmarks use — and pass keyword arguments as JSON scalars.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
@@ -350,6 +352,20 @@ class JobRequest:
                     f"unknown work function {self.fn!r} (registered: "
                     f"{', '.join(sorted(WORK_FUNCTIONS))})"
                 )
+            accepted = sorted(
+                name
+                for name, parameter in inspect.signature(
+                    WORK_FUNCTIONS[self.fn]
+                ).parameters.items()
+                if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+            )
+            for key in self.fn_kwargs:
+                if key not in accepted:
+                    raise SchemaError(
+                        f"fn_kwargs[{key!r}] is not a keyword of "
+                        f"{self.fn} (accepted: "
+                        f"{', '.join(accepted) or 'none'})"
+                    )
         else:
             if self.sessions is None:
                 raise SchemaError(

@@ -12,10 +12,11 @@ it on the tag, execute, decode, feed the corruption back.
 
 The same machinery runs the paper-static baseline — a scheduler that
 rides every window plus a single-rung controller — so the adaptive
-vs static bench comparison differs only in policy, never in plumbing.
+vs static comparison (pinned in ``tests/test_traffic_adaptive.py``)
+differs only in policy, never in plumbing.
 
-Everything here is deterministic given the component streams, so the
-adaptive bench leg inherits the simulator's equivalence contract:
+Everything here is deterministic given the component streams, so each
+leg inherits the simulator's equivalence contract:
 same seed, same trace → bit-identical reports across scalar/batch
 tiers and serial/process-pool execution.
 """

@@ -101,34 +101,6 @@ class TestSweep:
         assert "sweep failed" in err
 
 
-class TestBench:
-    def test_json_artifact_schema(self, capsys, tmp_path):
-        artifact = tmp_path / "bench.json"
-        trajectory = tmp_path / "trajectory.json"
-        code, out, err = run(
-            capsys,
-            [
-                "bench",
-                "--queries", "5",
-                "--json", str(artifact),
-                # Redirect the trajectory append away from the repo's
-                # checked-in benchmarks/BENCH_session_batch.json.
-                "--trajectory", str(trajectory),
-            ],
-        )
-        assert code == 0
-        assert trajectory.exists()
-        payload = json.loads(artifact.read_text())
-        assert payload["queries"] == 5
-        assert set(payload) >= {
-            "queries",
-            "distance_m",
-            "seed",
-            "speedups",
-            "tiers",
-        }
-
-
 class TestMetrics:
     def test_json_format_schema(self, capsys):
         code, out, err = run(

@@ -5,9 +5,9 @@ The load-bearing contract here is **bitwise equivalence**: with
 rounds must match the scalar :class:`repro.core.multitag.MultiTagCell`
 reference bit for bit — addressed, broadcast and idle queries, for any
 ``batch_tags`` chunking and any engine worker count.  Everything the
-fleet tier's speed claims rest on is asserted in this file (the gated
-benchmark in ``benchmarks/test_fleet.py`` only re-checks a digest
-before timing).
+fleet tier's speed claims rest on is asserted in this file; the
+canonical benchmark times the fleet and network on its
+``warehouse-2000x4`` workload.
 
 Also covered: the satellite fixes that made the equivalence possible —
 ``MultiTagCell`` draw-order independence from endpoint-dict insertion

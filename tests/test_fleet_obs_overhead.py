@@ -1,19 +1,17 @@
-"""Bench smoke: telemetry overhead on the fleet fast path.
+"""Telemetry overhead on the fleet fast path.
 
 The fleet tier's cost contract mirrors the session-batch one
 (``tests/test_obs_overhead.py``): without an attached telemetry the
-fleet pays one ``is None`` check per poll (the gated fleet benchmark
-runs un-instrumented), and a metrics-instrumented poll round stays
-within 15% of the plain wall clock — the per-query accounting happens
-once per query on the already-materialized batch results, never inside
-the vectorized kernels.  Min-of-N on both sides plus absolute slack
-keep the assertion robust on shared machines.
+fleet pays one ``is None`` check per poll, and a metrics-instrumented
+poll round stays within 15% of the plain wall clock — the per-query
+accounting happens once per query on the already-materialized batch
+results, never inside the vectorized kernels.  Min-of-N on both sides
+plus absolute slack keep the assertion robust on shared machines.
 """
 
 import time
 
 import numpy as np
-import pytest
 
 from repro.core.fleet import TagFleet
 from repro.obs import Telemetry
@@ -45,7 +43,6 @@ def timed_poll(instrument):
     return time.perf_counter() - start, telemetry
 
 
-@pytest.mark.bench_smoke
 def test_instrumented_fleet_poll_within_overhead_budget():
     plain = min(timed_poll(False)[0] for _ in range(REPEATS))
     instrumented = []

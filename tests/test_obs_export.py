@@ -1,16 +1,10 @@
-"""Timeline exports and the bench regression watchdog.
+"""Timeline exports: ``repro trace export``.
 
-Two halves of the observability tentpole's offline tooling:
-
-* ``repro trace export`` — the trace-to-Chrome-tracing and
-  trace-to-flamegraph conversions must be structurally valid (every
-  event carries the required ``trace_event`` fields, query spans lay
-  end-to-end on simulated time) and conservative (flamegraph line
-  weights sum to the trace's total stage time to rounding).
-* ``repro bench check`` — the watchdog walks the mixed-schema bench
-  trajectory, compares the *latest* measurement per gate against the
-  pinned baseline ratio, skips unpinned gates rather than failing a
-  fresh clone, and exits nonzero exactly when a regression is present.
+The trace-to-Chrome-tracing and trace-to-flamegraph conversions must be
+structurally valid (every event carries the required ``trace_event``
+fields, query spans lay end-to-end on simulated time) and conservative
+(flamegraph line weights sum to the trace's total stage time to
+rounding).
 """
 
 import json
@@ -18,7 +12,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.bench import bench_check
 from repro.cli import main
 from repro.core.session import MeasurementSession
 from repro.obs import (
@@ -163,194 +156,4 @@ class TestTraceExportCli:
         assert (
             main(["trace", "export", str(bare), "--format", "flamegraph"])
             == 2
-        )
-
-
-BASELINES = {
-    "session_batch": {"speedup_session_vs_vectorized": 2.0},
-    "fleet": {"speedup_fleet_vs_scalar": 10.0},
-    "adaptive": {"goodput_ratio_adaptive_vs_static": 1.4},
-}
-
-
-def write_files(tmp_path, entries, baselines=BASELINES):
-    trajectory = tmp_path / "trajectory.json"
-    trajectory.write_text(json.dumps(entries))
-    baselines_path = tmp_path / "baselines.json"
-    baselines_path.write_text(json.dumps(baselines))
-    return str(trajectory), str(baselines_path)
-
-
-def entry(
-    session=None,
-    tier4=None,
-    fleet=None,
-    adaptive=None,
-    recorded_at="2026-01-01",
-):
-    out = {"recorded_at": recorded_at}
-    if session is not None:
-        out["speedups"] = {"session_vs_vectorized": session}
-    if tier4 is not None:
-        out["tier4"] = {"speedup_tier4_vs_session_batch": tier4}
-    if fleet is not None:
-        out["fleet"] = {"speedup_fleet_vs_scalar": fleet}
-    if adaptive is not None:
-        out["adaptive"] = {"goodput_ratio_adaptive_vs_static": adaptive}
-    return out
-
-
-class TestBenchCheck:
-    def test_all_gates_above_floor_pass(self, tmp_path):
-        trajectory, baselines = write_files(
-            tmp_path,
-            [entry(session=1.9, fleet=9.0, adaptive=1.3)],
-        )
-        report = bench_check(trajectory, baselines)
-        assert report["ok"] is True
-        assert {c["name"] for c in report["checks"]} == {
-            "session_batch",
-            "fleet",
-            "adaptive",
-        }
-        assert report["skipped"] == []
-
-    def test_latest_entry_wins(self, tmp_path):
-        # An old healthy fleet number must not mask a new regression.
-        trajectory, baselines = write_files(
-            tmp_path,
-            [
-                entry(fleet=12.0, recorded_at="2026-01-01"),
-                entry(fleet=5.0, recorded_at="2026-02-01"),
-            ],
-        )
-        report = bench_check(trajectory, baselines)
-        fleet = next(
-            c for c in report["checks"] if c["name"] == "fleet"
-        )
-        assert fleet["measured"] == 5.0
-        assert fleet["recorded_at"] == "2026-02-01"
-        assert fleet["ok"] is False and report["ok"] is False
-
-    def test_mixed_schema_entries_are_tolerated(self, tmp_path):
-        # Schema-1 entries lack the fleet block entirely, and schema-2
-        # entries carry a tier4 block no gate reads any more (even
-        # against a stale tier4 baseline); the watchdog reads through
-        # both without failing.
-        trajectory, baselines = write_files(
-            tmp_path,
-            [
-                {"speedups": {"session_vs_vectorized": 2.1}},
-                entry(tier4=0.1),
-                {"schema": 3, "unrelated": True},
-            ],
-            baselines={
-                **BASELINES,
-                "tier4": {"speedup_tier4_vs_session_batch": 3.0},
-            },
-        )
-        report = bench_check(trajectory, baselines)
-        assert report["ok"] is True
-        assert {c["name"] for c in report["checks"]} == {"session_batch"}
-        assert {s["name"] for s in report["skipped"]} == {
-            "fleet",
-            "adaptive",
-        }
-        assert all(
-            s["reason"] == "no trajectory entry"
-            for s in report["skipped"]
-        )
-
-    def test_unpinned_baseline_is_skipped_not_failed(self, tmp_path):
-        trajectory, baselines = write_files(
-            tmp_path,
-            [entry(session=0.1, fleet=0.1)],
-            baselines={},
-        )
-        report = bench_check(trajectory, baselines)
-        assert report["ok"] is True
-        assert report["checks"] == []
-        assert all(
-            s["reason"] == "no baseline pinned"
-            for s in report["skipped"]
-        )
-
-    def test_missing_trajectory_file_passes(self, tmp_path):
-        report = bench_check(
-            str(tmp_path / "absent.json"),
-            write_files(tmp_path, [])[1],
-        )
-        assert report["ok"] is True and report["checks"] == []
-
-    def test_threshold_validation(self, tmp_path):
-        trajectory, baselines = write_files(tmp_path, [])
-        with pytest.raises(ValueError, match="threshold"):
-            bench_check(trajectory, baselines, threshold=0.0)
-        with pytest.raises(ValueError, match="threshold"):
-            bench_check(trajectory, baselines, threshold=1.5)
-
-    def test_cli_exit_codes(self, tmp_path, capsys):
-        trajectory, baselines = write_files(
-            tmp_path, [entry(session=1.9, fleet=9.0)]
-        )
-        assert (
-            main(
-                [
-                    "bench",
-                    "check",
-                    "--trajectory",
-                    trajectory,
-                    "--baselines",
-                    baselines,
-                ]
-            )
-            == 0
-        )
-        regressed, _ = write_files(
-            tmp_path, [entry(session=1.9, fleet=5.0)]
-        )
-        assert (
-            main(
-                [
-                    "bench",
-                    "check",
-                    "--trajectory",
-                    regressed,
-                    "--baselines",
-                    baselines,
-                ]
-            )
-            == 1
-        )
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.err
-        assert "fleet" in captured.err
-
-    def test_cli_check_against_real_repo_data(self):
-        # The committed trajectory + baselines must pass the watchdog:
-        # this is the soft gate CI runs.
-        report = bench_check(
-            "benchmarks/BENCH_session_batch.json",
-            "benchmarks/baselines.json",
-        )
-        assert report["ok"] is True
-
-    def test_plain_bench_parse_still_works(self):
-        # `repro bench` without a subcommand keeps its classic routing;
-        # `check` reroutes to the watchdog.
-        from repro.cli import (
-            _cmd_bench,
-            _cmd_bench_check,
-            build_parser,
-        )
-
-        parser = build_parser()
-        assert parser.parse_args(["bench"]).func is _cmd_bench
-        assert (
-            parser.parse_args(["bench", "--queries", "5"]).func
-            is _cmd_bench
-        )
-        assert (
-            parser.parse_args(["bench", "check"]).func
-            is _cmd_bench_check
         )

@@ -197,6 +197,7 @@ class TestDeterminismBroad:
 # be the identity for every valid spec, or a served sweep could drift
 # from the direct run it must reproduce bit-for-bit.
 
+import inspect
 import json as _json
 
 from hypothesis import given, settings
@@ -261,18 +262,35 @@ session_specs = st.builds(
     data_stream=st.integers(1, 8),
 )
 
-sweep_job_requests = st.builds(
-    JobRequest,
-    kind=st.just("sweep"),
-    fn=st.sampled_from(sorted(WORK_FUNCTIONS)),
-    fn_kwargs=st.dictionaries(
-        st.text(min_size=1, max_size=6), json_scalars, max_size=2
-    ),
-    sweep=sweep_specs,
-    n_workers=st.integers(1, 8),
-    priority=st.integers(-5, 5),
-    retry=st.one_of(st.none(), retry_policies),
-)
+
+@st.composite
+def sweep_job_requests(draw):
+    # fn_kwargs names must be keywords of the drawn work function.
+    fn = draw(st.sampled_from(sorted(WORK_FUNCTIONS)))
+    keywords = [
+        name
+        for name, parameter in inspect.signature(
+            WORK_FUNCTIONS[fn]
+        ).parameters.items()
+        if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+    ]
+    return JobRequest(
+        kind="sweep",
+        fn=fn,
+        fn_kwargs=(
+            draw(
+                st.dictionaries(
+                    st.sampled_from(keywords), json_scalars, max_size=2
+                )
+            )
+            if keywords
+            else {}
+        ),
+        sweep=draw(sweep_specs),
+        n_workers=draw(st.integers(1, 8)),
+        priority=draw(st.integers(-5, 5)),
+        retry=draw(st.one_of(st.none(), retry_policies)),
+    )
 
 
 @st.composite
@@ -330,7 +348,7 @@ class TestWireSchemaRoundTrips:
         ) == payload
 
     @settings(max_examples=50, deadline=None)
-    @given(request=sweep_job_requests)
+    @given(request=sweep_job_requests())
     def test_sweep_job_request_identity(self, request):
         payload = job_request_to_json(request)
         assert job_request_from_json(wire(payload)) == request

@@ -919,16 +919,3 @@ class TestSweepCli:
         assert main(args + ["--resume"]) == 0
         assert "2 chunk(s) resumed" in capsys.readouterr().out
 
-
-@pytest.mark.bench_smoke
-class TestFaultToleranceBench:
-    def test_bench_reports_identical_results(self):
-        from repro.bench import fault_tolerance_bench
-
-        out = fault_tolerance_bench(16, chunk_size=4)
-        assert out["identical"] is True
-        assert out["retry_events"] == {"unit-error": 2}
-        assert set(out["overhead"]) == {
-            "retry_armed", "checkpointed", "faulty_retried",
-        }
-        assert all(v > 0 for v in out["walls_s"].values())

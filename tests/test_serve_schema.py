@@ -192,6 +192,29 @@ class TestStrictValidation:
                 }
             )
 
+    def test_fn_kwargs_names_must_be_keywords_of_fn(self):
+        # A name the work function does not take is refused at submit
+        # time, not as a TypeError inside the first work unit.
+        with pytest.raises(SchemaError) as error:
+            job_request_from_json(
+                {
+                    "fn": "los_ber_point",
+                    "fn_kwargs": {"warm": True},
+                    "sweep": {"axes": {"distance_m": [1.0]}},
+                }
+            )
+        message = str(error.value)
+        assert "fn_kwargs['warm']" in message
+        assert "phy_fast_path, session_fast_path, sim_seconds" in message
+        request = job_request_from_json(
+            {
+                "fn": "los_ber_point",
+                "fn_kwargs": {"sim_seconds": 0.1},
+                "sweep": {"axes": {"distance_m": [1.0]}},
+            }
+        )
+        assert request.fn_kwargs == {"sim_seconds": 0.1}
+
     def test_n_workers_minimum(self):
         with pytest.raises(SchemaError, match="n_workers"):
             job_request_from_json(

@@ -267,6 +267,18 @@ class TestHttpContract:
                 )
                 assert status == 400
                 assert "kind" in error["error"]
+                status, error = await http_json(
+                    port,
+                    "POST",
+                    "/jobs",
+                    body={
+                        "fn": "los_ber_point",
+                        "fn_kwargs": {"warm": True},
+                        "sweep": {"axes": {"distance_m": [1.0]}},
+                    },
+                )
+                assert status == 400
+                assert "fn_kwargs['warm']" in error["error"]
                 status, _, body = await http(
                     port, "DELETE", "/healthz"
                 )

@@ -7,8 +7,12 @@ the scheduler leans on (``mean_access_delay_s`` monotone in offered
 load, FIFO activity overrides), the causal decide-then-observe loop,
 and the boundary behaviour of both AIMD controllers
 (:class:`QueryRateController` floor/ceiling/hysteresis and the
-:class:`RedundancyController` parity ladder).
+:class:`RedundancyController` parity ladder), and the exact fixed-seed
+quality numbers of adaptive scheduling + FEC against the paper's static
+scheme.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from repro.core.rate_control import (
 )
 from repro.core.session import MeasurementSession
 from repro.mac.csma import ContentionModel, DcfParameters, DcfStation
-from repro.runner import UnitContext
+from repro.runner import SweepSpec, UnitContext, run_sweep
 from repro.runner.workers import AdaptiveLinkSpec, adaptive_link_stats
 from repro.sim.scenario import los_scenario
 from repro.tag.energy import EnergySimulator
@@ -599,3 +603,50 @@ class TestAdaptiveFecLink:
             AdaptiveFecLink(scheduled=link.scheduled, block_k=0)
         with pytest.raises(ValueError):
             link.run(0, 10)
+
+
+# ---------------------------------------------------------------------------
+# Quality pin: adaptive vs static-paper FEC under bursty traffic.
+# ---------------------------------------------------------------------------
+
+
+class TestAdaptiveQualityPin:
+    def test_adaptive_beats_static_paper_scheme_exactly(self):
+        # The ratios are exact for this seed, so any change to the
+        # traffic, scheduling or coding physics moves them.
+        sweep = SweepSpec(axes={"unit": [0, 1, 2]}, seed=0)
+        legs = {}
+        for adaptive in (False, True):
+            measure = functools.partial(
+                adaptive_link_stats,
+                spec=AdaptiveLinkSpec(adaptive=adaptive),
+                rounds=6,
+                windows_per_round=100,
+            )
+            legs[adaptive] = list(
+                run_sweep(measure, sweep, executor="serial").values
+            )
+        static, adaptive = legs[False], legs[True]
+
+        def mean(values, key):
+            return sum(v[key] for v in values) / len(values)
+
+        assert (
+            mean(adaptive, "goodput_bps") / mean(static, "goodput_bps")
+            == 1.4987268401138139
+        )
+        assert (
+            mean(static, "energy_per_bit_uj")
+            / mean(adaptive, "energy_per_bit_uj")
+            == 3.3686983661298666
+        )
+        assert [v["delivered_bits"] for v in static] == [
+            12800, 10304, 10752,
+        ]
+        assert [v["delivered_bits"] for v in adaptive] == [
+            18560, 15616, 16256,
+        ]
+        assert all(
+            a["goodput_bps"] > s["goodput_bps"]
+            for a, s in zip(adaptive, static)
+        )
