@@ -32,16 +32,23 @@ N_SAMPLES = 150
 
 
 def corruption_failure_probability(model, design, rng):
-    """P(corrupted subframe still decodes) under fading."""
+    """P(corrupted subframe still decodes) under fading.
+
+    One decode call over ``N_SAMPLES`` one-subframe queries: the fading
+    draws come from the channel's generator and the CSI noise from the
+    error model's, so drawing all fadings first keeps both streams in
+    the order of one sample after another.
+    """
+    fading = model.sample_fading_batch(N_SAMPLES)
+    probabilities = model.subframe_success_probabilities_batch2d(
+        MPDU_BITS,
+        design.state_for_bit_one,
+        [[design.state_for_bit_zero]] * N_SAMPLES,
+        fading,
+    )
     total = 0.0
-    for _ in range(N_SAMPLES):
-        fading = model.sample_fading()
-        total += model.subframe_success_probability(
-            MPDU_BITS,
-            design.state_for_bit_one,
-            design.state_for_bit_zero,
-            fading,
-        )
+    for p in probabilities[:, 0].tolist():
+        total += p
     return total / N_SAMPLES
 
 

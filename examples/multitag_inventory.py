@@ -13,11 +13,11 @@ Run:
 
 import numpy as np
 
-from repro.core import MultiTagCell, TagEndpoint, WiTagConfig
+from repro.core import TagFleet
 from repro.core.framing import TagMessage
-from repro.sim import los_scenario
-from repro.tag.state_machine import TagStateMachine
 
+#: Tag name -> distance (m) from the reader's client, on the line to its
+#: AP 8 m away.
 SHELF = {
     "pallet-01": 1.2,
     "pallet-02": 2.8,
@@ -26,30 +26,24 @@ SHELF = {
 }
 
 
-def build_cell() -> MultiTagCell:
-    endpoints = {}
-    for i, (name, distance) in enumerate(SHELF.items()):
-        system, _ = los_scenario(distance, seed=300 + i)
-        endpoints[name] = TagEndpoint(
-            name=name,
-            tag=TagStateMachine(rng=np.random.default_rng(400 + i)),
-            error_model=system.error_model,
-            rx_power_dbm=system.rx_power_at_tag_dbm,
-        )
-    return MultiTagCell(
-        config=WiTagConfig(),
-        endpoints=endpoints,
-        rng=np.random.default_rng(500),
+def build_fleet() -> TagFleet:
+    """The shelf as one reader cell's fleet of tags."""
+    return TagFleet.build(
+        [(distance, 0.0) for distance in SHELF.values()],
+        names=list(SHELF),
+        client_xy=(0.0, 0.0),
+        ap_xy=(8.0, 0.0),
+        seed=1,
     )
 
 
-def inventory_round(cell: MultiTagCell) -> None:
+def inventory_round(fleet: TagFleet) -> None:
     print("addressed inventory round:\n")
     for i, name in enumerate(sorted(SHELF)):
         payload = f"{name}:count={17 + i}".encode()
         bits = TagMessage(payload=payload).to_bits()
-        cell.load_bits(name, bits + [1] * (62 - len(bits) % 62))
-    for name, result in cell.poll_round().items():
+        fleet.load_bits(name, bits + [1] * (62 - len(bits) % 62))
+    for name, result in fleet.poll_round().items():
         sent = result.per_tag_sent.get(name, ())
         errors = sum(a != b for a, b in zip(sent, result.raw_bits))
         print(
@@ -58,15 +52,13 @@ def inventory_round(cell: MultiTagCell) -> None:
         )
 
 
-def broadcast_collision(cell: MultiTagCell) -> None:
+def broadcast_collision(fleet: TagFleet) -> None:
     print("\nwhat happens without addressing (broadcast query):\n")
     rng = np.random.default_rng(600)
-    for endpoint in cell.endpoints.values():
-        endpoint.tag.data_queue.clear()  # drop leftovers from the round
     for name in SHELF:
         # Each tag wants to send its own (random) data simultaneously.
-        cell.load_bits(name, [int(b) for b in rng.integers(0, 2, 62)])
-    result = cell.run_query()  # broadcast: everyone answers
+        fleet.load_bits(name, [int(b) for b in rng.integers(0, 2, 62)])
+    result = fleet.run_query()  # broadcast: everyone answers
     total_errors = 0
     observed = 0
     for name, sent in result.per_tag_sent.items():
@@ -81,9 +73,9 @@ def broadcast_collision(cell: MultiTagCell) -> None:
 
 
 def main() -> None:
-    cell = build_cell()
-    inventory_round(cell)
-    broadcast_collision(cell)
+    inventory_round(build_fleet())
+    # A fresh shelf, so no tag still holds bits from the round above.
+    broadcast_collision(build_fleet())
 
 
 if __name__ == "__main__":

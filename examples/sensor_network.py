@@ -27,10 +27,10 @@ SENSORS = {
 def poll_all_sensors() -> None:
     """Round-robin BER/throughput check across all sensor positions."""
     systems = {
-        name: los_scenario(distance, seed=hash(name) % 1000)[0]
-        for name, distance in SENSORS.items()
+        name: los_scenario(distance, seed=index)[0]
+        for index, (name, distance) in enumerate(SENSORS.items())
     }
-    poller = TagPoller(systems, dwell_s=0.2, rng=np.random.default_rng(1))
+    poller = TagPoller(systems, dwell_s=0.2, seed=1)
     print("polling all sensors (0.2 s dwell, 2 rounds)...\n")
     results = poller.run_rounds(2)
     print(f"{'sensor':14s} {'BER':>8s} {'rate (Kbps)':>12s} {'queries':>8s}")

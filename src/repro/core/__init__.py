@@ -22,9 +22,8 @@ from .fec import (
     NoCode,
     RepetitionCode,
 )
-from .fleet import TagFleet
+from .fleet import MultiTagQueryResult, TagFleet
 from .framing import TagMessage, bits_to_bytes, bytes_to_bits, deframe, scan_for_frames
-from .multitag import MultiTagCell, MultiTagQueryResult, TagEndpoint
 from .query import QueryBuilder, QueryFrame, TRIGGER_PATTERN
 from .rate_control import AdaptiveSession, QueryRateController
 from .session import MeasurementSession, SessionStats, run_parallel_sessions
@@ -52,7 +51,6 @@ __all__ = [
     "InterleavedCode",
     "LineCode",
     "MeasurementSession",
-    "MultiTagCell",
     "MultiTagQueryResult",
     "NoCode",
     "QueryBuilder",
@@ -65,7 +63,6 @@ __all__ = [
     "run_parallel_sessions",
     "TRIGGER_PATTERN",
     "TagEncoder",
-    "TagEndpoint",
     "TagFleet",
     "TagMessage",
     "TagReader",

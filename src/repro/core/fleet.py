@@ -1,13 +1,27 @@
 """Struct-of-arrays fleet engine: vectorized thousand-tag polling.
 
-:class:`repro.core.multitag.MultiTagCell` models a reader cell as a
-dict of per-tag object graphs and decodes one query at a time through
-the scalar PHY loop — perfect as a reference, hopeless at warehouse
-scale (2,000 tags x 64 subframes is ~128k scalar decode calls per
-polling round).  This module keeps the cell as the bit-identical
-reference (the way tiers 2-3 kept theirs, see ``docs/
-running_experiments.md``) and re-materialises the same physics as
-parallel numpy arrays:
+A reader cell holds several tags that hear the same queries.  The
+paper evaluates a single tag, but its trigger design (§7: "a specific,
+known bit pattern in the payload of the first few subframes") extends
+naturally to addressing — different known patterns select different
+tags:
+
+* an **addressed query** carries one tag's trigger pattern; only that
+  tag synchronises and modulates, the others stay idle (their
+  comparators never match), so the block ACK carries exactly one
+  tag's bits;
+* a **broadcast query** (no address) wakes *every* tag in range; each
+  corrupts its own bit pattern and the AP sees the union of
+  corruption — a collision that garbles everyone's data, which is why
+  addressing (or round-robin polling) is required.
+
+Corruption combining: a subframe fails if at least one responding
+tag's perturbation defeats it.  Decode draws are made per tag against
+that tag's own channel geometry and combined as independent events —
+accurate when tag-to-tag coupling is negligible (tags are weak
+scatterers).
+
+The cell lives as parallel numpy arrays, not per-tag object graphs:
 
 * per-tag link state lives in flat arrays — positions, rx power at the
   tag, LOS gains, tag-path gains, per-tag subcarrier rotations — not in
@@ -19,22 +33,32 @@ parallel numpy arrays:
   existing broadcasting yields *per-row* channel vectors;
 * per-tag generators ride along as arrays of ``np.random.Generator``
   and the batch decode draws row ``r`` from row ``r``'s own error
-  stream (the ``rngs=`` parameter added to the 2-D batch APIs), so the
-  fleet consumes every per-tag stream in exactly the scalar order.
+  stream (the ``rngs=`` parameter of the 2-D decode).
 
-Determinism contract (mirrors the draw-order contract documented in
-:mod:`repro.core.multitag`): each tag owns three generators — channel
+Draw-order contract: each tag owns three generators — channel
 (construction phases + fading), error (CSI noise + outcome uniforms)
 and tag FSM (detection + timing) — derived from the fleet seed via
-``child_sequence(seed, tag_index).spawn(3)``.  Because the scalar cell
-touches disjoint generators per phase, the fleet may run each phase
-batched across tags (FSM for all queries, then fadings in row order,
-then the decode matrix) without changing any single generator's
-stream.  :meth:`TagFleet.reference_cell` rebuilds the equivalent
-scalar cell from the same seeds; with ``phy_exact_coding=True`` on
-both, poll rounds are bitwise identical for any ``batch_tags``
-chunking (without it they differ only through the interpolated
-coded-BER table, exactly like tiers 2-3).
+``child_sequence(seed, tag_index).spawn(3)``.  Per query:
+
+1. **FSM phase** — every candidate tag processes the query (detector
+   uniform, period-estimate normal, per-bit alignment normals from
+   *that tag's* FSM rng), in index order for a broadcast; an addressed
+   query touches only the named tag's rng.
+2. **Fading phase** — one coherence-interval sample per responding
+   link, in responder order.  When *no* tag responds, one sample is
+   drawn from tag 0's channel for the benign-channel decode.
+3. **Decode phase** — each responding tag's full per-subframe outcome
+   row is drawn *before* combining (CSI normals plus one uniform per
+   subframe, from that tag's error rng), so a failing tag never
+   truncates another tag's stream.
+
+Each phase touches disjoint generators per tag, so the fleet runs each
+phase batched across the queries of a round (FSM for all queries, then
+fadings in row order, then the decode matrix) without changing any
+single generator's stream, and any ``batch_tags`` chunking gives the
+same bits.  The tests keep a per-tag object-graph cell that decodes
+each query and each responder on its own (``tests/oracles/link.py``);
+the fleet must equal it bit for bit.
 
 Mobility: :meth:`TagFleet.update_positions` refreshes *only the moved
 rows* — tag-path amplitude from the bistatic radar equation at the new
@@ -48,6 +72,7 @@ untouched, and unmoved rows keep their cached state bit for bit.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -70,9 +95,27 @@ from ..tag.envelope_detector import TriggerDetector
 from ..tag.oscillator import witag_crystal_50khz
 from ..tag.state_machine import QueryObservation, TagStateMachine
 from .config import WiTagConfig
-from .multitag import MultiTagCell, MultiTagQueryResult, TagEndpoint
 from .query import QueryBuilder
 from .system import DEFAULT_AP, DEFAULT_CLIENT, Bits
+
+
+@dataclass(frozen=True)
+class MultiTagQueryResult:
+    """Outcome of one query in a multi-tag cell.
+
+    Attributes:
+        address: the tag the query addressed (None = broadcast).
+        block_ack: the AP's bitmap.
+        raw_bits: payload-subframe bits as the reader sees them.
+        responded: names of tags that detected and modulated.
+        per_tag_sent: bits each responding tag attempted.
+    """
+
+    address: str | None
+    block_ack: BlockAck
+    raw_bits: tuple[int, ...]
+    responded: tuple[str, ...]
+    per_tag_sent: dict[str, tuple[int, ...]]
 
 
 def _tag_generators(
@@ -100,8 +143,8 @@ class _FleetChannelView:
     :meth:`BackscatterChannel.channel_vector_batch` with *array-valued*
     tag-path gain and rotation, so the same broadcasting expression
     yields row ``r``'s channel from row ``r``'s tag — bitwise equal to
-    that tag's own scalar channel (the elementwise operations keep the
-    scalar expression's association order).
+    that tag's own :class:`BackscatterChannel` (the elementwise
+    operations keep its association order).
     """
 
     __slots__ = ("_h_tag_los", "_tag_rotation")
@@ -128,14 +171,11 @@ class _FleetChannelView:
 class TagFleet:
     """A reader cell's tags as struct-of-arrays link state.
 
-    Build with :meth:`build`; poll with :meth:`run_query` /
-    :meth:`poll_round` (the same result objects as the scalar
-    :class:`MultiTagCell`, which :meth:`reference_cell` reconstructs
-    bit-identically from the same seeds).
+    Build with :meth:`build`; poll with :meth:`run_query`,
+    :meth:`poll_round` or :meth:`poll_tags`.
 
     Attributes:
-        names: tag addresses, in index order (the reference cell's
-            endpoint-dict order; "first endpoint" = index 0).
+        names: tag addresses, in index order.
         positions: ``(n_tags, 2)`` tag coordinates in metres.
         rx_power_dbm: query power at each tag's antenna.
         config: shared reader configuration (one reader per cell).
@@ -147,8 +187,7 @@ class TagFleet:
             the incremental-invalidation contract).
         telemetry: optional :class:`repro.obs.Telemetry`; attach via
             :meth:`Telemetry.attach_fleet` for per-query metrics and
-            trace records identical to an instrumented
-            :meth:`reference_cell` run.
+            trace records.
     """
 
     def __init__(self, **state) -> None:
@@ -175,16 +214,15 @@ class TagFleet:
         channel_width_mhz: int = 20,
         mcs: Mcs | None = None,
         temperature_c: float = 25.0,
-        phy_exact_coding: bool = False,
         batch_tags: int = 256,
     ) -> "TagFleet":
         """Construct a fleet over a floorplan's tag positions.
 
         Per-tag channels are materialised through real
-        :class:`BackscatterChannel` objects (guaranteeing the same
-        construction math and random-phase draws as the scalar
-        reference) and immediately harvested into arrays; only the
-        per-tag generators survive as objects.
+        :class:`BackscatterChannel` objects (the same construction math
+        and random-phase draws as a single-tag system) and immediately
+        harvested into arrays; only the per-tag generators survive as
+        objects.
 
         Args:
             positions: ``(x, y)`` per tag, metres.
@@ -194,9 +232,6 @@ class TagFleet:
                 query A-MPDUs, AP returns the block ACK).
             mcs: query MCS; auto-selected from the client->AP link SNR
                 when omitted (paper §4.1's rate rule).
-            phy_exact_coding: decode through the exact scalar coding
-                math instead of the interpolated table — slower, but
-                bitwise identical to the scalar reference cell.
             batch_tags: decode chunk size (memory bound, not a result
                 knob).
         """
@@ -301,7 +336,7 @@ class TagFleet:
             k_lin = 10.0 ** (rician_k_db / 10.0)
             d_los_part = math.sqrt(k_lin / (k_lin + 1.0)) * h_direct_los
             # Python's abs(complex), not np.abs: the two hypot
-            # implementations can disagree by 1 ulp, and the scalar
+            # implementations can disagree by 1 ulp, and the per-tag
             # channel's sigma must be reproduced bit for bit for the
             # fading draws (and telemetry digests) to match exactly.
             d_sigma = np.array(
@@ -332,7 +367,6 @@ class TagFleet:
             config=config,
             telemetry=None,
             batch_tags=int(batch_tags),
-            phy_exact_coding=bool(phy_exact_coding),
             temperature_c=float(temperature_c),
             invalidated_rows=0,
             rx_power_dbm=rx_power,
@@ -413,56 +447,6 @@ class TagFleet:
                 f"unknown tag {name!r}; fleet has {len(self.names)} tags"
             ) from None
 
-    # -- the scalar reference -----------------------------------------
-
-    def reference_cell(self) -> MultiTagCell:
-        """The bit-identical scalar :class:`MultiTagCell` twin.
-
-        Rebuilt from the fleet's construction parameters with *fresh*
-        generators from the same seeds, so a freshly built fleet and
-        its reference start from identical stream states (both begin
-        at SSN 0; build the reference before polling the fleet when
-        comparing).  Endpoints are inserted in fleet index order, so
-        the cell's "first endpoint" is tag 0.  Mobility updates are
-        not reflected — the reference models the fleet as built.
-        """
-        endpoints: dict[str, TagEndpoint] = {}
-        for i, name in enumerate(self.names):
-            channel_rng, error_rng, tag_rng = _tag_generators(
-                self._seed, i
-            )
-            channel = BackscatterChannel(
-                geometry=ChannelGeometry(
-                    tx_rx_m=self._tx_rx_m,
-                    tx_tag_m=float(self._tx_tag_m[i]),
-                    tag_rx_m=float(self._tag_rx_m[i]),
-                ),
-                band=self._band,
-                direct_loss=self._direct_loss,
-                tx_tag_loss=self._tx_tag_loss,
-                tag_rx_loss=self._tag_rx_loss,
-                antenna=self._antenna,
-                rician_k_db=self._rician_k_db,
-                tag_rician_k_db=self._tag_rician_k_db,
-                channel_width_mhz=self._channel_width_mhz,
-                rng=channel_rng,
-            )
-            error_model = LinkErrorModel(
-                channel=channel,
-                mcs=self.config.mcs,
-                tx_power_dbm=self._tx_power_dbm,
-                receiver=self._receiver,
-                mismatch_gain_db=self._mismatch_gain_db,
-                rng=error_rng,
-            )
-            endpoints[name] = TagEndpoint(
-                name=name,
-                tag=TagStateMachine(rng=tag_rng),
-                error_model=error_model,
-                rx_power_dbm=float(self.rx_power_dbm[i]),
-            )
-        return MultiTagCell(config=self.config, endpoints=endpoints)
-
     # -- mobility ------------------------------------------------------
 
     def update_positions(
@@ -527,9 +511,8 @@ class TagFleet:
         """One coherence-interval sample from tag ``i``'s channel rng.
 
         Bitwise equal to ``sample_direct_fading()`` followed by
-        ``sample_tag_fading()`` on that tag's own
-        :class:`BackscatterChannel` (same ``rng.normal`` calls in the
-        same order).
+        ``sample_tag_fading()`` on a :class:`BackscatterChannel` built
+        for that tag (same ``rng.normal`` calls in the same order).
         """
         rng = self._channel_rngs[i]
         if self._d_sigma is None:
@@ -554,8 +537,9 @@ class TagFleet:
     def run_query(self, address: str | None = None) -> MultiTagQueryResult:
         """One query cycle, addressed or broadcast (``None``).
 
-        Same semantics and result object as
-        :meth:`MultiTagCell.run_query`.
+        An addressed query carries the named tag's trigger pattern;
+        only that tag responds.  A broadcast query wakes every tag
+        whose detector fires — their corruption superimposes.
         """
         return self._run_queries([address])[0]
 
@@ -564,8 +548,7 @@ class TagFleet:
 
         The whole round — every query's decode — runs as one batched
         ``(n_rows x n_subframes)`` PHY pass (chunked by
-        ``batch_tags``), bit-compatible with
-        :meth:`MultiTagCell.poll_round` on :meth:`reference_cell`.
+        ``batch_tags``).
         """
         order = sorted(self.names)
         results = self._run_queries(order)
@@ -592,12 +575,10 @@ class TagFleet:
         if not addresses:
             return []
 
-        frames = [self._builder.build_fast() for _ in addresses]
+        frames = [self._builder.build() for _ in addresses]
         idle = self._design.state_for_bit_one
 
-        # Phase 1 — tag FSMs, in query order then endpoint order
-        # (process_query_fast is bitwise-identical to the scalar
-        # reference's process_query, per its contract).
+        # Phase 1 — tag FSMs, in query order then tag index order.
         responders_per_q: list[list[int]] = []
         transmissions_per_q: list[dict[int, object]] = []
         for frame, address in zip(frames, addresses):
@@ -616,7 +597,7 @@ class TagFleet:
                     rx_power_dbm=float(self.rx_power_dbm[i]),
                     temperature_c=self.temperature_c,
                 )
-                transmission = self._fsms[i].process_query_fast(observation)
+                transmission = self._fsms[i].process_query(observation)
                 if transmission.detected and transmission.bits_loaded:
                     responders.append(i)
                     transmissions[i] = transmission
@@ -624,9 +605,7 @@ class TagFleet:
             transmissions_per_q.append(transmissions)
 
         # Row assembly: one decode row per (query, responder); a query
-        # nobody answered decodes one benign row through the first
-        # endpoint's link (tag 0), exactly like the scalar cell's
-        # no-responder branch.
+        # nobody answered decodes one benign row through tag 0's link.
         k = frames[0].n_subframes
         row_tag: list[int] = []
         row_states: list[Sequence] = []
@@ -644,7 +623,7 @@ class TagFleet:
                 rows_per_q.append(1)
         n_rows = len(row_tag)
 
-        # Phase 2 — fading, one draw per row in row (= scalar) order.
+        # Phase 2 — fading, one draw per row in row order.
         direct = np.empty(n_rows, dtype=complex)
         tag_fade = np.empty(n_rows, dtype=complex)
         for r, i in enumerate(row_tag):
@@ -669,7 +648,6 @@ class TagFleet:
                     direct_gains=direct[start:stop],
                     tag_fadings=tag_fade[start:stop],
                 ),
-                exact_coding=self.phy_exact_coding,
                 rngs=[self._error_rngs[i] for i in sel],
             )
 
@@ -687,7 +665,7 @@ class TagFleet:
 
         # Results: bitmap via one packbits (ssn == frame.ssn, so the
         # raw bits reduce to the outcome row past the trigger
-        # subframes — the tier-3 reduction).
+        # subframes, as in WiTagSystem.run_queries_batch).
         packed = np.packbits(survived, axis=1, bitorder="little")
         raw_rows = survived.astype(np.uint8).tolist()
         results: list[MultiTagQueryResult] = []
@@ -719,8 +697,7 @@ class TagFleet:
         telemetry = self.telemetry
         if telemetry is not None:
             # Per-query hook in query order, slicing the decode rows
-            # back out of the batch arrays — the same values the
-            # scalar cell passes, so snapshots and traces match.
+            # back out of the batch arrays.
             cycle_s = self._builder.peek_airtime_s()
             row = 0
             for result, count in zip(results, rows_per_q):
@@ -742,8 +719,8 @@ class TagFleet:
                 resets=len(frames) - 1,
             )
 
-        # Leave the mutable MAC state as the scalar cell would: the
-        # scoreboard holds the last query's outcomes.
+        # Leave the mutable MAC state as one query after another would:
+        # the scoreboard holds the last query's outcomes.
         self._scoreboard.reset(frames[-1].ssn)
         for index in np.flatnonzero(survived[-1]):
             self._scoreboard.record((frames[-1].ssn + int(index)) % 4096)

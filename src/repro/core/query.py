@@ -153,8 +153,8 @@ class QueryBuilder:
         # Sequence numbers advance n_subframes per build (mod 4096), so
         # unencrypted frames repeat with period 4096 / gcd(4096,
         # n_subframes) — at most _FRAME_MEMO_MAX distinct SSNs for the
-        # default 64-subframe query.  build_fast() serves repeats from
-        # this memo; QueryFrame is frozen so sharing is safe.  Encrypted
+        # default 64-subframe query.  build() serves repeats from this
+        # memo; QueryFrame is frozen so sharing is safe.  Encrypted
         # frames never repeat and never enter it.
         self._frame_memo: dict[int, QueryFrame] = {}
 
@@ -253,46 +253,36 @@ class QueryBuilder:
         return plaintexts
 
     def build(self) -> QueryFrame:
-        """Build the next query A-MPDU, consuming sequence numbers."""
-        if self._templates is None:
-            self._fix_templates()
-        heads, plaintexts = self._templates
-        bodies = self._seal(plaintexts)
-        ssn = self.sequence.next_value
-        mpdus: list[bytes] = []
-        for (head, qos), body in zip(heads, bodies):
-            seq = SequenceControl(self.sequence.allocate()).to_int()
-            frame = head + seq.to_bytes(2, "little") + qos + body
-            mpdus.append(frame + fcs_bytes(frame))
-        return QueryFrame(
-            psdu=aggregate(mpdus),
-            mpdus=tuple(mpdus),
-            schedule=self._schedule,
-            ssn=ssn,
-            n_trigger_subframes=self.config.n_trigger_subframes,
-        )
+        """Build the next query A-MPDU, consuming sequence numbers.
 
-    def build_fast(self) -> QueryFrame:
-        """Memoized :meth:`build` for the batched session engine.
-
-        Returns frames byte-identical to :meth:`build` (same SSN, same
-        MPDUs, same schedule) and advances the sequence counter, packet
-        number and IV exactly as a real build would.  On an open network
-        a frame is a pure function of its starting sequence number, so
+        Advances the sequence counter, and on an encrypted network the
+        packet number or IV, by one per MPDU.  On an open network a
+        frame is a pure function of its starting sequence number, so
         repeats within the modulo-4096 cycle come out of a per-SSN memo
         instead of being re-spliced.  Encrypted frames change with every
-        packet number / IV, so they are sealed afresh on every call.
-
-        Only the session-batch engine calls this; the scalar and
-        per-query fast paths keep paying the splice cost so benchmark
-        comparisons against them stay honest.
+        packet number or IV, so they are sealed afresh on every call.
         """
         ssn = self.sequence.next_value
         cached = self._frame_memo.get(ssn)
         if cached is not None:
             self.sequence.advance(len(cached.mpdus))
             return cached
-        frame = self.build()
+        if self._templates is None:
+            self._fix_templates()
+        heads, plaintexts = self._templates
+        bodies = self._seal(plaintexts)
+        mpdus: list[bytes] = []
+        for (head, qos), body in zip(heads, bodies):
+            seq = SequenceControl(self.sequence.allocate()).to_int()
+            frame = head + seq.to_bytes(2, "little") + qos + body
+            mpdus.append(frame + fcs_bytes(frame))
+        frame = QueryFrame(
+            psdu=aggregate(mpdus),
+            mpdus=tuple(mpdus),
+            schedule=self._schedule,
+            ssn=ssn,
+            n_trigger_subframes=self.config.n_trigger_subframes,
+        )
         if (
             self.config.encryption is EncryptionMode.OPEN
             and len(self._frame_memo) < _FRAME_MEMO_MAX
@@ -305,10 +295,9 @@ class QueryBuilder:
         packet number or IV.
 
         Every query has the same subframe sizes, encrypted or not, so
-        this is the fixed schedule's airtime.  The multi-tag cell, the
-        fleet engine and the fleet network use it to time polling rounds
-        with the (constant) query airtime; sessions never peek, they
-        build.
+        this is the fixed schedule's airtime.  The fleet engine and the
+        fleet network use it to time polling rounds with the (constant)
+        query airtime; sessions never peek, they build.
         """
         if self._templates is None:
             self._fix_templates()

@@ -80,24 +80,19 @@ class MeasurementSession:
     """Runs a WiTAG system for a simulated duration with random tag data.
 
     Every run goes through one loop (:meth:`_run`) that feeds the
-    batched session engine a chunk at a time: a per-query prologue
-    builds each frame and draws its access delay in scalar order,
-    accumulating the simulated time, until the duration is covered, the
-    query count is reached or the chunk is full; then
+    system's engine a chunk at a time: a per-query prologue builds each
+    frame and draws its access delay in order, accumulating the
+    simulated time, until the duration is covered, the query count is
+    reached or the chunk is full; then
     :meth:`WiTagSystem.run_queries_batch` decodes the chunk.  Each
     simulation component owns its generator and the engine consumes
-    every stream in scalar order, so results are bitwise identical to
-    the scalar per-query loop for any chunk size — contended and
-    encrypted sessions included (see the determinism contract on
-    ``run_queries_batch``).
+    every stream one query after another, so results are bitwise
+    identical for any chunk size — contended and encrypted sessions
+    included (see the determinism contract on ``run_queries_batch``).
 
     Attributes:
         system: the deployment under test.
         rng: source for the random data bits the tag transmits.
-        session_fast_path: ``False`` runs the scalar per-query loop
-            (:meth:`WiTagSystem.run_query`) instead of the batch engine.
-            It exists as the reference the batch engine is verified
-            against.
         batch_queries: queries per batch-engine chunk; has no effect on
             results.  The decode's working set is bounded per block of
             queries inside the error model, not by this chunk size.
@@ -108,7 +103,6 @@ class MeasurementSession:
         default_factory=lambda: component_rng("session")
     )
     results: list[QueryResult] = field(default_factory=list)
-    session_fast_path: bool = True
     batch_queries: int = 256
 
     def run_for(self, duration_s: float) -> SessionStats:
@@ -131,9 +125,8 @@ class MeasurementSession:
         """Run cycles until ``duration_s`` has passed or ``count`` ran.
 
         ``elapsed`` gains each cycle's ``access + airtime + SIFS +
-        block ACK`` in the scalar loop's float order, so the stopping
-        point and the returned ``elapsed_s`` are bitwise the scalar
-        loop's.
+        block ACK`` one cycle at a time, so the stopping point and the
+        returned ``elapsed_s`` do not depend on the chunk size.
         """
         if self.batch_queries < 1:
             raise ValueError(
@@ -146,10 +139,6 @@ class MeasurementSession:
         elapsed = 0.0
         done = 0
         while done < count and elapsed < duration_s:
-            if not self.session_fast_path:
-                elapsed += self._one_cycle()
-                done += 1
-                continue
             frames: list[QueryFrame] = []
             delays: list[float] = []
             stop = min(count, done + self.batch_queries)
@@ -173,14 +162,8 @@ class MeasurementSession:
             telemetry.on_session(stats, self.stage_timings())
         return stats
 
-    def _one_cycle(self) -> float:
-        self._ensure_tag_bits()
-        result = self.system.run_query()
-        self.results.append(result)
-        return result.cycle_s
-
     def _ensure_tag_bits(self) -> None:
-        """Top up the tag's queue for one query (scalar draw order)."""
+        """Top up the tag's queue for one query, before the tag runs it."""
         bits_needed = self.system.config.bits_per_query
         if self.system.tag.pending_bits < bits_needed:
             fresh = self.rng.integers(0, 2, size=bits_needed).tolist()
@@ -202,7 +185,7 @@ class MeasurementSession:
         """Cumulative per-stage wall-clock spent by this session's system.
 
         Groups the system-level query-cycle counters and the error
-        model's vectorized-decode counters (see :mod:`repro.perf`); a
+        model's decode counters (see :mod:`repro.perf`); a
         traced session record carries exactly this structure, and
         ``repro trace export --format flamegraph`` renders it.
         """

@@ -16,9 +16,12 @@ Wires every substrate together into the paper's Figure 2 loop:
 5. the **reader** on the client recovers tag bits from the bitmap
    (``repro.core.decoder``).
 
-The simulator exposes one-query granularity (:meth:`WiTagSystem.run_query`)
-for microscopic tests, and the session layer (``repro.core.session``) for
-minute-long BER/throughput experiments.
+Every query cycle runs through one engine,
+:meth:`WiTagSystem.run_queries_batch`, which decodes a chunk of cycles as
+one ``(n_queries, n_subframes)`` computation.  :meth:`WiTagSystem.run_query`
+is a chunk of one for callers that act between queries (ARQ, rate
+control, the pcap exporter); the session layer (``repro.core.session``)
+feeds it whole chunks for minute-long BER/throughput experiments.
 """
 
 from __future__ import annotations
@@ -33,16 +36,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.telemetry import Telemetry
 
 from ..mac.addresses import MacAddress
-from ..mac.block_ack import BlockAck, BlockAckScoreboard, build_block_ack
+from ..mac.block_ack import BlockAck, BlockAckScoreboard
 from ..mac.csma import ContentionModel
 from ..perf import StageCounters
 from ..phy.channel import TagState
-from ..phy.error_model import FadingBatch, FadingSample, LinkErrorModel
+from ..phy.error_model import FadingBatch, LinkErrorModel
 from ..phy.fading import CorrelatedFadingChannel
 from ..seeding import component_rng
 from ..tag.state_machine import QueryObservation, TagStateMachine
 from .config import WiTagConfig
-from .decoder import raw_bits_from_block_ack
 from .query import QueryBuilder, QueryFrame
 from .throughput import block_ack_airtime_s
 
@@ -103,18 +105,7 @@ class WiTagSystem:
             (:class:`repro.phy.fading.CorrelatedFadingChannel`); when set,
             each query cycle advances it by the cycle duration instead of
             drawing independent fading per query.
-        rng: randomness for subframe outcome draws.
-        phy_fast_path: decode each A-MPDU through the vectorized batch
-            API (:meth:`LinkErrorModel.subframe_outcomes`) instead of the
-            scalar per-subframe reference loop.  Both draw randomness in
-            the same order; the fast path differs only by the coded-BER
-            interpolation table (~1e-3 relative), so flipping this flag
-            changes individual subframe outcomes with probability ~1e-6.
-        phy_exact_coding: make the vectorized paths (per-query and
-            session-batch) evaluate the coded-BER union bound exactly
-            instead of via the interpolated table.  Slower, but outcome
-            draws become bitwise-identical to the scalar reference loop
-            — the equivalence suites run with this enabled.
+        rng: randomness for the timing-misalignment collateral draws.
         counters: cumulative per-stage wall-clock of the query cycle
             (``query-build``, ``tag-fsm``, ``phy-decode``, ``mac-ba``).
         telemetry: optional :class:`repro.obs.Telemetry`.  Usually wired
@@ -135,8 +126,6 @@ class WiTagSystem:
     rng: np.random.Generator = field(
         default_factory=lambda: component_rng("system")
     )
-    phy_fast_path: bool = True
-    phy_exact_coding: bool = False
     counters: StageCounters = field(default_factory=StageCounters, repr=False)
     telemetry: "Telemetry | None" = field(
         default=None, repr=False, compare=False
@@ -173,12 +162,11 @@ class WiTagSystem:
     def draw_cycle(self) -> tuple[QueryFrame, float]:
         """Build the next query frame and draw its access delay.
 
-        The batch engine's per-query prologue: the same two steps, in
-        the same order, that open :meth:`run_query`.  The caller decodes
-        the frames it collects with :meth:`run_queries_batch`.
+        The engine's per-query prologue.  The caller decodes the frames
+        it collects with :meth:`run_queries_batch`.
         """
         start = time.perf_counter()
-        frame = self.builder.build_fast()
+        frame = self.builder.build()
         self.counters.add("query-build", time.perf_counter() - start)
         return frame, self._access_delay_s()
 
@@ -203,80 +191,13 @@ class WiTagSystem:
         return states
 
     def run_query(self) -> QueryResult:
-        """Execute one full query cycle (paper Figure 2, steps 1 and 2)."""
-        with self.counters.timed("query-build"):
-            query = self.builder.build()
-        access_s = self._access_delay_s()
-        observation = QueryObservation(
-            n_subframes=query.n_subframes,
-            n_trigger_subframes=query.n_trigger_subframes,
-            subframe_s=query.mean_subframe_s,
-            rx_power_dbm=self._rx_at_tag_dbm,
-            temperature_c=self.temperature_c,
-        )
-        with self.counters.timed("tag-fsm"):
-            transmission = self.tag.process_query(observation)
-            states = self._effective_states(transmission, query)
-        preamble_state = self.tag.design.state_for_bit_one
-        if self.fading_channel is not None:
-            self.fading_channel.advance(self._last_cycle_s)
-            fading = FadingSample(
-                direct_gain=self.fading_channel.direct_gain(),
-                tag_fading=self.fading_channel.tag_fading(),
-            )
-        else:
-            fading = self.error_model.sample_fading()
+        """Execute one full query cycle (paper Figure 2, steps 1 and 2).
 
-        self._scoreboard.reset(query.ssn)
-        with self.counters.timed("phy-decode"):
-            if self.phy_fast_path:
-                outcomes = self.error_model.subframe_outcomes(
-                    [8 * len(mpdu) for mpdu in query.mpdus],
-                    preamble_state,
-                    [states[index] for index in range(len(query.mpdus))],
-                    fading,
-                    exact_coding=self.phy_exact_coding,
-                )
-            else:
-                outcomes = [
-                    self.error_model.subframe_outcome(
-                        8 * len(mpdu), preamble_state, states[index], fading
-                    )
-                    for index, mpdu in enumerate(query.mpdus)
-                ]
-        for index, ok in enumerate(outcomes):
-            if ok:
-                sequence = (query.ssn + index) % 4096
-                self._scoreboard.record(sequence)
-        with self.counters.timed("mac-ba"):
-            block_ack = build_block_ack(self._scoreboard, self.client, self.ap)
-
-            raw = raw_bits_from_block_ack(block_ack, query)
-        n_sent = len(transmission.bits_loaded)
-        cycle_s = (
-            access_s
-            + query.airtime_s
-            + self.config.band.sifs_s
-            + block_ack_airtime_s()
-        )
-        self._last_cycle_s = cycle_s
-        result = QueryResult(
-            query=query,
-            block_ack=block_ack,
-            detected=transmission.detected,
-            sent_bits=transmission.bits_loaded,
-            received_bits=tuple(raw[:n_sent]),
-            cycle_s=cycle_s,
-            rx_power_at_tag_dbm=self._rx_at_tag_dbm,
-        )
-        if self.telemetry is not None:
-            self.telemetry.on_query(
-                result,
-                n_failed=int(len(outcomes)) - int(sum(outcomes)),
-                states=states,
-                fading=fading,
-            )
-        return result
+        A chunk of one: :meth:`draw_cycle`, then
+        :meth:`run_queries_batch`.
+        """
+        frame, delay = self.draw_cycle()
+        return self.run_queries_batch([frame], [delay])[0]
 
     def run_queries(self, count: int) -> list[QueryResult]:
         """Run ``count`` consecutive query cycles."""
@@ -304,16 +225,16 @@ class WiTagSystem:
 
         Determinism contract: each simulation component owns its own
         generator, and this method consumes each component's stream in
-        exactly the scalar per-query order — so for a given seed the
-        results are bitwise identical to :meth:`run_queries` up to the
-        coded-BER table (and fully identical with
-        ``phy_exact_coding=True``), for any chunking of the queries.
+        exactly the per-query order of one cycle after another — so for
+        a given seed the results are bitwise identical for any chunking
+        of the queries, and equal to the per-subframe reference loop the
+        tests keep (``tests/oracles/link.py``).
 
         Args:
             load_bits: optional callback invoked once per query before
                 the tag processes it — the session layer uses this to
                 top up the tag's data queue from the session generator
-                in scalar order.
+                in query order.
 
         Returns:
             One :class:`QueryResult` per frame, in order.
@@ -333,8 +254,8 @@ class WiTagSystem:
         ]
 
         # Fading first: the channel / fading generators are consumed one
-        # query cycle at a time in the scalar loop, and nothing else
-        # shares their streams, so the whole chunk can be drawn up front.
+        # query cycle at a time, and nothing else shares their streams,
+        # so the whole chunk can be drawn up front.
         if self.fading_channel is not None:
             # The correlated process advances by the previous cycle's
             # duration, which is fully determined by the access draw and
@@ -359,7 +280,7 @@ class WiTagSystem:
                     rx_power_dbm=self._rx_at_tag_dbm,
                     temperature_c=self.temperature_c,
                 )
-                transmission = self.tag.process_query_fast(observation)
+                transmission = self.tag.process_query(observation)
                 transmissions.append(transmission)
                 state_rows.append(self._effective_states(transmission, frame))
 
@@ -368,11 +289,7 @@ class WiTagSystem:
         mpdu_bits = [8 * len(mpdu) for mpdu in frames[0].mpdus]
         with self.counters.timed("phy-decode", count):
             outcomes = self.error_model.subframe_outcomes_batch2d(
-                mpdu_bits,
-                preamble_state,
-                state_rows,
-                fading,
-                exact_coding=self.phy_exact_coding,
+                mpdu_bits, preamble_state, state_rows, fading
             )
 
         results: list[QueryResult] = []
@@ -420,13 +337,13 @@ class WiTagSystem:
                         fading=fading.sample(q),
                     )
 
-        # Leave the mutable MAC state exactly as the scalar loop would:
+        # Leave the mutable MAC state as one cycle after another would:
         # the scoreboard holds the last query's outcomes, and the next
         # fading advance uses the last cycle duration.  The trailing
         # replay fires the scoreboard's own telemetry hooks for the last
         # query; the bulk hook accounts for the count-1 resets and the
-        # records of the earlier queries the batch path elides, so
-        # scoreboard counters match the scalar loop exactly.
+        # records of the earlier queries the chunk elides, so scoreboard
+        # counters match a per-query scoreboard exactly.
         if self.telemetry is not None:
             total_true = int(outcome_matrix.sum())
             last_true = int(outcome_matrix[-1].sum())

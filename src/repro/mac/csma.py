@@ -111,10 +111,10 @@ class ContentionModel:
         each query they push the upcoming window's busy fraction, and
         the next :meth:`sample_access_delay_s` call consumes it instead
         of the static :attr:`contender_activity`.  Overrides drain in
-        FIFO order, so a batch engine that pre-draws a whole chunk of
-        access delays sees exactly the per-query activities the scalar
-        loop would — the queue is what keeps dynamic contention inside
-        the bitwise tier-equivalence contract.
+        FIFO order, so an engine that pre-draws a whole chunk of access
+        delays sees exactly the per-query activities a one-query-at-a-
+        time loop would — the queue is what keeps dynamic contention
+        independent of chunk size, bit for bit.
         """
         if not 0.0 <= activity <= 1.0:
             raise ValueError("activity must be in [0, 1]")

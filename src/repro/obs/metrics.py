@@ -6,12 +6,11 @@ half lives in :mod:`repro.obs.trace`).  Design constraints, in order:
 1. **Determinism.**  A metric value is a function of the simulated
    physics only — never of wall-clock time or scheduling.  Histograms
    bin *raw* float64 observations against fixed edges (``value <=
-   edge``, Prometheus ``le`` semantics), and the scalar
-   (:meth:`Histogram.observe`) and vectorized
+   edge``, Prometheus ``le`` semantics), and the one-value
+   (:meth:`Histogram.observe`) and array
    (:meth:`Histogram.observe_many`) paths bin and accumulate in exactly
-   the same order, so the scalar, per-query vectorized, and
-   session-batch execution tiers produce bitwise-identical snapshots
-   from the same physics.
+   the same order, so observing values one at a time or a chunk at a
+   time produces bitwise-identical snapshots from the same physics.
 2. **Near-zero cost when disabled.**  Nothing here is global: a
    simulator without an attached :class:`repro.obs.Telemetry` pays one
    ``is None`` check per hook site and nothing else.
@@ -77,7 +76,7 @@ def log_buckets(lo: float, hi: float, count: int) -> tuple[float, ...]:
 
 #: Log-spaced edges for *linear* effective-SINR observations, spanning
 #: -20 dB .. +40 dB in 2.5 dB steps.  Binning raw linear SINRs (rather
-#: than converting to dB first) keeps scalar and vectorized histogram
+#: than converting to dB first) keeps one-value and array histogram
 #: fills bitwise identical — the comparison ``value <= edge`` involves
 #: no transcendental function.
 SINR_LINEAR_BUCKETS = tuple(

@@ -3,8 +3,8 @@
 The job server's registry is intentionally separate from the physics
 registries that ride the chunk-result channel: server metrics describe
 *scheduling* (queue depth, jobs by state, chunk latency) and are
-inherently non-deterministic, while the physics registries keep the
-tier-invariance contract.  ``GET /metrics`` renders this registry with
+inherently non-deterministic, while the physics registries keep their
+determinism contract.  ``GET /metrics`` renders this registry with
 the same :func:`repro.obs.metrics.render_prometheus` exposition the
 ``repro metrics`` CLI uses, so one scrape config covers both.
 """

@@ -9,10 +9,11 @@ error model, its tag FSM and its block-ACK scoreboard at this object;
 every hook site in the simulator guards with a single ``is None`` check,
 so an unattached simulator (the default) pays nothing.
 
-The scalar per-query path and the batched session engine call the same
-hooks with the same values, so telemetry is execution-tier invariant:
+The engine calls these hooks with the values one query after another
+would produce, so telemetry does not depend on how queries are chunked:
 the equivalence suite asserts identical metric snapshots and identical
-trace event streams across tiers for a pinned seed.
+trace event streams between the engine and the per-subframe reference
+loop kept with the tests, for a pinned seed.
 
 :class:`TelemetrySpec` is the picklable cross-process configuration:
 worker processes build their own :class:`Telemetry` from it, and their
@@ -56,8 +57,7 @@ from .trace import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.fleet import TagFleet
-    from ..core.multitag import MultiTagCell, MultiTagQueryResult
+    from ..core.fleet import MultiTagQueryResult, TagFleet
     from ..core.session import SessionStats
     from ..core.system import QueryResult, WiTagSystem
     from ..phy.error_model import FadingSample
@@ -96,9 +96,9 @@ class Telemetry:
     * ``witag_build_info{version}`` / ``witag_rx_power_at_tag_dbm`` —
       gauges stamping the producer and link operating point.
     * ``fleet_*`` — the fleet-scale layer: per-tag delivery counters
-      and per-query outcomes (:meth:`on_cell_query`, tier-invariant
-      between :class:`repro.core.fleet.TagFleet` and its scalar
-      reference cell), per-AP round counters/durations, handoff and
+      and per-query outcomes (:meth:`on_cell_query`, from
+      :class:`repro.core.fleet.TagFleet`), per-AP round
+      counters/durations, handoff and
       mobility-invalidation counters, and CSMA channel-access
       delays/stalls (see ``docs/observability.md``).
     """
@@ -309,35 +309,14 @@ class Telemetry:
                 ).set(system.rx_power_at_tag_dbm)
         return system
 
-    def attach_cell(self, cell: "MultiTagCell") -> "MultiTagCell":
-        """Wire this telemetry into a multi-tag cell (idempotent).
-
-        The cell is the fleet engine's bit-identical scalar reference;
-        both call the same :meth:`on_cell_query` hook with the same
-        values, so an instrumented fleet and an instrumented
-        :meth:`repro.core.fleet.TagFleet.reference_cell` produce
-        identical metric snapshots and trace streams.
-        """
-        for endpoint in cell.endpoints.values():
-            self.register_stage_counters(
-                "error_model", endpoint.error_model.counters
-            )
-        if self.metrics_enabled or self.trace_enabled:
-            cell.telemetry = self
-            cell._scoreboard._telemetry = self
-            for endpoint in cell.endpoints.values():
-                endpoint.error_model.telemetry = self
-            self._stamp_build_info()
-        return cell
-
     def attach_fleet(self, fleet: "TagFleet") -> "TagFleet":
         """Wire this telemetry into a vectorized tag fleet (idempotent).
 
         The shared decode model's SINR fills and the last-query
         scoreboard replay report directly; :meth:`on_cell_query` and
         :meth:`on_scoreboard_bulk` (for the replay-elided queries)
-        cover the rest, keeping every counter and histogram identical
-        to an instrumented :meth:`TagFleet.reference_cell` run.
+        cover the rest, so every counter and histogram reads as if each
+        query had its own scoreboard pass.
         """
         self.register_stage_counters("error_model", fleet.counters)
         if self.metrics_enabled or self.trace_enabled:
@@ -389,7 +368,7 @@ class Telemetry:
         states: Iterable[Any],
         fading: "FadingSample",
     ) -> None:
-        """One completed query cycle (scalar and batch paths)."""
+        """One completed query cycle."""
         n_subframes = result.query.n_subframes
         if self.metrics_enabled:
             self._queries.inc()
@@ -434,15 +413,10 @@ class Telemetry:
         fading_rows: Iterable[tuple[complex, complex]],
         cycle_s: float,
     ) -> None:
-        """One multi-tag query cycle (scalar cell and fleet paths).
-
-        Both engines call this once per query, in query order, with
-        the bitwise-identical result/state/fading values their shared
-        draw-order contract guarantees — so every metric and trace
-        field below is tier-invariant by construction.
+        """One multi-tag query cycle, called once per query in order.
 
         Args:
-            result: the query outcome (same object shape both paths).
+            result: the query outcome.
             n_subframes: subframes in the query's A-MPDU.
             state_rows: one per-subframe tag-state plan per decode row
                 (responders in responder order; the benign idle row
@@ -623,13 +597,8 @@ class Telemetry:
             )
             self.writer.flush()
 
-    def observe_sinr(self, value: float) -> None:
-        """One subframe's effective SINR (scalar PHY reference path)."""
-        if self.metrics_enabled:
-            self._sinr.observe(value)
-
     def observe_sinrs(self, values) -> None:
-        """A batch of effective SINRs (vectorized PHY paths)."""
+        """A batch of effective SINRs, in row-major subframe order."""
         if self.metrics_enabled:
             self._sinr.observe_many(values)
 
@@ -652,12 +621,13 @@ class Telemetry:
             self._sb_resets.inc()
 
     def on_scoreboard_bulk(self, *, records: int, resets: int) -> None:
-        """Batch-path equivalent of elided per-query scoreboard traffic.
+        """The scoreboard traffic of the queries a chunk elides.
 
-        The session-batch engine replays only the *last* query of a
-        chunk onto the real scoreboard; this hook accounts for the
-        ``records``/``resets`` the scalar loop would have performed for
-        the earlier queries, keeping scoreboard counters tier-invariant.
+        The engine replays only the *last* query of a chunk onto the
+        real scoreboard; this hook accounts for the ``records`` /
+        ``resets`` a per-query scoreboard would have performed for the
+        earlier queries, so scoreboard counters do not depend on
+        chunking.
         """
         if self.metrics_enabled:
             if records:

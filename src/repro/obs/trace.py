@@ -10,8 +10,9 @@ Record kinds:
   ``repro`` version, so a trace is self-describing.
 * ``query`` — one query cycle: index, SSN, detection, per-subframe
   outcome summary, block-ACK bitmap, digests of the tag-state plan and
-  the fading draw, cycle duration.  The scalar and batched execution
-  paths emit bitwise-identical ``query`` records for the same seed.
+  the fading draw, cycle duration.  Records do not depend on how the
+  engine chunks its queries: the same seed gives bitwise-identical
+  ``query`` records.
 * ``session`` — end-of-run totals (mirrors
   :class:`repro.core.session.SessionStats`) plus cumulative stage
   timings.  Summing the ``query`` records of an unsampled trace
@@ -61,9 +62,8 @@ _DIGEST_BYTES = 8
 def fading_digest(direct_gain: complex, tag_fading: complex) -> str:
     """Short stable digest of one coherence-interval fading draw.
 
-    Packs the four float64 components bit-exactly, so the scalar and
-    session-batch engines (whose fading values are bitwise identical)
-    produce the same digest.
+    Packs the four float64 components bit-exactly, so bitwise-identical
+    fading values give the same digest.
     """
     payload = struct.pack(
         "<4d",

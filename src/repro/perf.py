@@ -1,15 +1,15 @@
 """Lightweight per-stage timing counters for hot-path instrumentation.
 
-The fast-path work (vectorized PHY decode, batched sessions) needs a way
+The query engine (chunked PHY decode, batched sessions) needs a way
 to answer "where did the milliseconds go?" without dragging in a
 profiler.  :class:`StageCounters` accumulates cumulative wall-clock
 seconds and call counts per named stage; the cost per sample is two
 ``perf_counter`` calls and a dict update, so it is cheap enough to leave
-enabled permanently at A-MPDU granularity (it is deliberately *not* used
+enabled permanently at chunk granularity (it is deliberately *not* used
 per subframe).
 
 Consumers: :class:`repro.phy.error_model.LinkErrorModel` times its
-vectorized decode stages, :class:`repro.core.system.WiTagSystem` times
+decode stages, :class:`repro.core.system.WiTagSystem` times
 the query-cycle stages, and
 :meth:`repro.core.session.MeasurementSession.stage_timings` reports
 both (``repro trace export --format flamegraph`` renders them).
@@ -73,38 +73,3 @@ class StageCounters:
             }
             for stage in self.seconds
         }
-
-    def per_call_us(self, stage: str) -> float:
-        """Mean microseconds per recorded call of ``stage`` (0 if unseen).
-
-        The batch engines record one sample covering many calls (``add``
-        with ``count=n``), so this stays comparable across the scalar,
-        per-query and session-batch paths.
-        """
-        calls = self.calls.get(stage, 0)
-        if calls <= 0:
-            return 0.0
-        return 1e6 * self.seconds.get(stage, 0.0) / calls
-
-    def as_rows_with_rate(self) -> list[list]:
-        """Table rows ``[stage, seconds, calls, per_call_us]`` by cost.
-
-        The one place per-call rate math lives: :meth:`rows` derives
-        from this, and the rate column inherits :meth:`per_call_us`'s
-        ``calls > 0`` guard.
-        """
-        return [
-            [
-                stage,
-                self.seconds[stage],
-                self.calls.get(stage, 0),
-                self.per_call_us(stage),
-            ]
-            for stage in sorted(
-                self.seconds, key=self.seconds.get, reverse=True
-            )
-        ]
-
-    def rows(self) -> list[list]:
-        """Table rows ``[stage, seconds, calls]`` sorted by cost."""
-        return [row[:3] for row in self.as_rows_with_rate()]

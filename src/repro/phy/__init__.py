@@ -15,8 +15,7 @@ from .channel import (
 )
 from .coding import coded_bit_error_rate, packet_error_rate
 from .constants import Band, MAX_AMPDU_SUBFRAMES
-from .csi import CsiEstimate, eesm_effective_sinr, estimate_csi, per_subcarrier_sinr
-from .error_model import FadingSample, LinkErrorModel, mpdu_success_probability
+from .error_model import FadingSample, LinkErrorModel
 from .fading import CorrelatedFadingChannel, GaussMarkovFading
 from .mcs import Mcs, highest_reliable_mcs, ht_mcs, vht_mcs
 from .modulation import CodingRate, Modulation, snr_db_to_linear, snr_linear_to_db
@@ -30,7 +29,6 @@ __all__ = [
     "ChannelGeometry",
     "CodingRate",
     "CorrelatedFadingChannel",
-    "CsiEstimate",
     "FadingSample",
     "GaussMarkovFading",
     "LinkErrorModel",
@@ -49,13 +47,9 @@ __all__ = [
     "TagState",
     "coded_bit_error_rate",
     "dbm_to_watts",
-    "eesm_effective_sinr",
-    "estimate_csi",
     "highest_reliable_mcs",
     "ht_mcs",
-    "mpdu_success_probability",
     "packet_error_rate",
-    "per_subcarrier_sinr",
     "ppdu_airtime",
     "run_corruption_experiment",
     "preamble_info",

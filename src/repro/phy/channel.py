@@ -401,9 +401,9 @@ class BackscatterChannel:
 
         Returns:
             Complex ``(n_samples, n_subcarriers)`` matrix whose row ``i``
-            is bitwise equal to ``channel_vector(state, direct_gains[i],
-            tag_fadings[i])`` — the elementwise operations follow the
-            scalar expression's association order exactly.
+            is ``channel_vector(state, direct_gains[i], tag_fadings[i])``.
+            Rows do not depend on ``n_samples``: the products are numpy
+            array products whatever the count.
         """
         gains = np.asarray(direct_gains, dtype=complex)
         fadings = np.asarray(tag_fadings, dtype=complex)
@@ -431,7 +431,11 @@ class BackscatterChannel:
             Complex array of length :attr:`n_subcarriers`.  Fully
             deterministic calls (no ``direct_gain``, unit ``tag_fading``)
             are cached per state and returned as read-only arrays; see
-            :meth:`invalidate_caches` for the caching contract.
+            :meth:`invalidate_caches` for the caching contract.  A faded
+            call is one row of :meth:`channel_vector_batch`, bit for bit:
+            numpy's array loops may fuse a complex multiply that its
+            scalar arithmetic rounds twice, so the scalar expression
+            would differ from the decode's in the last bit.
         """
         if direct_gain is None and tag_fading == _UNIT_FADING:
             cached = self._static_vectors.get(state)
@@ -444,8 +448,9 @@ class BackscatterChannel:
                 self._static_vectors[state] = cached
             return cached
         h_d = self._h_direct_los if direct_gain is None else direct_gain
-        gamma = state.reflection_coefficient
-        return h_d + gamma * tag_fading * self._h_tag_los * self._tag_rotation
+        return self.channel_vector_batch(
+            state, np.array([h_d]), np.array([tag_fading])
+        )[0]
 
     def channel_change(
         self,

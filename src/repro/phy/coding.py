@@ -177,7 +177,7 @@ _CODED_BER_TABLES = _build_coded_ber_tables()
 def coded_bit_error_rate_batch(rate: CodingRate, uncoded_ber) -> np.ndarray:
     """Vectorized :func:`coded_bit_error_rate` via table interpolation.
 
-    This is the fast-path variant used by the vectorized PHY decode: it
+    This is the coding read of the PHY decode: it
     interpolates the rate's union-bound table in log-log space instead
     of evaluating the weight-spectrum sum per value.  The tables are
     built once at import from a power grid shared by all rates, are

@@ -23,8 +23,6 @@ exponential effective SNR mapping (EESM), the standard abstraction used in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .modulation import Modulation
@@ -39,47 +37,6 @@ EESM_BETA: dict[Modulation, float] = {
 }
 
 
-@dataclass(frozen=True)
-class CsiEstimate:
-    """A receiver's per-subcarrier channel estimate.
-
-    Attributes:
-        h: complex estimate per subcarrier (as produced from the preamble).
-        estimation_snr_linear: SNR at which the estimate was taken; the
-            estimate includes additive error with variance ``|h|^2 / SNR /
-            n_training`` per subcarrier.
-    """
-
-    h: np.ndarray
-    estimation_snr_linear: float
-
-
-def estimate_csi(
-    true_channel: np.ndarray,
-    snr_linear: float,
-    rng: np.random.Generator,
-    *,
-    n_training_symbols: int = 2,
-) -> CsiEstimate:
-    """Simulate preamble-based channel estimation.
-
-    The estimate equals the true channel during the preamble plus complex
-    Gaussian error whose variance shrinks with SNR and with the number of
-    training symbols averaged (L-LTF has two repetitions).
-
-    Raises:
-        ValueError: for non-positive SNR or training count.
-    """
-    h = np.asarray(true_channel, dtype=complex)
-    scale = csi_noise_scale(
-        h, snr_linear, n_training_symbols=n_training_symbols
-    )
-    error = rng.normal(0.0, 1.0, h.shape) + 1j * rng.normal(0.0, 1.0, h.shape)
-    return CsiEstimate(
-        h=h + scale * error, estimation_snr_linear=snr_linear
-    )
-
-
 def csi_noise_scale(
     true_channel: np.ndarray,
     snr_linear: float | np.ndarray,
@@ -88,10 +45,10 @@ def csi_noise_scale(
 ) -> np.ndarray:
     """Per-subcarrier standard deviation of the CSI estimation error.
 
-    Shared by :func:`estimate_csi` and the vectorized fast paths (which
-    draw one noise matrix for a whole A-MPDU or session chunk): all paths
-    scale unit Gaussians by exactly this array, so scalar and batch
-    estimates agree bitwise for identical draws.
+    The estimate equals the true channel during the preamble plus
+    complex Gaussian error whose variance shrinks with SNR and with the
+    number of training symbols averaged (L-LTF has two repetitions):
+    the decode scales unit Gaussians by exactly this array.
 
     ``snr_linear`` may be a scalar, or an array broadcastable against
     ``true_channel`` (the session-batch engine passes per-coherence-
@@ -109,84 +66,24 @@ def csi_noise_scale(
             f"need >= 1 training symbol, got {n_training_symbols}"
         )
     h = np.asarray(true_channel, dtype=complex)
-    if snr.ndim == 0:
-        # Preserve the original scalar expression (scalar sqrt then
-        # array divide) so existing callers stay bitwise unchanged.
-        return np.abs(h) / np.sqrt(2.0 * float(snr) * n_training_symbols)
     return np.abs(h) / np.sqrt(2.0 * snr * n_training_symbols)
-
-
-def per_subcarrier_sinr(
-    actual_channel: np.ndarray,
-    estimate: np.ndarray,
-    snr_linear: float,
-) -> np.ndarray:
-    """Post-equalization SINR per subcarrier.
-
-    Args:
-        actual_channel: true channel during the symbol(s) being decoded.
-        estimate: the receiver's (preamble-time) channel estimate.
-        snr_linear: transmit-referred SNR, i.e. ``P / N`` for a unit-gain
-            channel.  The per-subcarrier received SNR is then
-            ``snr_linear * |h|^2`` — pass the value for which ``|h|`` of the
-            *direct* channel has already been normalised out, or a raw
-            ``P/N`` with unnormalised channels; the formula is consistent
-            either way.
-
-    Returns:
-        Array of linear SINRs, one per subcarrier.
-    """
-    h_a = np.asarray(actual_channel, dtype=complex)
-    h_e = np.asarray(estimate, dtype=complex)
-    if h_a.shape != h_e.shape:
-        raise ValueError(
-            f"shape mismatch: actual {h_a.shape} vs estimate {h_e.shape}"
-        )
-    if snr_linear <= 0:
-        raise ValueError(f"SNR must be > 0, got {snr_linear}")
-    ratio = np.divide(
-        h_a, h_e, out=np.zeros_like(h_a), where=np.abs(h_e) > 0
-    )
-    mismatch = np.abs(ratio - 1.0) ** 2
-    noise = 1.0 / (snr_linear * np.maximum(np.abs(h_e) ** 2, 1e-30))
-    return 1.0 / (mismatch + noise)
-
-
-def eesm_effective_sinr(
-    sinrs_linear: np.ndarray, modulation: Modulation
-) -> float:
-    """Exponential effective SNR mapping across subcarriers.
-
-    ``SINR_eff = -beta * ln( mean( exp(-SINR_k / beta) ) )``
-
-    EESM compresses a frequency-selective SINR vector into the single AWGN
-    SINR that yields the same coded error rate; ``beta`` is calibrated per
-    modulation.
-    """
-    sinrs = np.asarray(sinrs_linear, dtype=float)
-    if sinrs.size == 0:
-        raise ValueError("need at least one subcarrier SINR")
-    if np.any(sinrs < 0):
-        raise ValueError("SINRs must be non-negative")
-    beta = EESM_BETA[modulation]
-    # Log-sum-exp formulation anchored at the minimum SINR: numerically
-    # stable for arbitrarily large/small SINRs, and exactly equal to the
-    # textbook expression.
-    minimum = float(np.min(sinrs))
-    shifted = np.exp(-(sinrs - minimum) / beta)  # entries in (0, 1]
-    return minimum - beta * float(np.log(np.mean(shifted)))
 
 
 def eesm_effective_sinr_batch(
     sinrs_linear: np.ndarray, modulation: Modulation
 ) -> np.ndarray:
-    """Row-wise :func:`eesm_effective_sinr` for a ``(k, n)`` SINR matrix.
+    """Exponential effective SNR mapping, one row per subframe.
 
-    Applies the identical anchored log-sum-exp along the last axis.
-    Reductions along the contiguous last axis of a 2-D array use the same
-    pairwise summation as their 1-D counterparts, so each row's result is
-    bitwise equal to the scalar function applied to that row (asserted by
-    the fast-path equivalence tests).
+    ``SINR_eff = -beta * ln( mean( exp(-SINR_k / beta) ) )``
+
+    EESM compresses a frequency-selective SINR vector into the single
+    AWGN SINR that yields the same coded error rate; ``beta`` is
+    calibrated per modulation.  The log-sum-exp is anchored at each
+    row's minimum SINR: numerically stable for arbitrarily large or
+    small SINRs, and exactly equal to the textbook expression.
+    Reductions along the contiguous last axis of a 2-D array use the
+    same pairwise summation as their 1-D counterparts, so each row's
+    result is bitwise equal to the one-row computation.
 
     Args:
         sinrs_linear: ``(k, n_subcarriers)`` matrix, one row per subframe.

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -57,18 +57,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..perf import StageCounters
 from ..seeding import component_rng
 from .channel import BackscatterChannel, TagState
-from .coding import (
-    coded_bit_error_rate,
-    coded_bit_error_rate_batch,
-    packet_error_rate,
-    packet_error_rate_batch,
-)
-from .csi import (
-    csi_noise_scale,
-    eesm_effective_sinr,
-    eesm_effective_sinr_batch,
-    estimate_csi,
-)
+from .coding import coded_bit_error_rate_batch, packet_error_rate_batch
+from .csi import csi_noise_scale, eesm_effective_sinr_batch
 from .mcs import Mcs
 from .noise import ReceiverNoise, dbm_to_watts
 
@@ -78,50 +68,27 @@ from .noise import ReceiverNoise, dbm_to_watts
 #: subcarriers: one unblocked 256-query call peaks at 76 MB traced.
 #: Measured on 1 s CSMA-contended sessions, 256-query chunks: peak RSS
 #: 120.6 MB unblocked, 70.6 / 66.3 / 63.6 MB with blocks of 32 / 16 / 8
-#: queries, against 63.9 MB for the per-query loop.  Throughput did not
+#: queries, against 63.9 MB for one query at a time.  Throughput did not
 #: differ measurably between those block sizes.
 DECODE_BLOCK_QUERIES = 8
 
 
-def mpdu_success_probability(
-    mcs: Mcs, mpdu_bits: int, effective_sinr_linear: float
-) -> float:
-    """Probability that an MPDU of ``mpdu_bits`` passes its FCS.
+def mpdu_success_probabilities(
+    mcs: Mcs, mpdu_bits, effective_sinrs_linear
+) -> np.ndarray:
+    """Probability that each MPDU passes its FCS.
+
+    Uncoded BER from the modulation curve, coded BER from the
+    union-bound table built at import
+    (:func:`repro.phy.coding.coded_bit_error_rate_batch`, within ~1e-3
+    relative of the exact bound, far below anything observable at
+    packet level), then ``1 - (1 - BER)^bits``.
 
     Args:
         mcs: modulation and coding of the PPDU.
-        mpdu_bits: MPDU length in bits (header + payload + FCS).
-        effective_sinr_linear: AWGN-equivalent SINR (post EESM).
-
-    Returns:
-        Success probability in [0, 1].
-    """
-    if mpdu_bits <= 0:
-        raise ValueError(f"mpdu_bits must be > 0, got {mpdu_bits}")
-    uncoded = mcs.modulation.bit_error_rate(max(effective_sinr_linear, 0.0))
-    coded = coded_bit_error_rate(mcs.coding_rate, uncoded)
-    return 1.0 - packet_error_rate(coded, mpdu_bits)
-
-
-def mpdu_success_probabilities(
-    mcs: Mcs,
-    mpdu_bits,
-    effective_sinrs_linear,
-    *,
-    exact: bool = False,
-) -> np.ndarray:
-    """Vectorized :func:`mpdu_success_probability` over many subframes.
-
-    Args:
-        mpdu_bits: MPDU length(s) in bits — scalar or array broadcastable
-            against the SINR vector.
+        mpdu_bits: MPDU length(s) in bits (header + payload + FCS) —
+            scalar or array broadcastable against the SINRs.
         effective_sinrs_linear: AWGN-equivalent SINRs (post EESM).
-        exact: when True, evaluate the scalar reference per element
-            (bit-identical to :func:`mpdu_success_probability`); when
-            False (the fast path), use the vectorized uncoded-BER curve
-            and the interpolated coded-BER table — accurate to ~1e-3
-            relative on the coded BER, which is far below anything
-            observable at packet level.
 
     Returns:
         Array of success probabilities in [0, 1].
@@ -130,14 +97,6 @@ def mpdu_success_probabilities(
     bits = np.asarray(mpdu_bits)
     if np.any(bits <= 0):
         raise ValueError(f"mpdu_bits must be > 0, got {mpdu_bits}")
-    if exact:
-        bits_by_subframe = np.broadcast_to(bits, sinrs.shape)
-        return np.array(
-            [
-                mpdu_success_probability(mcs, int(b), float(s))
-                for b, s in zip(bits_by_subframe.ravel(), sinrs.ravel())
-            ]
-        ).reshape(sinrs.shape)
     uncoded = mcs.modulation.bit_error_rate_array(np.maximum(sinrs, 0.0))
     coded = coded_bit_error_rate_batch(mcs.coding_rate, uncoded)
     return 1.0 - packet_error_rate_batch(coded, bits)
@@ -199,22 +158,24 @@ class LinkErrorModel:
             module docstring).  Applied to the power of the tag-induced
             channel mismatch only — never to thermal noise or to the
             benign (tag idle) case.
-        rng: randomness source for CSI estimation noise and fading.
-        counters: cumulative per-stage timing of the vectorized decode
-            path (``channel``, ``csi``, ``eesm``, ``coding``); sampled
-            once per A-MPDU, so the instrumentation overhead is a few
-            microseconds per query.  The scalar reference methods are
-            deliberately left un-instrumented.
+        rng: randomness source for CSI estimation noise and outcome
+            draws.
+        counters: cumulative per-stage timing of the decode
+            (``channel``, ``csi``, ``eesm``, ``coding``); sampled once
+            per decode call, so the instrumentation overhead is a few
+            microseconds per chunk.
         telemetry: optional :class:`repro.obs.Telemetry`; when attached,
             every effective-SINR evaluation feeds the
-            ``phy_effective_sinr`` histogram.  All three tiers (scalar,
-            per-query vectorized, session-batch 2-D) observe the same
-            values in the same order, so histograms are tier-invariant.
+            ``phy_effective_sinr`` histogram.
 
-    The vectorized decode calls the numpy array functions directly:
+    The decode is one family of 2-D methods
+    (:meth:`subframe_outcomes_batch2d` and the two it composes): a
+    ``(n_queries, n_subframes)`` chunk at a time, calling
     :func:`repro.phy.csi.eesm_effective_sinr_batch` for EESM,
     :func:`mpdu_success_probabilities` for uncoded -> coded BER -> PER,
-    and ``uniforms < probabilities`` for the outcome draw.
+    and ``uniforms < probabilities`` for the outcome draw.  The
+    per-subframe scalar reference it must equal bit for bit lives with
+    the tests (``tests/oracles/link.py``).
     """
 
     channel: BackscatterChannel
@@ -247,18 +208,12 @@ class LinkErrorModel:
         rx = self._tx_ref_snr * float(np.mean(np.abs(h) ** 2))
         return 10.0 * float(np.log10(max(rx, 1e-30)))
 
-    def sample_fading(self) -> FadingSample:
-        """Draw the channel's random state for one coherence interval."""
-        return FadingSample(
-            direct_gain=self.channel.sample_direct_fading(),
-            tag_fading=self.channel.sample_tag_fading(),
-        )
-
     def sample_fading_batch(self, count: int) -> FadingBatch:
         """Draw ``count`` coherence intervals in exact scalar order.
 
-        Bitwise equal, per row, to ``count`` sequential calls of
-        :meth:`sample_fading` on the same generator state (see
+        Bitwise equal, per row, to ``count`` sequential
+        ``sample_direct_fading()`` / ``sample_tag_fading()`` pairs on
+        the same generator state (see
         :meth:`repro.phy.channel.BackscatterChannel.sample_fading_batch`).
         """
         direct, tag = self.channel.sample_fading_batch(count)
@@ -273,7 +228,16 @@ class LinkErrorModel:
         rngs: Sequence[np.random.Generator] | None = None,
         _uniforms: np.ndarray | None = None,
     ) -> np.ndarray:
-        """:meth:`subframe_effective_sinrs` for a whole session chunk.
+        """AWGN-equivalent SINR of every subframe of a chunk of A-MPDUs.
+
+        The receiver estimated each query's channel with the tag in
+        ``preamble_state``; subframe ``i`` of query ``q`` was sent with
+        the tag in ``subframe_state_rows[q][i]``.  When the states
+        coincide, the only impairments are thermal noise and CSI
+        estimation error; when they differ, the stale estimate turns
+        the tag's channel change into distortion, amplified by
+        :attr:`mismatch_gain_db` (the CSI estimation error itself is an
+        ordinary receiver impairment and is not amplified).
 
         Computes every subframe SINR of ``n_queries`` A-MPDUs into one
         ``(n_queries, n_subframes)`` matrix.  Tag states are
@@ -285,10 +249,8 @@ class LinkErrorModel:
         per-subcarrier temporaries stay a fixed size however large the
         chunk.  Blocks draw in query order, each query in the scalar
         order (per subframe: n real draws, n imaginary draws, then
-        optionally the outcome uniform).  Given the same generator
-        state, row ``q`` is bitwise equal to
-        ``subframe_effective_sinrs(preamble_state,
-        subframe_state_rows[q], fading.sample(q))``.
+        optionally the outcome uniform), so results do not depend on
+        how a caller chunks its queries.
 
         Args:
             preamble_state: tag state during every PHY preamble.
@@ -299,10 +261,9 @@ class LinkErrorModel:
                 When given, row ``q``'s CSI noise (and outcome
                 uniforms) are drawn from ``rngs[q]`` instead of
                 ``self.rng`` — the fleet engine uses this so each
-                tag's row consumes that tag's own error stream,
-                bitwise as the scalar per-tag loop would.  ``None``
-                (the default) keeps the historical shared-generator
-                path byte for byte.
+                tag's row consumes that tag's own error stream.
+                ``None`` (the default) draws every row from
+                ``self.rng``.
             _uniforms: internal — a preallocated ``(n_queries,
                 n_subframes)`` float array; when provided, one uniform
                 per subframe is drawn into it after that subframe's
@@ -441,11 +402,10 @@ class LinkErrorModel:
         subframe_state_rows: Sequence[Sequence[TagState]],
         fading: FadingBatch,
         *,
-        exact_coding: bool = False,
         rngs: Sequence[np.random.Generator] | None = None,
         _uniforms: np.ndarray | None = None,
     ) -> np.ndarray:
-        """:meth:`subframe_success_probabilities` for a session chunk.
+        """Probability that each subframe of a chunk decodes.
 
         ``mpdu_bits`` may be scalar, a length-``n_subframes`` row shared
         by every query, or a full ``(n_queries, n_subframes)`` matrix.
@@ -459,7 +419,7 @@ class LinkErrorModel:
         )
         start = time.perf_counter()
         probabilities = mpdu_success_probabilities(
-            self.mcs, mpdu_bits, sinrs, exact=exact_coding
+            self.mcs, mpdu_bits, sinrs
         )
         self.counters.add("coding", time.perf_counter() - start, sinrs.size)
         return probabilities
@@ -471,17 +431,16 @@ class LinkErrorModel:
         subframe_state_rows: Sequence[Sequence[TagState]],
         fading: FadingBatch,
         *,
-        exact_coding: bool = False,
         rngs: Sequence[np.random.Generator] | None = None,
     ) -> np.ndarray:
-        """:meth:`subframe_outcomes` for a whole session chunk.
+        """One Bernoulli decode outcome per subframe of a chunk.
 
-        Returns a ``(n_queries, n_subframes)`` boolean matrix; with
-        ``exact_coding=True`` it is bitwise equal to stacking the
-        per-query :meth:`subframe_outcomes` (and hence the scalar
-        :meth:`subframe_outcome` loop) from the same generator state.
-        With ``rngs`` each row draws from its own generator instead
-        (see :meth:`subframe_effective_sinrs_batch2d`).
+        Returns a ``(n_queries, n_subframes)`` boolean matrix, True
+        where the subframe's FCS passes.  The uniform deciding each
+        subframe is drawn from the same stream, right after that
+        subframe's CSI noise.  With ``rngs`` each row draws from its
+        own generator instead (see
+        :meth:`subframe_effective_sinrs_batch2d`).
         """
         rows = [list(row) for row in subframe_state_rows]
         n_q = len(rows)
@@ -492,271 +451,7 @@ class LinkErrorModel:
             preamble_state,
             rows,
             fading,
-            exact_coding=exact_coding,
             rngs=rngs,
             _uniforms=uniforms,
         )
         return uniforms < probabilities
-
-    def subframe_effective_sinr(
-        self,
-        preamble_state: TagState,
-        subframe_state: TagState,
-        fading: FadingSample | None = None,
-        *,
-        include_estimation_noise: bool = True,
-    ) -> float:
-        """AWGN-equivalent SINR for one subframe.
-
-        The receiver estimated the channel with the tag in
-        ``preamble_state``; the subframe was transmitted with the tag in
-        ``subframe_state``.  When the states coincide, the only impairments
-        are thermal noise and CSI estimation error; when they differ, the
-        stale estimate turns the tag's channel change into distortion,
-        amplified by :attr:`mismatch_gain_db`.
-
-        Args:
-            fading: one coherence-interval sample shared by the preamble
-                and the subframe; drawn fresh when omitted.
-        """
-        if fading is None:
-            fading = self.sample_fading()
-        h_preamble = self.channel.channel_vector(
-            preamble_state, fading.direct_gain, fading.tag_fading
-        )
-        h_actual = self.channel.channel_vector(
-            subframe_state, fading.direct_gain, fading.tag_fading
-        )
-        if include_estimation_noise:
-            rx_snr = self._tx_ref_snr * float(
-                np.mean(np.abs(h_preamble) ** 2)
-            )
-            estimate = estimate_csi(h_preamble, max(rx_snr, 1e-12), self.rng).h
-        else:
-            estimate = h_preamble
-        safe_est_sq = np.maximum(np.abs(estimate) ** 2, 1e-30)
-        # Tag-induced channel change: amplified by the fragility gain.
-        tag_mismatch = self._mismatch_gain * (
-            np.abs(h_actual - h_preamble) ** 2 / safe_est_sq
-        )
-        # CSI estimation error: an ordinary receiver impairment, NOT
-        # amplified (the fragility gain models the reaction to mid-frame
-        # channel *changes*, which a static estimation error is not).
-        est_mismatch = np.abs(h_preamble - estimate) ** 2 / safe_est_sq
-        noise = 1.0 / (self._tx_ref_snr * safe_est_sq)
-        sinrs = 1.0 / (tag_mismatch + est_mismatch + noise)
-        effective = eesm_effective_sinr(sinrs, self.mcs.modulation)
-        if self.telemetry is not None:
-            self.telemetry.observe_sinr(effective)
-        return effective
-
-    def subframe_effective_sinrs(
-        self,
-        preamble_state: TagState,
-        subframe_states: Sequence[TagState] | Iterable[TagState],
-        fading: FadingSample | None = None,
-        *,
-        include_estimation_noise: bool = True,
-        _uniforms: list[float] | None = None,
-    ) -> np.ndarray:
-        """Vectorized :meth:`subframe_effective_sinr` for one A-MPDU.
-
-        Computes the AWGN-equivalent SINR of every subframe in a single
-        numpy pass.  The geometry-dependent terms (channel vectors and
-        the tag-induced channel-change power) are evaluated once per
-        *distinct* tag state — an A-MPDU only ever contains the design's
-        two data states, so the per-subframe work reduces to the CSI
-        estimation noise and the shared EESM reduction.
-
-        Randomness is drawn in exactly the order the scalar method uses
-        (per subframe: real noise, imaginary noise), so given the same
-        generator state this returns bitwise-identical SINRs to calling
-        :meth:`subframe_effective_sinr` in a loop — the equivalence suite
-        asserts this.
-
-        Args:
-            preamble_state: tag state during the PHY preamble.
-            subframe_states: tag state during each subframe, in order.
-            fading: one coherence-interval sample shared by the preamble
-                and all subframes (paper §5 footnote 2); drawn fresh when
-                omitted.
-            _uniforms: internal — when provided, one uniform draw per
-                subframe is appended after that subframe's noise draws,
-                replicating the scalar :meth:`subframe_outcome` stream.
-
-        Returns:
-            Array of effective SINRs, one per subframe.
-        """
-        states = list(subframe_states)
-        k = len(states)
-        if k == 0:
-            return np.empty(0, dtype=float)
-        if fading is None:
-            fading = self.sample_fading()
-        start = time.perf_counter()
-        h_preamble = self.channel.channel_vector(
-            preamble_state, fading.direct_gain, fading.tag_fading
-        )
-        # Deduplicate tag states: per coherence interval at most two
-        # (preamble, subframe) combinations occur, so the channel-change
-        # power |h_actual - h_preamble|^2 is computed once per state.
-        distinct: list[TagState] = []
-        index_of: dict[TagState, int] = {}
-        row = np.empty(k, dtype=np.intp)
-        for i, state in enumerate(states):
-            j = index_of.get(state)
-            if j is None:
-                j = index_of[state] = len(distinct)
-                distinct.append(state)
-            row[i] = j
-        change_sq = np.stack(
-            [
-                np.abs(
-                    self.channel.channel_vector(
-                        state, fading.direct_gain, fading.tag_fading
-                    )
-                    - h_preamble
-                )
-                ** 2
-                for state in distinct
-            ]
-        )
-        self.counters.add("channel", time.perf_counter() - start, k)
-
-        if not include_estimation_noise:
-            if _uniforms is not None:
-                for _ in range(k):
-                    _uniforms.append(self.rng.random())
-            start = time.perf_counter()
-            # Noise-free estimates collapse to one SINR row per distinct
-            # state; EESM runs on those rows only and is scattered back.
-            safe_est_sq = np.maximum(np.abs(h_preamble) ** 2, 1e-30)
-            tag_mismatch = self._mismatch_gain * (change_sq / safe_est_sq)
-            est_mismatch = np.abs(h_preamble - h_preamble) ** 2 / safe_est_sq
-            noise = 1.0 / (self._tx_ref_snr * safe_est_sq)
-            sinr_rows = 1.0 / (tag_mismatch + est_mismatch + noise)
-            self.counters.add("csi", time.perf_counter() - start, k)
-            start = time.perf_counter()
-            effective = eesm_effective_sinr_batch(
-                sinr_rows, self.mcs.modulation
-            )[row]
-            self.counters.add("eesm", time.perf_counter() - start, k)
-            if self.telemetry is not None:
-                self.telemetry.observe_sinrs(effective)
-            return effective
-
-        start = time.perf_counter()
-        n = h_preamble.size
-        rx_snr = self._tx_ref_snr * float(np.mean(np.abs(h_preamble) ** 2))
-        scale = csi_noise_scale(h_preamble, max(rx_snr, 1e-12))
-        noise_re = np.empty((k, n))
-        noise_im = np.empty((k, n))
-        rng = self.rng
-        for i in range(k):
-            # Draw order matches the scalar path exactly (estimate_csi's
-            # real then imaginary parts, then the outcome uniform).
-            noise_re[i] = rng.normal(0.0, 1.0, n)
-            noise_im[i] = rng.normal(0.0, 1.0, n)
-            if _uniforms is not None:
-                _uniforms.append(rng.random())
-        estimate = h_preamble + scale * (noise_re + 1j * noise_im)
-        safe_est_sq = np.maximum(np.abs(estimate) ** 2, 1e-30)
-        tag_mismatch = self._mismatch_gain * (change_sq[row] / safe_est_sq)
-        est_mismatch = np.abs(h_preamble - estimate) ** 2 / safe_est_sq
-        noise = 1.0 / (self._tx_ref_snr * safe_est_sq)
-        sinr_rows = 1.0 / (tag_mismatch + est_mismatch + noise)
-        self.counters.add("csi", time.perf_counter() - start, k)
-        start = time.perf_counter()
-        effective = eesm_effective_sinr_batch(sinr_rows, self.mcs.modulation)
-        self.counters.add("eesm", time.perf_counter() - start, k)
-        if self.telemetry is not None:
-            self.telemetry.observe_sinrs(effective)
-        return effective
-
-    def subframe_success_probabilities(
-        self,
-        mpdu_bits,
-        preamble_state: TagState,
-        subframe_states: Sequence[TagState] | Iterable[TagState],
-        fading: FadingSample | None = None,
-        *,
-        exact_coding: bool = False,
-        _uniforms: list[float] | None = None,
-    ) -> np.ndarray:
-        """Vectorized :meth:`subframe_success_probability` for one A-MPDU.
-
-        Args:
-            mpdu_bits: per-subframe MPDU lengths in bits (scalar or
-                array broadcastable against the subframe axis).
-            exact_coding: evaluate the coded-BER union bound exactly per
-                subframe instead of via the interpolated table; slower,
-                bit-identical to the scalar reference.
-        """
-        sinrs = self.subframe_effective_sinrs(
-            preamble_state, subframe_states, fading, _uniforms=_uniforms
-        )
-        start = time.perf_counter()
-        probabilities = mpdu_success_probabilities(
-            self.mcs, mpdu_bits, sinrs, exact=exact_coding
-        )
-        self.counters.add("coding", time.perf_counter() - start, sinrs.size)
-        return probabilities
-
-    def subframe_outcomes(
-        self,
-        mpdu_bits,
-        preamble_state: TagState,
-        subframe_states: Sequence[TagState] | Iterable[TagState],
-        fading: FadingSample | None = None,
-        *,
-        exact_coding: bool = False,
-    ) -> np.ndarray:
-        """Vectorized :meth:`subframe_outcome`: one Bernoulli per subframe.
-
-        The uniform deciding each subframe is drawn from the same stream,
-        interleaved after that subframe's CSI noise exactly as the scalar
-        loop draws it — with ``exact_coding=True`` the outcome vector is
-        bitwise-identical to calling :meth:`subframe_outcome` per
-        subframe from the same generator state.
-
-        Returns:
-            Boolean array, True where the subframe's FCS passes.
-        """
-        if fading is None:
-            fading = self.sample_fading()
-        uniforms: list[float] = []
-        probabilities = self.subframe_success_probabilities(
-            mpdu_bits,
-            preamble_state,
-            subframe_states,
-            fading,
-            exact_coding=exact_coding,
-            _uniforms=uniforms,
-        )
-        return np.asarray(uniforms) < probabilities
-
-    def subframe_success_probability(
-        self,
-        mpdu_bits: int,
-        preamble_state: TagState,
-        subframe_state: TagState,
-        fading: FadingSample | None = None,
-    ) -> float:
-        """Probability that a subframe decodes, given tag behaviour."""
-        sinr = self.subframe_effective_sinr(
-            preamble_state, subframe_state, fading
-        )
-        return mpdu_success_probability(self.mcs, mpdu_bits, sinr)
-
-    def subframe_outcome(
-        self,
-        mpdu_bits: int,
-        preamble_state: TagState,
-        subframe_state: TagState,
-        fading: FadingSample | None = None,
-    ) -> bool:
-        """Draw one Bernoulli decode outcome for a subframe."""
-        p = self.subframe_success_probability(
-            mpdu_bits, preamble_state, subframe_state, fading
-        )
-        return bool(self.rng.random() < p)

@@ -122,8 +122,8 @@ class CorrelatedFadingChannel:
 
         For each ``dt`` in ``dts_s``, evolves both processes by ``dt``
         and records ``(direct_gain(), tag_fading())`` — exactly the
-        per-query sequence the scalar session loop performs, so the
-        returned complex arrays are bitwise equal to a scalar replay on
+        per-query sequence of ``advance(dt)`` then the two reads, so
+        the returned complex arrays are bitwise equal to that replay on
         the same generator state.  The AR(1) recursion is inherently
         sequential (state ``i`` feeds state ``i+1``), so this is a tight
         loop rather than a matrix pass; it exists to give the session-

@@ -82,7 +82,7 @@ class Modulation(enum.Enum):
 
         Applies the same closed forms elementwise (identical operations,
         so scalar and array evaluations agree bitwise); used by the
-        vectorized PHY fast path to price a whole A-MPDU in one call.
+        PHY decode to price a whole chunk of subframes in one call.
 
         Args:
             snr_linear: array-like of per-symbol SNRs (Es/N0), all >= 0.

@@ -36,12 +36,9 @@ def _session_unit(
     build: SessionBuilder,
     queries: int | None,
     duration_s: float | None,
-    session_fast_path: bool | None,
 ) -> SessionStats:
     session = build(ctx)
     attach_active(session.system)
-    if session_fast_path is not None:
-        session.session_fast_path = session_fast_path
     if queries is not None:
         return session.run_queries(queries)
     assert duration_s is not None
@@ -59,7 +56,6 @@ def run_sessions(
     n_workers: int = 1,
     chunk_size: int | None = None,
     executor: str = "auto",
-    session_fast_path: bool | None = None,
     telemetry: TelemetrySpec | None = _STAGE_COUNTERS_ONLY,
     retry: RetryPolicy | None = None,
     faults: FaultSpec | None = None,
@@ -79,10 +75,6 @@ def run_sessions(
             (e.g. :class:`repro.runner.workers.SessionSpec`) rather
             than closing over live simulator objects: configs pickle
             small and rebuild fresh state inside the worker.
-        session_fast_path: when not ``None``, override each built
-            session's ``session_fast_path`` flag, so callers can force
-            every worker through the batched engine (or the scalar
-            reference) without changing the builder.
         n_sessions: number of sessions (0 is allowed: empty result).
         queries: run exactly this many query cycles per session...
         duration_s: ...or this much simulated time (exactly one of the
@@ -130,7 +122,6 @@ def run_sessions(
         build=build,
         queries=queries,
         duration_s=duration_s,
-        session_fast_path=session_fast_path,
     )
     return run_units(
         fn,

@@ -55,8 +55,6 @@ class SessionSpec:
             ``ctx.parameters["location"]``).
         distance_m: default LOS tag-from-client distance.
         location: default NLOS location key.
-        phy_fast_path: per-A-MPDU vectorized decode flag.
-        session_fast_path: batched session engine flag.
         batch_queries: session-engine chunk size.
         data_stream: context substream index for the session's random
             data bits.
@@ -65,8 +63,6 @@ class SessionSpec:
     kind: str = "los"
     distance_m: float = 4.0
     location: str = "A"
-    phy_fast_path: bool = True
-    session_fast_path: bool = True
     batch_queries: int = 256
     data_stream: int = 1
 
@@ -79,22 +75,13 @@ class SessionSpec:
             distance_m = float(
                 ctx.parameters.get("distance_m", self.distance_m)
             )
-            system, _info = los_scenario(
-                distance_m,
-                seed=ctx.seed,
-                phy_fast_path=self.phy_fast_path,
-            )
+            system, _info = los_scenario(distance_m, seed=ctx.seed)
         else:
             location = str(ctx.parameters.get("location", self.location))
-            system, _info = nlos_scenario(
-                location,
-                seed=ctx.seed,
-                phy_fast_path=self.phy_fast_path,
-            )
+            system, _info = nlos_scenario(location, seed=ctx.seed)
         return MeasurementSession(
             system,
             rng=ctx.rng(self.data_stream),
-            session_fast_path=self.session_fast_path,
             batch_queries=self.batch_queries,
         )
 
@@ -121,8 +108,6 @@ class FleetSpec:
         client_xy / ap_xy: reader antenna positions.
         batch_tags: decode chunk size (memory bound; results are
             bit-identical for any value).
-        phy_exact_coding: exact per-subframe coded BER instead of the
-            interpolation table (bitwise-matches the scalar reference).
         position_stream: context substream index for tag placement.
     """
 
@@ -131,7 +116,6 @@ class FleetSpec:
     client_xy: tuple[float, float] = (0.0, 0.0)
     ap_xy: tuple[float, float] = (8.0, 0.0)
     batch_tags: int = 256
-    phy_exact_coding: bool = False
     position_stream: int = 2
 
     def __post_init__(self) -> None:
@@ -156,7 +140,6 @@ class FleetSpec:
             ap_xy=self.ap_xy,
             seed=ctx.seed,
             batch_tags=self.batch_tags,
-            phy_exact_coding=self.phy_exact_coding,
         )
 
 
@@ -215,8 +198,8 @@ class AdaptiveLinkSpec:
     ON/OFF ambient traffic, predictive opportunity scheduler, energy
     simulator and redundancy controller — entirely from the context's
     substreams, so a sweep of adaptive links is bit-identical between
-    serial and process-pool execution and between the scalar and batch
-    session engines (``tests/test_session_batch.py`` pins this).
+    serial and process-pool execution, and equal to the per-query
+    reference session (``tests/test_session_batch.py`` pins both).
 
     With ``adaptive=False`` the same machinery runs the static-paper
     baseline: the scheduler rides every window
@@ -245,7 +228,6 @@ class AdaptiveLinkSpec:
             parity cannot fix a window destroyed by collisions, so the
             controller must not chase that corruption.
         decrease_after_clean: clean rounds before easing a rung down.
-        session_fast_path: batched session engine flag.
     """
 
     adaptive: bool = True
@@ -261,7 +243,6 @@ class AdaptiveLinkSpec:
     static_nsym: int = 8
     increase_threshold: float = 0.25
     decrease_after_clean: int = 2
-    session_fast_path: bool = True
 
     def __call__(self, ctx: UnitContext) -> Any:
         from ..core.rate_control import RedundancyController
@@ -279,14 +260,7 @@ class AdaptiveLinkSpec:
             seed=ctx.seed,
             n_contenders=self.n_contenders,
         )
-        # The equivalence gate flips session_fast_path; exact coding
-        # makes the batch engine bitwise-match the scalar loop.
-        system.phy_exact_coding = True
-        session = MeasurementSession(
-            system,
-            rng=ctx.rng(1),
-            session_fast_path=self.session_fast_path,
-        )
+        session = MeasurementSession(system, rng=ctx.rng(1))
         traffic = OnOffTraffic(
             rate_fps=self.rate_fps,
             mean_on_s=self.mean_on_s,
@@ -337,8 +311,7 @@ def adaptive_link_stats(
     Builds the unit's link from ``spec`` (default
     :class:`AdaptiveLinkSpec`), runs it, and returns JSON-safe
     aggregates — including the per-round redundancy-rung trajectory and
-    ride/skip decision digest the equivalence gate compares across
-    execution tiers.
+    ride/skip decision digest.
     """
     link = (spec or AdaptiveLinkSpec())(ctx)
     report = link.run(rounds, windows_per_round)
@@ -382,27 +355,17 @@ def los_ber_point(
     ctx: UnitContext,
     *,
     sim_seconds: float = 1.0,
-    phy_fast_path: bool = True,
-    session_fast_path: bool = True,
 ) -> dict[str, Any]:
     """One Figure-5-style LOS point: BER/throughput at a tag distance.
 
     Expects ``ctx.parameters["distance_m"]``.  Scenario and data-bit
     streams derive from the unit's substreams, so the same root seed
     reproduces the same point bit-for-bit on any worker layout.
-    ``phy_fast_path=False`` selects the scalar PHY reference loop;
-    ``session_fast_path`` likewise selects between the batched
-    session engine and the scalar per-query loop (bitwise-identical
-    results either way).
     """
     distance_m = float(ctx.parameters["distance_m"])
-    system, info = los_scenario(
-        distance_m, seed=ctx.seed, phy_fast_path=phy_fast_path
-    )
+    system, info = los_scenario(distance_m, seed=ctx.seed)
     attach_active(system)
-    session = MeasurementSession(
-        system, rng=ctx.rng(1), session_fast_path=session_fast_path
-    )
+    session = MeasurementSession(system, rng=ctx.rng(1))
     stats = session.run_for(sim_seconds)
     return {
         "distance_m": distance_m,

@@ -234,8 +234,6 @@ _SESSION_KEYS = frozenset(
         "kind",
         "distance_m",
         "location",
-        "phy_fast_path",
-        "session_fast_path",
         "batch_queries",
         "data_stream",
     }
@@ -248,8 +246,6 @@ def session_spec_to_json(spec: SessionSpec) -> dict[str, Any]:
         "kind": spec.kind,
         "distance_m": spec.distance_m,
         "location": spec.location,
-        "phy_fast_path": spec.phy_fast_path,
-        "session_fast_path": spec.session_fast_path,
         "batch_queries": spec.batch_queries,
         "data_stream": spec.data_stream,
     }
@@ -271,11 +267,6 @@ def session_spec_from_json(payload: Mapping[str, Any]) -> SessionSpec:
         if not isinstance(payload["location"], str):
             raise SchemaError("sessions.location must be a string")
         kwargs["location"] = payload["location"]
-    for key in ("phy_fast_path", "session_fast_path"):
-        if key in payload:
-            if not isinstance(payload[key], bool):
-                raise SchemaError(f"sessions.{key} must be a boolean")
-            kwargs[key] = payload[key]
     for key in ("batch_queries", "data_stream"):
         if key in payload:
             kwargs[key] = _check_int(payload[key], f"sessions.{key}", 1)

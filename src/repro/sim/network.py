@@ -8,12 +8,11 @@ time-division polling, the natural multi-tag extension the paper implies).
 
 Two polling layers live here:
 
-* :class:`TagPoller` — the historical round-robin poller, one scalar
-  :class:`MeasurementSession` per tag.  Since PR 8 each tag gets its own
-  RNG substream derived from ``(seed, tag name)``, so adding or removing
-  a tag never perturbs the other tags' streams; ``shared_rng=True``
-  restores the pre-PR-8 behaviour (every session drawing from one
-  shared generator) bit for bit.
+* :class:`TagPoller` — a round-robin poller, one
+  :class:`MeasurementSession` per tag.  Each tag's session draws its
+  data bits from its own RNG substream derived from ``(seed, tag
+  name)``, so adding or removing a tag never perturbs the other tags'
+  streams.
 * :class:`FleetNetwork` — the warehouse-scale layer: several reader
   cells (:class:`ReaderCell`) over a floorplan, each polling its
   assigned slice of one shared tag population through a vectorized
@@ -29,7 +28,7 @@ Two polling layers live here:
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
@@ -41,7 +40,6 @@ from ..core.throughput import block_ack_airtime_s
 from ..mac.csma import ContentionModel
 from ..seeding import child_sequence, derived_seed
 from .events import EventLoop
-from .rng import component_rng
 
 
 @dataclass
@@ -89,15 +87,12 @@ class TagPoller:
     Attributes:
         systems: tag name -> system.
         dwell_s: reader time spent per tag per round.
+        seed: root of the per-tag data-bit substreams.
     """
 
     systems: dict[str, WiTagSystem]
     dwell_s: float = 0.5
-    rng: np.random.Generator = field(
-        default_factory=lambda: component_rng("network")
-    )
     seed: int = 0
-    shared_rng: bool = False
 
     def __post_init__(self) -> None:
         if not self.systems:
@@ -107,16 +102,10 @@ class TagPoller:
         # Per-tag session substreams keyed by (seed, tag name): a tag's
         # stream depends only on its own name, never on which other
         # tags are present — adding a tag cannot perturb existing
-        # tags' numbers.  shared_rng=True reproduces the historical
-        # behaviour (every session drawing from the one self.rng).
+        # tags' numbers.
         self._sessions = {
             name: MeasurementSession(
-                system,
-                rng=(
-                    self.rng
-                    if self.shared_rng
-                    else _named_substream(self.seed, name)
-                ),
+                system, rng=_named_substream(self.seed, name)
             )
             for name, system in self.systems.items()
         }

@@ -91,7 +91,6 @@ def build_system(
     tag: TagStateMachine | None = None,
     temperature_c: float = 25.0,
     coherence_time_s: float | None = None,
-    phy_fast_path: bool = True,
     seed: int = 0,
 ) -> tuple[WiTagSystem, ScenarioInfo]:
     """Construct a runnable :class:`WiTagSystem` from raw geometry.
@@ -109,9 +108,6 @@ def build_system(
         coherence_time_s: when set, fading evolves as a correlated
             Gauss-Markov process with this coherence time (paper: ~100 ms)
             instead of independently per query.
-        phy_fast_path: decode A-MPDUs through the vectorized PHY batch
-            path (default) or the scalar per-subframe reference loop;
-            see :class:`repro.core.system.WiTagSystem`.
         seed: master seed; all component streams derive from it.
 
     Returns:
@@ -185,7 +181,6 @@ def build_system(
         temperature_c=temperature_c,
         fading_channel=fading_channel,
         rng=rngs["system"],
-        phy_fast_path=phy_fast_path,
     )
     info = ScenarioInfo(
         name=name,

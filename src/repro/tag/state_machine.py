@@ -106,9 +106,7 @@ class TagStateMachine:
         data_queue: bits waiting to be transmitted, consumed FIFO.
         rng: randomness for detection/timing draws.
         telemetry: optional :class:`repro.obs.Telemetry`; counts trigger
-            outcomes, consumed bits and toggle alignment.  Both
-            :meth:`process_query` and :meth:`process_query_fast` emit
-            the same hook values for the same physics.
+            outcomes, consumed bits and toggle alignment.
     """
 
     design: TagDesign = field(default_factory=phase_flip_design)
@@ -142,66 +140,13 @@ class TagStateMachine:
         trigger is missed, no bits are consumed and the tag idles through
         the frame (all subframes decode; the reader sees all-ones where it
         expected data and the session layer detects the bad frame).
-        """
-        idle_state = self.design.state_for_bit_one
-        self.phase = TagPhase.DETECTING
-        if not self.detector.detect(query.rx_power_dbm, self.rng):
-            self.phase = TagPhase.IDLE
-            if self.telemetry is not None:
-                self.telemetry.on_trigger(False)
-            return TagTransmission(
-                detected=False,
-                states=(idle_state,) * query.n_subframes,
-                toggles_aligned=(),
-                bits_loaded=(),
-            )
-        self.phase = TagPhase.SYNCED
-        period_estimate = self.detector.subframe_period_estimate_s(
-            query.subframe_s, query.rx_power_dbm, self.rng
-        )
-        timing = TimingModel(
-            oscillator=self.oscillator,
-            subframe_s=query.subframe_s,
-            period_estimate_s=period_estimate,
-            temperature_c=query.temperature_c,
-        )
-        n_bits = min(query.n_payload_subframes, len(self.data_queue))
-        bits = tuple(self.data_queue[:n_bits])
-        del self.data_queue[:n_bits]
 
-        states: list[TagState] = [idle_state] * query.n_trigger_subframes
-        aligned: list[bool] = []
-        for k, bit in enumerate(bits):
-            ok = timing.aligned(k, self.rng)
-            aligned.append(ok)
-            states.append(self.design.state_for_bit(bit))
-        # Unused payload slots: the tag idles (reads as 1s).
-        remaining = query.n_subframes - len(states)
-        states.extend([idle_state] * remaining)
-        self.phase = TagPhase.IDLE
-        if self.telemetry is not None:
-            self.telemetry.on_trigger(True)
-            self.telemetry.on_tag_bits(n_bits, sum(aligned))
-        return TagTransmission(
-            detected=True,
-            states=tuple(states),
-            toggles_aligned=tuple(aligned),
-            bits_loaded=bits,
-        )
-
-    def process_query_fast(self, query: QueryObservation) -> TagTransmission:
-        """:meth:`process_query` with vectorized alignment draws.
-
-        Produces a bitwise-identical :class:`TagTransmission` and leaves
-        the generator in the same state: the per-bit scalar
-        ``timing.aligned(k, rng)`` draws are replaced by one
-        ``rng.normal(mu, sigma)`` array draw (numpy fills array normals
-        element-by-element from the same stream), with the ``(mu,
-        sigma)`` vectors cached per realised timing model — the grid
-        snap means ``cycles_per_subframe`` takes only a handful of
-        values per session.  Only the session-batch engine calls this;
-        the scalar path stays on :meth:`process_query` so benchmark
-        comparisons stay honest.
+        The per-bit alignment draws come from one ``rng.normal(mu,
+        sigma)`` array draw (numpy fills array normals element by
+        element from the same stream, so this equals one scalar draw
+        per bit), with the ``(mu, sigma)`` vectors cached per realised
+        timing model — the grid snap means ``cycles_per_subframe``
+        takes only a handful of values per session.
         """
         idle_state = self.design.state_for_bit_one
         self.phase = TagPhase.DETECTING

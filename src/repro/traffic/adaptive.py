@@ -17,8 +17,8 @@ differs only in policy, never in plumbing.
 
 Everything here is deterministic given the component streams, so each
 leg inherits the simulator's equivalence contract:
-same seed, same trace → bit-identical reports across scalar/batch
-tiers and serial/process-pool execution.
+same seed, same trace → bit-identical reports for any session chunk
+size and across serial/process-pool execution.
 """
 
 from __future__ import annotations

@@ -237,7 +237,7 @@ class TraceReplayTraffic:
     fraction as ``min(1, arrivals * frame_airtime_s / dt)``.  The
     replay is purely deterministic — same trace, same windows, same
     busy fractions — which is what makes recorded-trace experiments
-    reproducible across execution tiers.
+    reproducible.
 
     Attributes:
         inter_arrivals_s: the recorded gaps (seconds, positive).

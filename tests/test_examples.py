@@ -16,8 +16,8 @@ EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_example(name: str, timeout: int = 240) -> str:
-    env = dict(os.environ)
+def run_example(name: str, timeout: int = 240, **env_vars: str) -> str:
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     result = subprocess.run(
         [sys.executable, str(EXAMPLES_DIR / name)],
@@ -52,10 +52,18 @@ def test_quickstart():
 
 
 def test_sensor_network():
-    out = run_example("sensor_network.py")
+    out = run_example("sensor_network.py", PYTHONHASHSEED="1")
     assert "polling all sensors" in out
     assert out.count("moisture=") >= 4
     assert "LOST" not in out
+    # The polling table is a function of the example's seeds alone, not
+    # of the interpreter's per-process string-hash salt.
+    again = run_example("sensor_network.py", PYTHONHASHSEED="2")
+
+    def polling_table(text: str) -> str:
+        return text.split("polling all sensors")[1].split("transferring")[0]
+
+    assert polling_table(again) == polling_table(out)
 
 
 def test_nlos_warehouse():

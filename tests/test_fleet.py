@@ -1,18 +1,17 @@
-"""Fleet engine suite: scalar equivalence, mobility, multi-AP network.
+"""Fleet engine suite: oracle equivalence, mobility, multi-AP network.
 
-The load-bearing contract here is **bitwise equivalence**: with
-``phy_exact_coding=True``, :class:`repro.core.fleet.TagFleet` poll
-rounds must match the scalar :class:`repro.core.multitag.MultiTagCell`
-reference bit for bit — addressed, broadcast and idle queries, for any
-``batch_tags`` chunking and any engine worker count.  Everything the
-fleet tier's speed claims rest on is asserted in this file; the
-canonical benchmark times the fleet and network on its
-``warehouse-2000x4`` workload.
+The load-bearing contract here is **bitwise equivalence**:
+:class:`repro.core.fleet.TagFleet` poll rounds must match the
+object-graph :class:`tests.oracles.link.MultiTagCell` oracle bit for
+bit — addressed, broadcast, idle and mixed queries, for any
+``batch_tags`` chunking and any engine worker count.  The canonical
+benchmark times the fleet and network on its ``warehouse-2000x4``
+workload.
 
-Also covered: the satellite fixes that made the equivalence possible —
-``MultiTagCell`` draw-order independence from endpoint-dict insertion
-order, consistent no-responder fading — plus ``TagPoller`` per-tag RNG
-substreams, incremental mobility invalidation, and the event-driven
+Also covered: the oracle cell's draw-order independence from
+endpoint-dict insertion order and its one-fading no-responder branch,
+``TagPoller`` per-tag RNG substreams, incremental mobility
+invalidation, and the event-driven
 :class:`repro.sim.network.FleetNetwork` layer.
 """
 
@@ -22,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.core.fleet import TagFleet, _tag_generators
-from repro.core.multitag import MultiTagCell
 from repro.core.system import WiTagSystem
 from repro.phy.channel import ChannelGeometry
 from repro.runner import UnitContext, run_units
@@ -39,6 +37,7 @@ from repro.sim.network import (
 )
 from repro.sim.scenario import build_system
 from repro.tag.state_machine import TagStateMachine
+from tests.oracles import link as oracle
 
 pytestmark = pytest.mark.fleet
 
@@ -49,7 +48,6 @@ def make_fleet(n=5, seed=7, **kwargs) -> TagFleet:
     positions = np.column_stack(
         [rng.uniform(1.0, 9.0, n), rng.uniform(-4.0, 4.0, n)]
     )
-    kwargs.setdefault("phy_exact_coding", True)
     return TagFleet.build(positions, seed=seed, **kwargs)
 
 
@@ -80,12 +78,12 @@ def assert_rounds_equal(got, want):
 
 
 class TestScalarEquivalence:
-    """Fleet poll paths are bitwise identical to the MultiTagCell."""
+    """Fleet poll paths are bitwise identical to the oracle cell."""
 
     @pytest.mark.parametrize("batch_tags", [1, 2, 3, 256])
     def test_addressed_rounds_match_reference(self, batch_tags):
         fleet = make_fleet(n=5, seed=11, batch_tags=batch_tags)
-        cell = fleet.reference_cell()
+        cell = oracle.reference_cell(fleet)
         load_all(fleet, fleet.names)
         load_all(cell, fleet.names)
         for _ in range(3):  # drains queues, advances SSNs
@@ -93,7 +91,7 @@ class TestScalarEquivalence:
 
     def test_broadcast_matches_reference(self):
         fleet = make_fleet(n=4, seed=5)
-        cell = fleet.reference_cell()
+        cell = oracle.reference_cell(fleet)
         load_all(fleet, fleet.names, bits_per_tag=10)
         load_all(cell, fleet.names, bits_per_tag=10)
         for _ in range(3):
@@ -104,9 +102,9 @@ class TestScalarEquivalence:
     def test_idle_no_responder_matches_reference(self):
         # No queued bits anywhere: nobody responds, and the benign
         # no-responder decode (one fading from the first endpoint, one
-        # outcome vector) must match the fixed scalar branch exactly.
+        # outcome vector) must match the oracle's branch exactly.
         fleet = make_fleet(n=3, seed=2)
-        cell = fleet.reference_cell()
+        cell = oracle.reference_cell(fleet)
         for address in (None, fleet.names[1], fleet.names[0]):
             got = fleet.run_query(address=address)
             want = cell.run_query(address=address)
@@ -117,7 +115,7 @@ class TestScalarEquivalence:
         # Partial queues: some tags drain mid-sequence, flipping
         # queries between responding and idle along the way.
         fleet = make_fleet(n=4, seed=9)
-        cell = fleet.reference_cell()
+        cell = oracle.reference_cell(fleet)
         for target in (fleet, cell):
             target.load_bits(fleet.names[0], [1, 0, 1])
             target.load_bits(fleet.names[2], [0, 1] * 40)
@@ -136,12 +134,10 @@ class TestScalarEquivalence:
 
     def test_chunking_is_draw_neutral(self):
         # Per-row generators make batch_tags a pure memory knob: any
-        # chunking gives bitwise-identical rounds (default coding too).
+        # chunking gives bitwise-identical rounds.
         rounds = []
         for batch_tags in (1, 3, 256):
-            fleet = make_fleet(
-                n=6, seed=13, batch_tags=batch_tags, phy_exact_coding=False
-            )
+            fleet = make_fleet(n=6, seed=13, batch_tags=batch_tags)
             load_all(fleet, fleet.names)
             rounds.append(
                 [
@@ -157,7 +153,7 @@ class TestScalarEquivalence:
         # determinism contract extends to fleet workloads).
         fn = functools.partial(
             fleet_poll_stats,
-            spec=FleetSpec(n_tags=6, phy_exact_coding=True),
+            spec=FleetSpec(n_tags=6),
             rounds=1,
             bits_per_tag=8,
         )
@@ -189,7 +185,7 @@ class TestAddressedEqualsSingleTagSystem:
     :class:`WiTagSystem` built from the addressed tag's own substreams.
     All-ones payloads keep ``WiTagSystem._effective_states`` from
     drawing misalignment collateral (it only fires for zero bits), which
-    is the one scalar-system feature the multi-tag model omits.
+    is the one single-tag-system feature the multi-tag model omits.
     """
 
     @pytest.mark.parametrize("seed", [0, 4, 17])
@@ -233,7 +229,6 @@ class TestAddressedEqualsSingleTagSystem:
                 rng=error_rng,
             ),
             tag=TagStateMachine(rng=tag_rng),
-            phy_fast_path=False,  # the scalar reference decode loop
         )
         system.load_tag_bits([1] * n_bits)
 
@@ -252,12 +247,12 @@ class TestAddressedEqualsSingleTagSystem:
 
 
 class TestMultiTagDrawOrder:
-    """Regression for the satellite fixes in MultiTagCell.run_query."""
+    """The oracle cell's draw order, which the fleet engine follows."""
 
     def test_endpoint_dict_order_does_not_change_results(self):
         fleet = make_fleet(n=4, seed=23)
-        forward = fleet.reference_cell()
-        backward = fleet.reference_cell()
+        forward = oracle.reference_cell(fleet)
+        backward = oracle.reference_cell(fleet)
         backward.endpoints = dict(
             reversed(list(backward.endpoints.items()))
         )
@@ -275,7 +270,7 @@ class TestMultiTagDrawOrder:
         # tags identical per-tag decode draws.  With the old early
         # `break` the second cell's error stream advanced differently.
         fleet = make_fleet(n=3, seed=31)
-        full = fleet.reference_cell()
+        full = oracle.reference_cell(fleet)
         load_all(full, fleet.names, bits_per_tag=16)
         full.run_query(address=None)
         state_after_full = [
@@ -283,7 +278,7 @@ class TestMultiTagDrawOrder:
             for n in fleet.names
         ]
 
-        solo = fleet.reference_cell()
+        solo = oracle.reference_cell(fleet)
         load_all(solo, fleet.names, bits_per_tag=16)
         solo.endpoints[fleet.names[0]].tag.data_queue.clear()  # drop one
         solo.run_query(address=None)
@@ -301,13 +296,13 @@ class TestMultiTagDrawOrder:
         # The fixed branch consumes the first endpoint's channel stream
         # exactly like one responding link would: one fading sample.
         fleet = make_fleet(n=2, seed=6)
-        idle_cell = fleet.reference_cell()
+        idle_cell = oracle.reference_cell(fleet)
         idle_cell.run_query(address=None)  # nobody loaded: no responder
 
-        probe_cell = fleet.reference_cell()
-        probe_cell.endpoints[
-            fleet.names[0]
-        ].error_model.sample_fading()
+        probe_cell = oracle.reference_cell(fleet)
+        oracle.sample_fading(
+            probe_cell.endpoints[fleet.names[0]].error_model
+        )
         first = fleet.names[0]
         assert (
             idle_cell.endpoints[first].error_model.channel.rng
@@ -323,9 +318,7 @@ class TestScheduledFleetEquivalence:
 
     Given equal traffic and interference streams, the scheduler's
     ride/skip decisions and the collision-corrupted poll rounds must be
-    bit-identical between a :class:`TagFleet` and its scalar
-    ``reference_cell()`` — the fleet leg of the ISSUE-10 equivalence
-    suite.
+    bit-identical between a :class:`TagFleet` and its oracle cell.
     """
 
     @staticmethod
@@ -351,7 +344,7 @@ class TestScheduledFleetEquivalence:
 
     def test_fleet_rounds_match_reference_cell(self):
         fleet = make_fleet(n=4, seed=11)
-        cell = fleet.reference_cell()
+        cell = oracle.reference_cell(fleet)
         load_all(fleet, fleet.names, bits_per_tag=400)
         load_all(cell, fleet.names, bits_per_tag=400)
         a, b = self._wrap(fleet), self._wrap(cell)
@@ -454,17 +447,6 @@ class TestTagPollerSubstreams:
         for name, stats in two.items():
             assert three[name] == stats
 
-    def test_shared_rng_escape_hatch_reproduces_shared_draws(self):
-        def run():
-            poller = TagPoller(
-                self._systems(2),
-                shared_rng=True,
-                rng=np.random.default_rng(5),
-            )
-            return [(r.tag_name, r.stats) for r in poller.run_rounds(2)]
-
-        assert run() == run()
-
     def test_substream_depends_only_on_name(self):
         a = _named_substream(9, "tag-a").random(4)
         b = _named_substream(9, "tag-a").random(4)
@@ -563,11 +545,11 @@ class TestFleetNetwork:
 
 
 class TestMultiTagCellStillWorks:
-    """The reference cell API the fleet claims to mirror."""
+    """The oracle cell API the fleet mirrors."""
 
     def test_poll_round_addresses_every_tag(self):
         fleet = make_fleet(n=3, seed=19)
-        cell = fleet.reference_cell()
+        cell = oracle.reference_cell(fleet)
         load_all(cell, fleet.names)
         round_results = cell.poll_round()
         assert sorted(round_results) == sorted(fleet.names)
@@ -575,6 +557,6 @@ class TestMultiTagCellStillWorks:
             assert result.address == name
 
     def test_cell_rejects_unknown_address(self):
-        cell = make_fleet(n=2, seed=1).reference_cell()
+        cell = oracle.reference_cell(make_fleet(n=2, seed=1))
         with pytest.raises(KeyError, match="unknown tag"):
             cell.run_query(address="ghost")

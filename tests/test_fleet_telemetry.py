@@ -1,9 +1,9 @@
-"""Fleet-scale telemetry: the execution-tier invariance contract.
+"""Fleet-scale telemetry: the engine equals the oracle cell's records.
 
-The tentpole claim: attaching a :class:`repro.obs.Telemetry` to a
+The claim: attaching a :class:`repro.obs.Telemetry` to a
 :class:`repro.core.fleet.TagFleet` produces *exactly* the metric
-snapshot and trace records the scalar
-:class:`repro.core.multitag.MultiTagCell` reference produces for the
+snapshot and trace records the object-graph
+:class:`tests.oracles.link.MultiTagCell` oracle produces for the
 same physics — for any ``batch_tags`` chunking, and through the
 parallel engine for any worker count (chunk-ordered
 ``TelemetryAggregate`` merge).  Everything both paths record is
@@ -34,6 +34,7 @@ from repro.sim.network import (
     StrongestRxPolicy,
     TrafficStation,
 )
+from tests.oracles import link as oracle
 
 pytestmark = pytest.mark.fleet
 
@@ -43,7 +44,6 @@ def make_fleet(n=6, seed=11, **kwargs) -> TagFleet:
     positions = np.column_stack(
         [rng.uniform(1.0, 9.0, n), rng.uniform(-4.0, 4.0, n)]
     )
-    kwargs.setdefault("phy_exact_coding", True)
     return TagFleet.build(positions, seed=seed, **kwargs)
 
 
@@ -72,22 +72,22 @@ def query_records(path):
 
 
 class TestFleetInvariance:
-    """TagFleet and MultiTagCell produce identical telemetry."""
+    """TagFleet and the oracle cell produce identical telemetry."""
 
     @pytest.mark.parametrize("batch_tags", [1, 2, 7, 64])
     def test_snapshot_and_trace_match_reference(self, batch_tags, tmp_path):
         fleet = make_fleet(batch_tags=batch_tags)
-        cell = fleet.reference_cell()
+        cell = oracle.reference_cell(fleet)
         captures = {}
         for label, target, attach in (
-            ("fleet", fleet, "attach_fleet"),
-            ("cell", cell, "attach_cell"),
+            ("fleet", fleet, Telemetry.attach_fleet),
+            ("cell", cell, oracle.attach_cell),
         ):
             telemetry = Telemetry(
                 writer=TraceWriter(str(tmp_path / f"{label}.jsonl")),
                 sampler=TraceSampler(every_n=1),
             )
-            getattr(telemetry, attach)(target)
+            attach(telemetry, target)
             load_some(target, fleet.names)
             drive(target)
             telemetry.close()
@@ -102,14 +102,14 @@ class TestFleetInvariance:
         # No bits queued anywhere: every query takes the no-responder
         # branch, whose single fading draw must digest identically.
         fleet = make_fleet(n=3, seed=2)
-        cell = fleet.reference_cell()
+        cell = oracle.reference_cell(fleet)
         snapshots = []
         for target, attach in (
-            (fleet, "attach_fleet"),
-            (cell, "attach_cell"),
+            (fleet, Telemetry.attach_fleet),
+            (cell, oracle.attach_cell),
         ):
             telemetry = Telemetry()
-            getattr(telemetry, attach)(target)
+            attach(telemetry, target)
             target.poll_round()
             snapshots.append(telemetry.metrics_snapshot())
         assert snapshots[0] == snapshots[1]
@@ -189,7 +189,7 @@ class TestRunnerAggregation:
 
         fn = functools.partial(
             fleet_poll_stats,
-            spec=FleetSpec(n_tags=5, phy_exact_coding=True),
+            spec=FleetSpec(n_tags=5),
             rounds=1,
             bits_per_tag=8,
         )

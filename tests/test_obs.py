@@ -31,7 +31,6 @@ from repro.obs import (
     summarize_trace,
     validate_trace_record,
 )
-from repro.perf import StageCounters
 from repro.runner import SessionSpec, run_sessions
 from repro.sim.scenario import los_scenario
 
@@ -294,20 +293,6 @@ class TestCrossProcessAggregation:
         assert payload["metrics"]["metrics"]["witag_sessions_total"][
             "series"
         ][0]["value"] == 4
-
-
-class TestStageCounterRows:
-    def test_as_rows_with_rate_sorts_and_guards(self):
-        counters = StageCounters()
-        counters.add("cheap", 0.5, 5)
-        counters.add("hot", 2.0, 4)
-        counters.add("unsampled", 0.25, 0)
-        rows = counters.as_rows_with_rate()
-        assert [row[0] for row in rows] == ["hot", "cheap", "unsampled"]
-        assert rows[0] == ["hot", 2.0, 4, pytest.approx(5e5)]
-        # calls == 0 must not divide by zero; the rate column reads 0.
-        assert rows[2] == ["unsampled", 0.25, 0, 0.0]
-        assert counters.rows() == [row[:3] for row in rows]
 
 
 class TestCli:

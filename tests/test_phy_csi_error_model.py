@@ -1,4 +1,9 @@
-"""Unit tests for CSI estimation/equalization and the MPDU error model."""
+"""Unit tests for CSI estimation/equalization and the MPDU error model.
+
+The per-subframe CSI estimate, zero-forcing SINR and EESM live in the
+test oracle (``tests/oracles/link.py``), which the engine's 2-D decode
+must equal bit for bit; their physics is checked here.
+"""
 
 import math
 
@@ -10,19 +15,27 @@ from repro.phy.coding import (
     coded_bit_error_rate_batch,
     packet_error_rate_batch,
 )
-from repro.phy.csi import (
-    eesm_effective_sinr,
-    estimate_csi,
-    per_subcarrier_sinr,
-)
 from repro.phy.error_model import (
+    FadingBatch,
     FadingSample,
     LinkErrorModel,
     mpdu_success_probabilities,
-    mpdu_success_probability,
 )
 from repro.phy.mcs import ht_mcs, vht_mcs
 from repro.phy.modulation import Modulation
+from tests.oracles.link import (
+    eesm_effective_sinr,
+    estimate_csi,
+    per_subcarrier_sinr,
+    sample_fading,
+)
+
+
+def mpdu_success_probability(mcs, mpdu_bits, sinr):
+    """One MPDU's success probability from the engine's coding read."""
+    return float(
+        mpdu_success_probabilities(mcs, mpdu_bits, np.array([sinr]))[0]
+    )
 
 
 def flat_channel(n=52, gain=1e-3):
@@ -188,6 +201,22 @@ def make_model(d_tag=4.0, seed=5, **kwargs):
     )
 
 
+def one_row(fading: FadingSample) -> FadingBatch:
+    return FadingBatch(
+        direct_gains=np.array([fading.direct_gain]),
+        tag_fadings=np.array([fading.tag_fading]),
+    )
+
+
+def subframe_sinr(model, preamble, state, fading) -> float:
+    """The engine's effective SINR for a one-subframe, one-query chunk."""
+    return float(
+        model.subframe_effective_sinrs_batch2d(
+            preamble, [[state]], one_row(fading)
+        )[0, 0]
+    )
+
+
 class TestLinkErrorModel:
     def test_received_snr_plausible(self):
         model = make_model()
@@ -198,20 +227,20 @@ class TestLinkErrorModel:
 
     def test_idle_subframe_high_sinr(self):
         model = make_model()
-        fading = model.sample_fading()
-        sinr = model.subframe_effective_sinr(
-            TagState.REFLECT_0, TagState.REFLECT_0, fading
+        fading = sample_fading(model)
+        sinr = subframe_sinr(
+            model, TagState.REFLECT_0, TagState.REFLECT_0, fading
         )
         assert 10 * math.log10(sinr) > 22.0
 
     def test_flip_subframe_low_sinr(self):
         model = make_model()
-        fading = model.sample_fading()
-        idle = model.subframe_effective_sinr(
-            TagState.REFLECT_0, TagState.REFLECT_0, fading
+        fading = sample_fading(model)
+        idle = subframe_sinr(
+            model, TagState.REFLECT_0, TagState.REFLECT_0, fading
         )
-        flipped = model.subframe_effective_sinr(
-            TagState.REFLECT_0, TagState.REFLECT_180, fading
+        flipped = subframe_sinr(
+            model, TagState.REFLECT_0, TagState.REFLECT_180, fading
         )
         assert flipped < idle / 10.0
 
@@ -220,9 +249,10 @@ class TestLinkErrorModel:
         fading = FadingSample(
             direct_gain=model.channel.direct_gain, tag_fading=1.0 + 0j
         )
-        p = model.subframe_success_probability(
-            1000, TagState.REFLECT_0, TagState.REFLECT_180, fading
-        )
+        p = model.subframe_success_probabilities_batch2d(
+            1000, TagState.REFLECT_0, [[TagState.REFLECT_180]],
+            one_row(fading),
+        )[0, 0]
         assert p < 0.05
 
     def test_idle_subframe_decodes(self):
@@ -230,34 +260,35 @@ class TestLinkErrorModel:
         fading = FadingSample(
             direct_gain=model.channel.direct_gain, tag_fading=1.0 + 0j
         )
-        p = model.subframe_success_probability(
-            1000, TagState.REFLECT_0, TagState.REFLECT_0, fading
-        )
+        p = model.subframe_success_probabilities_batch2d(
+            1000, TagState.REFLECT_0, [[TagState.REFLECT_0]],
+            one_row(fading),
+        )[0, 0]
         assert p > 0.99
 
     def test_mismatch_gain_zero_weakens_corruption(self):
+        # Same seeds, so both models draw the same CSI estimation noise.
         strong = make_model(mismatch_gain_db=22.0)
         weak = make_model(mismatch_gain_db=0.0)
         fading = FadingSample(
             direct_gain=strong.channel.direct_gain, tag_fading=1.0 + 0j
         )
-        assert strong.subframe_effective_sinr(
-            TagState.REFLECT_0, TagState.REFLECT_180, fading,
-            include_estimation_noise=False,
-        ) < weak.subframe_effective_sinr(
-            TagState.REFLECT_0, TagState.REFLECT_180, fading,
-            include_estimation_noise=False,
+        assert subframe_sinr(
+            strong, TagState.REFLECT_0, TagState.REFLECT_180, fading
+        ) < subframe_sinr(
+            weak, TagState.REFLECT_0, TagState.REFLECT_180, fading
         )
 
     def test_outcome_is_bernoulli(self):
         model = make_model()
-        outcomes = {
-            model.subframe_outcome(
-                1000, TagState.REFLECT_0, TagState.REFLECT_180
-            )
-            for _ in range(50)
-        }
-        assert outcomes <= {True, False}
+        outcomes = model.subframe_outcomes_batch2d(
+            1000,
+            TagState.REFLECT_0,
+            [[TagState.REFLECT_180]] * 50,
+            model.sample_fading_batch(50),
+        )
+        assert outcomes.dtype == bool
+        assert outcomes.shape == (50, 1)
 
     def test_tx_referred_snr(self):
         model = make_model()

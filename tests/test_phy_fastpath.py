@@ -1,17 +1,16 @@
-"""Equivalence and regression suite for the vectorized PHY fast path.
+"""Equivalence and regression suite for the 2-D PHY decode.
 
 Three layers of guarantees:
 
-* **Bitwise**: the batch SINR/outcome APIs draw randomness in exactly
-  the scalar order, so from the same generator state they must return
-  bit-identical results to the per-subframe reference loop; the
-  coded-BER tables built at import equal their per-point fill.
-* **Tolerance**: the interpolated coded-BER table (the one deliberate
-  approximation on the fast path) stays within ~1e-3 relative of the
-  exact union bound, and whole sessions agree with the scalar path.
-* **Pinned**: headline Figure 5 / Figure 3 numbers recorded before the
-  optimization landed must keep reproducing (exact query/bit counts,
-  banded BER) with the fast path on.
+* **Bitwise**: the 2-D decode draws randomness in the per-subframe
+  order of the oracle in ``tests/oracles/link.py`` and reads the coded
+  BER through the same table, so from the same generator state it must
+  return bit-identical SINRs and outcomes; the coded-BER tables built at
+  import equal their per-point fill.
+* **Tolerance**: the interpolated coded-BER table stays within ~1e-3
+  relative of the exact union bound.
+* **Pinned**: headline Figure 5 / Figure 3 numbers must keep
+  reproducing exactly (query/bit counts and BER).
 """
 
 import os
@@ -39,15 +38,16 @@ from repro.phy.coding import (
 )
 from repro.phy.error_model import (
     DECODE_BLOCK_QUERIES,
+    FadingBatch,
     FadingSample,
     LinkErrorModel,
     mpdu_success_probabilities,
-    mpdu_success_probability,
 )
 from repro.phy.mcs import ht_mcs
 
 MCS_TABLE = [ht_mcs(i) for i in range(8)]
 from repro.sim.scenario import los_scenario
+from tests.oracles import link as oracle
 from tests.oracles.coding import coded_ber_table_reference
 
 STATES = [
@@ -80,78 +80,63 @@ def _fading():
     )
 
 
+def _one_row(fading: FadingSample) -> FadingBatch:
+    return FadingBatch(
+        direct_gains=np.array([fading.direct_gain]),
+        tag_fadings=np.array([fading.tag_fading]),
+    )
+
+
 class TestBitwiseEquivalence:
     def test_batch_sinrs_match_scalar_with_estimation_noise(self):
-        scalar_model = _model()
-        batch_model = _model()
+        reference = _model()
+        engine = _model()
         fading = _fading()
-        expected = np.array(
-            [
-                scalar_model.subframe_effective_sinr(
-                    TagState.REFLECT_0, state, fading
-                )
-                for state in STATES
-            ]
+        expected = oracle.effective_sinrs(
+            reference, TagState.REFLECT_0, STATES, fading
         )
-        got = batch_model.subframe_effective_sinrs(
-            TagState.REFLECT_0, STATES, fading
+        got = engine.subframe_effective_sinrs_batch2d(
+            TagState.REFLECT_0, [STATES], _one_row(fading)
         )
         # Bitwise, not approximate: same RNG draws, same float op order.
-        assert got.tolist() == expected.tolist()
-        # Both paths consumed the identical randomness stream.
+        assert got[0].tolist() == expected
         assert (
-            scalar_model.rng.bit_generator.state
-            == batch_model.rng.bit_generator.state
+            reference.rng.bit_generator.state
+            == engine.rng.bit_generator.state
         )
 
-    def test_batch_sinrs_match_scalar_without_estimation_noise(self):
-        model = _model()
-        fading = _fading()
-        expected = np.array(
-            [
-                model.subframe_effective_sinr(
-                    TagState.REFLECT_0,
-                    state,
-                    fading,
-                    include_estimation_noise=False,
-                )
-                for state in STATES
-            ]
-        )
-        got = model.subframe_effective_sinrs(
-            TagState.REFLECT_0, STATES, fading,
-            include_estimation_noise=False,
-        )
-        assert got.tolist() == expected.tolist()
-
-    def test_batch_outcomes_match_scalar_with_exact_coding(self):
-        scalar_model = _model(seed=21)
-        batch_model = _model(seed=21)
+    def test_batch_outcomes_match_scalar(self):
+        reference = _model(seed=21)
+        engine = _model(seed=21)
         fading = _fading()
         bits = [8 * 120] * len(STATES)
-        expected = [
-            scalar_model.subframe_outcome(
-                bits[i], TagState.REFLECT_0, STATES[i], fading
-            )
-            for i in range(len(STATES))
-        ]
-        got = batch_model.subframe_outcomes(
-            bits, TagState.REFLECT_0, STATES, fading, exact_coding=True
+        expected = oracle.decode_row(
+            reference, bits, TagState.REFLECT_0, STATES, fading
         )
-        assert got.tolist() == expected
+        got = engine.subframe_outcomes_batch2d(
+            bits, TagState.REFLECT_0, [STATES], _one_row(fading)
+        )
+        assert got[0].tolist() == expected
+        # Both consumed the identical randomness stream.
         assert (
-            scalar_model.rng.bit_generator.state
-            == batch_model.rng.bit_generator.state
+            reference.rng.bit_generator.state
+            == engine.rng.bit_generator.state
         )
 
     def test_mpdu_success_probabilities_exact_matches_scalar(self):
-        mcs = MCS_TABLE[4]
-        sinrs = np.geomspace(0.1, 300.0, 17)
-        expected = [
-            mpdu_success_probability(mcs, 960, float(s)) for s in sinrs
-        ]
-        got = mpdu_success_probabilities(mcs, 960, sinrs, exact=True)
-        assert got.tolist() == expected
+        # Elementwise: reading the table one subframe at a time gives
+        # the same bits as reading a whole matrix at once, which is why
+        # the oracle can read it per row.
+        for mcs in (MCS_TABLE[0], MCS_TABLE[4], MCS_TABLE[7]):
+            sinrs = np.geomspace(0.1, 300.0, 17 * 8).reshape(17, 8)
+            bits = np.full(sinrs.shape, 960)
+            bits[::3] = 120
+            matrix = mpdu_success_probabilities(mcs, bits, sinrs)
+            single = [
+                mpdu_success_probabilities(mcs, b, np.array([s]))[0]
+                for b, s in zip(bits.ravel().tolist(), sinrs.ravel())
+            ]
+            assert matrix.ravel().tolist() == single
 
     def test_per_mcs_uncoded_ber_array_matches_scalar(self):
         snrs = np.geomspace(1e-3, 1e3, 25)
@@ -165,31 +150,38 @@ class TestBitwiseEquivalence:
 
 class TestDedup:
     def test_repeated_states_equal_unique_rows(self):
-        model = _model(seed=3)
-        fading = _fading()
+        # One distinct state repeated across the row: the dedup keeps a
+        # single channel-change row and every subframe still matches
+        # the oracle, which recomputes per subframe.
         states = [TagState.REFLECT_0] * 5
-        sinrs = model.subframe_effective_sinrs(
-            TagState.REFLECT_0, states, fading,
-            include_estimation_noise=False,
+        reference, engine = _model(seed=3), _model(seed=3)
+        expected = oracle.effective_sinrs(
+            reference, TagState.REFLECT_0, states, _fading()
         )
-        # Noise-free + one distinct state: every subframe identical.
-        assert len(set(sinrs.tolist())) == 1
-        assert sinrs.shape == (5,)
+        sinrs = engine.subframe_effective_sinrs_batch2d(
+            TagState.REFLECT_0, [states], _one_row(_fading())
+        )
+        assert sinrs.shape == (1, 5)
+        assert sinrs[0].tolist() == expected
 
     def test_empty_batch(self):
         model = _model()
-        sinrs = model.subframe_effective_sinrs(
-            TagState.REFLECT_0, [], _fading()
+        empty = FadingBatch(
+            direct_gains=np.empty(0, dtype=complex),
+            tag_fadings=np.empty(0, dtype=complex),
         )
-        assert sinrs.shape == (0,)
-        outcomes = model.subframe_outcomes(
-            [], TagState.REFLECT_0, [], _fading()
+        sinrs = model.subframe_effective_sinrs_batch2d(
+            TagState.REFLECT_0, [], empty
         )
-        assert outcomes.shape == (0,)
+        assert sinrs.shape == (0, 0)
+        outcomes = model.subframe_outcomes_batch2d(
+            [], TagState.REFLECT_0, [[]], _one_row(_fading())
+        )
+        assert outcomes.shape == (1, 0)
 
     def test_all_three_states_one_ampdu(self):
-        scalar_model = _model(seed=9)
-        batch_model = _model(seed=9)
+        reference = _model(seed=9)
+        engine = _model(seed=9)
         fading = _fading()
         states = [
             TagState.ABSORB,
@@ -198,16 +190,13 @@ class TestDedup:
             TagState.REFLECT_180,
             TagState.ABSORB,
         ]
-        expected = [
-            scalar_model.subframe_effective_sinr(
-                TagState.REFLECT_180, s, fading
-            )
-            for s in states
-        ]
-        got = batch_model.subframe_effective_sinrs(
-            TagState.REFLECT_180, states, fading
+        expected = oracle.effective_sinrs(
+            reference, TagState.REFLECT_180, states, fading
         )
-        assert got.tolist() == expected
+        got = engine.subframe_effective_sinrs_batch2d(
+            TagState.REFLECT_180, [states], _one_row(fading)
+        )
+        assert got[0].tolist() == expected
 
 
 class TestCodedBerTable:
@@ -278,9 +267,19 @@ class TestCodedBerTable:
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_fast_success_probabilities_close_to_exact(self):
+        # Against the union bound composed one subframe at a time.
         mcs = MCS_TABLE[3]
         sinrs = np.geomspace(0.5, 200.0, 60)
-        exact = mpdu_success_probabilities(mcs, 1200, sinrs, exact=True)
+        exact = [
+            1.0
+            - packet_error_rate(
+                coded_bit_error_rate(
+                    mcs.coding_rate, mcs.modulation.bit_error_rate(float(s))
+                ),
+                1200,
+            )
+            for s in sinrs
+        ]
         fast = mpdu_success_probabilities(mcs, 1200, sinrs)
         # The table's ~1e-3 relative coded-BER error translates to a few
         # 1e-6 absolute on success probabilities (observed max ~3.4e-6).
@@ -339,23 +338,18 @@ class TestChannelVectorCache:
 
 class TestSystemFastPath:
     def test_session_stats_match_scalar_path(self):
-        fast_system, _ = los_scenario(4.0, seed=42)
-        slow_system, _ = los_scenario(4.0, seed=42, phy_fast_path=False)
-        assert fast_system.phy_fast_path
-        assert not slow_system.phy_fast_path
-        fast = MeasurementSession(
-            fast_system, rng=np.random.default_rng(43)
-        ).run_queries(40)
-        slow = MeasurementSession(
-            slow_system, rng=np.random.default_rng(43)
-        ).run_queries(40)
-        assert fast.queries == slow.queries == 40
-        assert fast.bits_sent == slow.bits_sent
-        assert fast.elapsed_s == slow.elapsed_s
-        # Outcomes may differ only via the coded-BER table (~1e-6 flip
-        # probability per subframe); at this sample size they never
-        # diverge measurably.
-        assert abs(fast.ber - slow.ber) < 5e-3
+        engine_system, _ = los_scenario(4.0, seed=42)
+        oracle_system, _ = los_scenario(4.0, seed=42)
+        engine = MeasurementSession(
+            engine_system, rng=np.random.default_rng(43)
+        )
+        reference = oracle.Session(
+            oracle_system, rng=np.random.default_rng(43)
+        )
+        engine_stats = engine.run_queries(40)
+        assert engine_stats.queries == 40
+        assert engine_stats == reference.run_queries(40)
+        assert engine.per_query_ber() == reference.per_query_ber()
 
     def test_counters_populated(self):
         system, _ = los_scenario(4.0, seed=11)
@@ -373,12 +367,10 @@ class TestSystemFastPath:
 
 
 class TestPinnedBaselines:
-    """Headline numbers recorded before the fast path landed.
+    """Headline numbers, pinned exactly.
 
-    Query/bit counts are timing-driven and must reproduce exactly; BER
-    is pinned to the recorded value with a band wide enough for the
-    coded-BER table's ~1e-6 per-subframe outcome-flip probability yet
-    far tighter than any physical effect in the figures.
+    Query/bit counts are timing-driven; BER depends on every decode
+    draw.  Both must reproduce to the last bit.
     """
 
     # (distance_m, queries, bits_sent, ber) with scenario seed
@@ -402,7 +394,7 @@ class TestPinnedBaselines:
         stats = session.run_for(0.4)
         assert stats.queries == queries
         assert stats.bits_sent == bits_sent
-        assert stats.ber == pytest.approx(ber, abs=2e-3)
+        assert stats.ber == ber
 
     def test_fig3_channel_change_magnitudes(self):
         system, _ = los_scenario(4.0, seed=104)
@@ -442,7 +434,7 @@ class TestBlockedDecode:
             rngs=rngs() if per_row else None,
         )
         outcomes = batch_model.subframe_outcomes_batch2d(
-            bits, TagState.REFLECT_0, rows, fading, exact_coding=True,
+            bits, TagState.REFLECT_0, rows, fading,
             rngs=rngs() if per_row else None,
         )
         # The reference replays both calls query by query, each row
@@ -451,19 +443,19 @@ class TestBlockedDecode:
         for q in range(n_q):
             if per_row:
                 ref_model.rng = row_rngs[q]
-            expected = ref_model.subframe_effective_sinrs(
-                TagState.REFLECT_0, rows[q], fading.sample(q)
+            expected = oracle.effective_sinrs(
+                ref_model, TagState.REFLECT_0, rows[q], fading.sample(q)
             )
-            assert sinrs[q].tolist() == expected.tolist(), q
+            assert sinrs[q].tolist() == expected, q
         row_rngs = rngs()
         for q in range(n_q):
             if per_row:
                 ref_model.rng = row_rngs[q]
-            expected = ref_model.subframe_outcomes(
-                bits, TagState.REFLECT_0, rows[q], fading.sample(q),
-                exact_coding=True,
+            expected = oracle.decode_row(
+                ref_model, bits, TagState.REFLECT_0, rows[q],
+                fading.sample(q),
             )
-            assert outcomes[q].tolist() == expected.tolist(), q
+            assert outcomes[q].tolist() == expected, q
         if not per_row:
             assert (
                 batch_model.rng.bit_generator.state

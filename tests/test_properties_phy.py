@@ -13,7 +13,7 @@ from repro.mac.duration import duration_field_us
 from repro.phy.airtime import ppdu_airtime
 from repro.phy.channel import ChannelGeometry, PathLossModel
 from repro.phy.coding import coded_bit_error_rate, packet_error_rate
-from repro.phy.csi import eesm_effective_sinr
+from tests.oracles.link import eesm_effective_sinr
 from repro.phy.mcs import ht_mcs, vht_mcs
 from repro.phy.modulation import (
     Modulation,

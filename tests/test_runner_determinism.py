@@ -256,8 +256,6 @@ session_specs = st.builds(
     kind=st.sampled_from(["los", "nlos"]),
     distance_m=st.floats(allow_nan=False, allow_infinity=False),
     location=st.text(min_size=1, max_size=8),
-    phy_fast_path=st.booleans(),
-    session_fast_path=st.booleans(),
     batch_queries=st.integers(1, 128),
     data_stream=st.integers(1, 8),
 )

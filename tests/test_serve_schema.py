@@ -8,6 +8,7 @@ message naming the offending field, never inside a worker.
 """
 
 import json
+import re
 
 import pytest
 
@@ -57,7 +58,6 @@ class TestSpecRoundTrips:
         spec = SessionSpec(
             kind="nlos",
             location="below",
-            phy_fast_path=False,
             batch_queries=16,
         )
         assert (
@@ -192,6 +192,35 @@ class TestStrictValidation:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "payload,named",
+        [
+            (
+                {
+                    "fn": "los_ber_point",
+                    "fn_kwargs": {"phy_fast_path": False},
+                    "sweep": {"axes": {"distance_m": [1.0]}},
+                },
+                "fn_kwargs['phy_fast_path']",
+            ),
+            (
+                {
+                    "kind": "sessions",
+                    "sessions": {"session_fast_path": True},
+                    "n_sessions": 1,
+                    "queries": 5,
+                },
+                "session_fast_path",
+            ),
+        ],
+        ids=["fn_kwargs", "sessions"],
+    )
+    def test_removed_engine_switches_are_refused(self, payload, named):
+        # The scalar-loop switches are gone; a job naming one is a
+        # client error that names the key, not a silent no-op.
+        with pytest.raises(SchemaError, match=re.escape(named)):
+            job_request_from_json(payload)
+
     def test_fn_kwargs_names_must_be_keywords_of_fn(self):
         # A name the work function does not take is refused at submit
         # time, not as a TypeError inside the first work unit.
@@ -205,7 +234,8 @@ class TestStrictValidation:
             )
         message = str(error.value)
         assert "fn_kwargs['warm']" in message
-        assert "phy_fast_path, session_fast_path, sim_seconds" in message
+        assert "sim_seconds" in message
+        assert "phy_fast_path" not in message
         request = job_request_from_json(
             {
                 "fn": "los_ber_point",

@@ -1,45 +1,63 @@
-"""Equivalence suite for the cross-query batched session engine.
+"""Equivalence suite for the query engine against the per-query oracle.
 
-The batch engine (:meth:`repro.core.system.WiTagSystem.run_queries_batch`
-behind ``MeasurementSession(session_fast_path=True)``) runs whole chunks
-of query cycles as one ``(n_queries, n_subframes)`` numpy computation.
-Its contract is *bitwise* equality with the scalar per-query loop: every
-simulation component owns its generator and the batch engine consumes
-every stream in exact scalar order, so SessionStats, per-query BER
-vectors, block-ACK bitmaps and generator end-states must all be
-identical for any chunk size — and, through the parallel engine, for
-any worker count.  With ``phy_exact_coding=True`` the equality extends
-all the way down to the scalar per-subframe PHY reference.  Every
-session runs on the batch engine, contended and encrypted ones
-included; ``session_fast_path=False`` selects the scalar oracle.
+The engine (:meth:`repro.core.system.WiTagSystem.run_queries_batch`,
+driven by :class:`MeasurementSession`) runs whole chunks of query
+cycles as one ``(n_queries, n_subframes)`` numpy computation.  Its
+contract is *bitwise* equality with the per-subframe, per-query loop
+in ``tests/oracles/link.py``: every simulation component owns its
+generator and the engine consumes every stream in the loop's order, so
+SessionStats, per-query BER vectors, block-ACK bitmaps, cycle times and
+generator end-states must all be identical for any chunk size —
+contended and encrypted sessions included — and, through the parallel
+engine, for any worker count.  :class:`TestEngineEqualsOracle` draws
+random scenarios for the same contract.
 """
 
+import dataclasses
 import functools
 import pickle
-import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import EncryptionMode
 from repro.core.session import MeasurementSession, run_parallel_sessions
 from repro.phy.channel import BackscatterChannel, ChannelGeometry, TagState
+from repro.phy.coding import coded_bit_error_rate, packet_error_rate
+from repro.phy.mcs import ht_mcs
 from repro.runner import SessionSpec, UnitContext
 from repro.sim.scenario import build_system, los_scenario, nlos_scenario
+from tests.oracles import link as oracle
+from tests.oracles.query import build_reference
 
 QUERIES = 30
 
 
-def _session(fast: bool, *, batch: int = 8, data_seed: int = 6,
-             system=None, **scenario_kwargs) -> MeasurementSession:
+def _session(*, batch: int = 8, data_seed: int = 6, system=None,
+             **scenario_kwargs) -> MeasurementSession:
+    """The engine: a session on a chunk size of ``batch`` queries."""
     if system is None:
         system, _ = los_scenario(4.0, seed=5, **scenario_kwargs)
     return MeasurementSession(
-        system,
-        rng=np.random.default_rng(data_seed),
-        session_fast_path=fast,
-        batch_queries=batch,
+        system, rng=np.random.default_rng(data_seed), batch_queries=batch
     )
+
+
+def _oracle(*, data_seed: int = 6, system=None,
+            **scenario_kwargs) -> oracle.Session:
+    """The same session on the per-query oracle loop."""
+    if system is None:
+        system, _ = los_scenario(4.0, seed=5, **scenario_kwargs)
+    return oracle.Session(system, rng=np.random.default_rng(data_seed))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_queries(count: int) -> tuple[oracle.Session, object]:
+    """The default oracle session after ``count`` queries, and its stats."""
+    reference = _oracle()
+    return reference, reference.run_queries(count)
 
 
 def _bitmaps(session: MeasurementSession) -> list[int]:
@@ -75,95 +93,95 @@ def _rng_states(session: MeasurementSession) -> list:
     return states
 
 
-def _forbid_scalar_queries(session: MeasurementSession) -> None:
-    """Fail the test if ``session`` runs any cycle through ``run_query``."""
-
-    def run_query():
-        raise AssertionError("the session left the batch engine")
-
-    session.system.run_query = run_query
-
-
-def _assert_sessions_identical(slow: MeasurementSession,
-                               fast: MeasurementSession) -> None:
+def _assert_sessions_identical(reference: MeasurementSession,
+                               engine: MeasurementSession) -> None:
     """The full bitwise contract between two finished sessions."""
-    assert len(slow.results) == len(fast.results)
-    assert _bitmaps(slow) == _bitmaps(fast)
-    assert slow.per_query_ber() == fast.per_query_ber()
-    assert [r.cycle_s for r in slow.results] == [
-        r.cycle_s for r in fast.results
+    assert len(reference.results) == len(engine.results)
+    assert _bitmaps(reference) == _bitmaps(engine)
+    assert reference.per_query_ber() == engine.per_query_ber()
+    assert [r.cycle_s for r in reference.results] == [
+        r.cycle_s for r in engine.results
     ]
-    assert [r.detected for r in slow.results] == [
-        r.detected for r in fast.results
+    assert [r.detected for r in reference.results] == [
+        r.detected for r in engine.results
     ]
-    assert _rng_states(slow) == _rng_states(fast)
+    assert _rng_states(reference) == _rng_states(engine)
 
 
 class TestBitwiseEquivalence:
     def test_run_queries_matches_per_query_loop(self):
-        slow = _session(False)
-        fast = _session(True)
-        assert slow.run_queries(QUERIES) == fast.run_queries(QUERIES)
-        _assert_sessions_identical(slow, fast)
-        assert [r.query.psdu for r in slow.results] == [
-            r.query.psdu for r in fast.results
+        reference, reference_stats = _oracle_queries(QUERIES)
+        engine = _session()
+        assert engine.run_queries(QUERIES) == reference_stats
+        _assert_sessions_identical(reference, engine)
+        assert [r.query.psdu for r in reference.results] == [
+            r.query.psdu for r in engine.results
         ]
 
-    def test_exact_coding_matches_scalar_phy_reference(self):
-        # With the interpolated coded-BER table bypassed, the batch
-        # engine is bitwise equal to the per-subframe scalar reference.
-        ref_system, _ = los_scenario(4.0, seed=5, phy_fast_path=False)
-        slow = _session(False, system=ref_system)
-        fast = _session(True)
-        fast.system.phy_exact_coding = True
-        assert slow.run_queries(QUERIES) == fast.run_queries(QUERIES)
-        assert _bitmaps(slow) == _bitmaps(fast)
-        assert slow.per_query_ber() == fast.per_query_ber()
+    def test_exact_coding_matches_scalar_phy_reference(self, monkeypatch):
+        # The per-subframe reference priced with the exact union bound
+        # instead of the coded-BER table decides every subframe of this
+        # session as the engine does: the table's ~1e-3 relative error
+        # moves no outcome here.
+        def exact(mcs, mpdu_bits, sinrs):
+            bits = np.broadcast_to(np.asarray(mpdu_bits), np.shape(sinrs))
+            return np.array([
+                1.0 - packet_error_rate(
+                    coded_bit_error_rate(
+                        mcs.coding_rate,
+                        mcs.modulation.bit_error_rate(max(float(s), 0.0)),
+                    ),
+                    int(b),
+                )
+                for b, s in zip(bits.ravel(), np.ravel(sinrs))
+            ])
+
+        monkeypatch.setattr(oracle, "mpdu_success_probabilities", exact)
+        reference = _oracle()
+        engine = _session()
+        assert reference.run_queries(QUERIES) == engine.run_queries(QUERIES)
+        _assert_sessions_identical(reference, engine)
 
     @pytest.mark.parametrize("batch", [1, 3, 29, 1000])
     def test_chunk_size_invariance(self, batch):
-        reference = _session(False)
-        chunked = _session(True, batch=batch)
-        assert reference.run_queries(QUERIES) == chunked.run_queries(
-            QUERIES
-        )
+        reference, reference_stats = _oracle_queries(QUERIES)
+        chunked = _session(batch=batch)
+        assert chunked.run_queries(QUERIES) == reference_stats
         _assert_sessions_identical(reference, chunked)
 
     def test_run_for_matches_scalar_loop(self):
         # 0.5 s is ~340 cycles: the count crosses many chunk boundaries
         # (batch_queries=16), and the prologue's float accumulation must
-        # stop on the scalar loop's cycle.
-        slow = _session(False, batch=16)
-        fast = _session(True, batch=16)
-        assert slow.run_for(0.5) == fast.run_for(0.5)
-        _assert_sessions_identical(slow, fast)
+        # stop on the oracle loop's cycle.
+        reference = _oracle()
+        engine = _session(batch=16)
+        assert reference.run_for(0.5) == engine.run_for(0.5)
+        _assert_sessions_identical(reference, engine)
 
     def test_contention_batches_and_matches(self):
         # Random backoffs make cycle durations unpredictable; the
-        # prologue draws them before each chunk, so both run_queries
-        # and run_for stay on the batch engine.
-        slow = _session(False, n_contenders=3)
-        fast = _session(True, n_contenders=3)
-        _forbid_scalar_queries(fast)
-        assert slow.run_queries(QUERIES) == fast.run_queries(QUERIES)
-        _assert_sessions_identical(slow, fast)
-        slow2 = _session(False, n_contenders=3)
-        fast2 = _session(True, n_contenders=3)
-        _forbid_scalar_queries(fast2)
-        assert slow2.run_for(0.3) == fast2.run_for(0.3)
-        _assert_sessions_identical(slow2, fast2)
+        # prologue draws them before each chunk, for run_queries and
+        # run_for alike.
+        reference = _oracle(n_contenders=3)
+        engine = _session(n_contenders=3)
+        assert reference.run_queries(QUERIES) == engine.run_queries(QUERIES)
+        _assert_sessions_identical(reference, engine)
+        reference2 = _oracle(n_contenders=3)
+        engine2 = _session(n_contenders=3)
+        assert reference2.run_for(0.3) == engine2.run_for(0.3)
+        _assert_sessions_identical(reference2, engine2)
 
     def test_correlated_fading_matches(self):
-        # The AR(1) fading process is sequential inside; the batch
-        # engine must advance it by the same per-cycle dts.
-        slow = _session(False, coherence_time_s=0.1)
-        fast = _session(True, coherence_time_s=0.1)
-        assert slow.run_queries(QUERIES) == fast.run_queries(QUERIES)
-        _assert_sessions_identical(slow, fast)
-        slow2 = _session(False, coherence_time_s=0.1)
-        fast2 = _session(True, coherence_time_s=0.1)
-        assert slow2.run_for(0.3) == fast2.run_for(0.3)
-        _assert_sessions_identical(slow2, fast2)
+        # The AR(1) fading process is sequential inside; the engine
+        # must advance it by the same per-cycle dts.
+        reference = _oracle(coherence_time_s=0.1)
+        engine = _session(coherence_time_s=0.1)
+        assert reference.run_queries(QUERIES) == engine.run_queries(QUERIES)
+        _assert_sessions_identical(reference, engine)
+        reference2 = _oracle(coherence_time_s=0.1)
+        engine2 = _session(coherence_time_s=0.1)
+        assert reference2.run_for(0.3) == engine2.run_for(0.3)
+        _assert_sessions_identical(reference2, engine2)
 
     def test_encrypted_queries_match(self):
         # CCMP packet numbers must advance one build at a time, so the
@@ -172,29 +190,26 @@ class TestBitwiseEquivalence:
             encryption=EncryptionMode.WPA2_CCMP,
             encryption_key=bytes(range(16)),
         )
-        slow = _session(False, **kwargs)
-        fast = _session(True, **kwargs)
-        _forbid_scalar_queries(fast)
-        assert slow.run_queries(12) == fast.run_queries(12)
-        _assert_sessions_identical(slow, fast)
-        assert slow.run_for(0.01) == fast.run_for(0.01)
-        _assert_sessions_identical(slow, fast)
+        reference = _oracle(**kwargs)
+        engine = _session(**kwargs)
+        assert reference.run_queries(12) == engine.run_queries(12)
+        _assert_sessions_identical(reference, engine)
+        assert reference.run_for(0.01) == engine.run_for(0.01)
+        _assert_sessions_identical(reference, engine)
 
     def test_missed_triggers_match(self):
         # A weak tag link (tag 10 m from the client) misses some
         # queries; detection outcomes and the zero-bit results they
         # produce must agree.
-        def build(fast):
-            system, _ = build_system(
-                ChannelGeometry.on_line(20.0, 10.0), seed=5
-            )
-            return _session(fast, system=system)
+        def system():
+            return build_system(ChannelGeometry.on_line(20.0, 10.0), seed=5)[0]
 
-        slow, fast = build(False), build(True)
-        slow_stats = slow.run_queries(40)
-        assert slow_stats == fast.run_queries(40)
-        assert slow_stats.missed_triggers > 0
-        _assert_sessions_identical(slow, fast)
+        reference = _oracle(system=system())
+        engine = _session(system=system())
+        reference_stats = reference.run_queries(40)
+        assert engine.run_queries(40) == reference_stats
+        assert reference_stats.missed_triggers > 0
+        _assert_sessions_identical(reference, engine)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -206,25 +221,106 @@ class TestBitwiseEquivalence:
         ids=["no-fading", "direct-static", "tag-static"],
     )
     def test_disabled_fading_variants_match(self, kwargs):
-        slow = _session(False, **kwargs)
-        fast = _session(True, **kwargs)
-        assert slow.run_queries(15) == fast.run_queries(15)
-        _assert_sessions_identical(slow, fast)
+        reference = _oracle(**kwargs)
+        engine = _session(**kwargs)
+        assert reference.run_queries(15) == engine.run_queries(15)
+        _assert_sessions_identical(reference, engine)
 
     def test_nlos_scenario_matches(self):
-        def build(fast):
-            system, _ = nlos_scenario("B", seed=5)
-            return _session(fast, system=system)
+        reference = _oracle(system=nlos_scenario("B", seed=5)[0])
+        engine = _session(system=nlos_scenario("B", seed=5)[0])
+        assert reference.run_queries(20) == engine.run_queries(20)
+        _assert_sessions_identical(reference, engine)
 
-        slow, fast = build(False), build(True)
-        assert slow.run_queries(20) == fast.run_queries(20)
-        _assert_sessions_identical(slow, fast)
+
+ENCRYPTION = {
+    "open": {},
+    "wep": {
+        "encryption": EncryptionMode.WEP,
+        "encryption_key": bytes(range(13)),
+    },
+    "ccmp": {
+        "encryption": EncryptionMode.WPA2_CCMP,
+        "encryption_key": bytes(range(16)),
+    },
+}
+
+
+@st.composite
+def scenarios(draw):
+    """A system factory, a chunk size and the runs to make on it.
+
+    Draws the MCS, the A-MPDU length, the encryption, 0-4 contenders,
+    correlated or per-query fading, a LOS distance or an NLOS location,
+    and a tx power that reaches from a solid link down to one whose
+    tag misses its triggers (detector floor: -46 dBm).
+    """
+    kwargs = dict(
+        seed=draw(st.integers(0, 2**16)),
+        mcs=ht_mcs(draw(st.integers(0, 7))),
+        n_contenders=draw(st.integers(0, 4)),
+        coherence_time_s=draw(st.sampled_from([None, 0.1])),
+        tx_power_dbm=draw(st.floats(-12.0, 15.0)),
+        **ENCRYPTION[draw(st.sampled_from(sorted(ENCRYPTION)))],
+    )
+    location = draw(st.sampled_from(["LOS", "A", "B"]))
+    distance_m = draw(st.floats(0.5, 7.5))
+    n_subframes = draw(st.integers(3, 64))
+
+    def build():
+        if location == "LOS":
+            system, _ = los_scenario(distance_m, **kwargs)
+        else:
+            system, _ = nlos_scenario(location, **kwargs)
+        config = dataclasses.replace(system.config, n_subframes=n_subframes)
+        return dataclasses.replace(system, config=config)
+
+    runs = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("queries"), st.integers(1, 10)),
+                st.tuples(st.just("for"), st.floats(0.002, 0.03)),
+            ),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    return build, draw(st.integers(1, 64)), runs
+
+
+class TestEngineEqualsOracle:
+    """Random sessions: the engine equals the oracle loop, bit for bit.
+
+    Draws the per-scenario cases (contention, correlated fading,
+    WEP/CCMP, missed triggers, NLOS, ``run_for`` across chunks) in
+    random combination; the named cases pin each one on fixed seeds,
+    and the edges the draws reach rarely: every chunk size in
+    ``run_for`` runs of ~290 cycles, partially missed triggers, static
+    fading.
+    """
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(scenarios())
+    def test_session_equals_oracle(self, scenario):
+        build, batch, runs = scenario
+        engine = _session(batch=batch, system=build())
+        reference = _oracle(system=build())
+        for kind, amount in runs:
+            if kind == "queries":
+                assert engine.run_queries(amount) == (
+                    reference.run_queries(amount)
+                )
+            else:
+                assert engine.run_for(amount) == reference.run_for(amount)
+        _assert_sessions_identical(reference, engine)
+        assert [r.query.psdu for r in reference.results] == [
+            r.query.psdu for r in engine.results
+        ]
 
 
 #: run_for configs whose cycle durations depend on draws or whose frames
 #: cannot be memoized, with a duration that ends mid-chunk for every
-#: chunk size tested (the scalar loop runs 289, 289, 23, 49 and 289
-#: cycles).
+#: chunk size tested (the oracle runs 289, 289, 23, 49 and 289 cycles).
 RUN_FOR_CONFIGS = {
     "contended": ({"n_contenders": 3}, 1.3),
     "contended-correlated": (
@@ -264,97 +360,97 @@ def _run_for_system(config: str):
 
 @functools.lru_cache(maxsize=None)
 def _scalar_run_for(config: str):
-    """The scalar oracle's finished session and stats for ``config``."""
-    session = _session(False, system=_run_for_system(config))
+    """The oracle's finished session and stats for ``config``."""
+    session = _oracle(system=_run_for_system(config))
     return session, session.run_for(RUN_FOR_CONFIGS[config][1])
 
 
 class TestRunForOnBatchEngine:
-    """run_for batches every config and equals the scalar loop."""
+    """run_for on every chunk size equals the oracle loop."""
 
     @pytest.mark.parametrize("batch", [1, 3, 16, 256])
     @pytest.mark.parametrize("config", list(RUN_FOR_CONFIGS))
     def test_run_for_matches_scalar_loop(self, config, batch):
-        slow, slow_stats = _scalar_run_for(config)
-        fast = _session(True, batch=batch, system=_run_for_system(config))
-        _forbid_scalar_queries(fast)
-        assert fast.run_for(RUN_FOR_CONFIGS[config][1]) == slow_stats
-        assert batch == 1 or slow_stats.queries % batch != 0
+        reference, reference_stats = _scalar_run_for(config)
+        engine = _session(batch=batch, system=_run_for_system(config))
+        assert engine.run_for(RUN_FOR_CONFIGS[config][1]) == reference_stats
+        assert batch == 1 or reference_stats.queries % batch != 0
         if config == "missed-triggers":
-            assert slow_stats.missed_triggers > 0
-        _assert_sessions_identical(slow, fast)
-        assert [r.query.psdu for r in slow.results] == [
-            r.query.psdu for r in fast.results
+            assert reference_stats.missed_triggers > 0
+        _assert_sessions_identical(reference, engine)
+        assert [r.query.psdu for r in reference.results] == [
+            r.query.psdu for r in engine.results
         ]
+
+
+def _scheduled(session: MeasurementSession):
+    from repro.traffic import (
+        HoltPredictor,
+        OnOffTraffic,
+        OpportunityScheduler,
+        ScheduledSession,
+    )
+
+    session.system.load_tag_bits([1, 0] * 600)
+    return ScheduledSession(
+        session=session,
+        traffic=OnOffTraffic(
+            rate_fps=600.0,
+            mean_on_s=0.30,
+            mean_off_s=0.45,
+            rng=np.random.default_rng(11),
+        ),
+        scheduler=OpportunityScheduler(predictor=HoltPredictor()),
+        interference_rng=np.random.default_rng(12),
+    )
 
 
 @pytest.mark.adaptive
 class TestScheduledSessionEquivalence:
-    """Traffic-aware scheduling inherits the bitwise tier contract.
+    """Traffic-aware scheduling inherits the bitwise contract.
 
     Ride/skip decisions depend only on the traffic stream and predictor
     state, ridden-window activities drain through the CSMA FIFO in
     identical per-query order, and interference draws happen per ridden
-    query in window order — so the scalar and batch session engines
-    must agree bit for bit on decisions, results and stats.
+    query in window order — so the engine and the oracle loop must
+    agree bit for bit on decisions, results and stats.
     """
 
-    @staticmethod
-    def _scheduled(fast: bool):
-        from repro.traffic import (
-            HoltPredictor,
-            OnOffTraffic,
-            OpportunityScheduler,
-            ScheduledSession,
-        )
-
-        system, _ = los_scenario(2.0, seed=5, n_contenders=4)
-        session = MeasurementSession(
-            system,
-            rng=np.random.default_rng(6),
-            session_fast_path=fast,
-        )
-        system.load_tag_bits([1, 0] * 600)
-        return ScheduledSession(
-            session=session,
-            traffic=OnOffTraffic(
-                rate_fps=600.0,
-                mean_on_s=0.30,
-                mean_off_s=0.45,
-                rng=np.random.default_rng(11),
-            ),
-            scheduler=OpportunityScheduler(predictor=HoltPredictor()),
-            interference_rng=np.random.default_rng(12),
-        )
-
     def test_decisions_and_stats_match_across_session_tiers(self):
-        slow = self._scheduled(False)
-        fast = self._scheduled(True)
-        assert slow.run_queries(80) == fast.run_queries(80)
-        assert slow.decisions == fast.decisions
-        assert slow.rides == fast.rides and slow.rides == len(slow.results)
-        assert [r.received_bits for r in slow.results] == [
-            r.received_bits for r in fast.results
+        def system():
+            return los_scenario(2.0, seed=5, n_contenders=4)[0]
+
+        reference = _scheduled(_oracle(system=system()))
+        engine = _scheduled(_session(system=system(), batch=256))
+        assert reference.run_queries(80) == engine.run_queries(80)
+        assert reference.decisions == engine.decisions
+        assert reference.rides == engine.rides == len(reference.results)
+        assert [r.received_bits for r in reference.results] == [
+            r.received_bits for r in engine.results
         ]
-        assert slow.per_query_ber() == fast.per_query_ber()
-        assert slow._elapsed_s == fast._elapsed_s
+        assert reference.per_query_ber() == engine.per_query_ber()
+        assert reference._elapsed_s == engine._elapsed_s
 
     def test_adaptive_link_reports_match_across_session_tiers(self):
         # The full closed loop (scheduler + RS codec + redundancy
-        # controller) through both session engines: round reports,
-        # rung trajectories and energy ledgers must be identical.
+        # controller) on the engine and on the oracle loop: round
+        # reports, rung trajectories and energy ledgers must be
+        # identical.
         from repro.runner.workers import AdaptiveLinkSpec
 
-        def link(fast):
-            spec = AdaptiveLinkSpec(session_fast_path=fast)
-            return spec(
+        def link():
+            return AdaptiveLinkSpec()(
                 UnitContext(index=0, parameters={}, root_seed=21)
             )
 
-        slow, fast = link(False), link(True)
-        assert slow.run(3, 60) == fast.run(3, 60)
-        assert slow.scheduled.decisions == fast.scheduled.decisions
-        assert slow.controller.index == fast.controller.index
+        engine, reference = link(), link()
+        session = reference.scheduled.session
+        reference.scheduled.session = oracle.Session(
+            session.system, rng=session.rng
+        )
+        assert reference.run(3, 60) == engine.run(3, 60)
+        assert reference.scheduled.decisions == engine.scheduled.decisions
+        assert reference.controller.index == engine.controller.index
 
     @pytest.mark.runner
     def test_link_stats_independent_of_workers(self):
@@ -379,49 +475,16 @@ class TestScheduledSessionEquivalence:
         assert all(v["windows"] == 80 for v in serial.values)
 
 
-class TestStageTimingsParity:
-    """Satellite: observability must not change under the batch path."""
-
-    def test_stage_structure_and_call_counts_identical(self):
-        slow = _session(False)
-        fast = _session(True)
-        slow.run_queries(QUERIES)
-        fast.run_queries(QUERIES)
-        slow_t, fast_t = slow.stage_timings(), fast.stage_timings()
-        assert set(slow_t) == set(fast_t) == {"system", "error_model"}
-        for group in slow_t:
-            assert set(slow_t[group]) == set(fast_t[group])
-            for stage in slow_t[group]:
-                assert (
-                    slow_t[group][stage]["calls"]
-                    == fast_t[group][stage]["calls"]
-                ), (group, stage)
-                assert fast_t[group][stage]["seconds"] >= 0.0
-        assert slow.per_query_ber() == fast.per_query_ber()
-
-    def test_per_call_us(self):
-        fast = _session(True)
-        fast.run_queries(5)
-        counters = fast.system.counters
-        assert counters.per_call_us("phy-decode") >= 0.0
-        assert counters.per_call_us("never-recorded") == 0.0
-
-
 class TestTelemetryEquivalence:
-    """Telemetry is execution-tier invariant: all three tiers emit
-    identical metric snapshots and identical trace streams for the same
-    seed (with ``phy_exact_coding`` pinning the fast tiers to the scalar
-    PHY reference)."""
+    """The engine emits the oracle loop's metric snapshot and trace."""
 
-    def _instrumented(self, tmp_path, name, *, fast, phy_fast):
+    @staticmethod
+    def _instrumented(tmp_path, name, session):
         from repro.obs import Telemetry, TraceWriter
 
         telemetry = Telemetry(
             writer=TraceWriter(str(tmp_path / f"{name}.jsonl"))
         )
-        session = _session(fast, phy_fast_path=phy_fast)
-        if phy_fast:
-            session.system.phy_exact_coding = True
         telemetry.attach(session.system)
         stats = session.run_queries(QUERIES)
         telemetry.close()
@@ -447,34 +510,23 @@ class TestTelemetryEquivalence:
         return queries, sessions
 
     def test_all_tiers_emit_identical_telemetry(self, tmp_path):
-        scalar = self._instrumented(
-            tmp_path, "scalar", fast=False, phy_fast=False
-        )
-        vector = self._instrumented(
-            tmp_path, "vector", fast=False, phy_fast=True
-        )
-        batch = self._instrumented(
-            tmp_path, "batch", fast=True, phy_fast=True
-        )
-        assert scalar[1] == vector[1] == batch[1]
-        scalar_snap = scalar[0].metrics_snapshot()
-        assert scalar_snap == vector[0].metrics_snapshot()
-        assert scalar_snap == batch[0].metrics_snapshot()
-        scalar_trace = self._records(scalar[2])
-        assert scalar_trace == self._records(vector[2])
-        assert scalar_trace == self._records(batch[2])
-        queries, sessions = scalar_trace
+        reference = self._instrumented(tmp_path, "oracle", _oracle())
+        engine = self._instrumented(tmp_path, "engine", _session())
+        assert reference[1] == engine[1]
+        assert reference[0].metrics_snapshot() == engine[0].metrics_snapshot()
+        reference_trace = self._records(reference[2])
+        assert reference_trace == self._records(engine[2])
+        queries, sessions = reference_trace
         assert len(queries) == QUERIES
         assert len(sessions) == 1
 
     def test_batch_scoreboard_counters_match_scalar(self, tmp_path):
-        # The batch engine replays only each chunk's final query onto
-        # the real scoreboard; the bulk hook must account for the rest.
+        # The engine replays only each chunk's final query onto the
+        # real scoreboard; the bulk hook must account for the rest.
         from repro.obs import Telemetry
 
-        def run(fast):
+        def run(session):
             telemetry = Telemetry()
-            session = _session(fast)
             telemetry.attach(session.system)
             session.run_queries(QUERIES)
             snap = telemetry.metrics_snapshot()["metrics"]
@@ -486,31 +538,36 @@ class TestTelemetryEquivalence:
                 )
             }
 
-        assert run(False) == run(True)
+        assert run(_oracle()) == run(_session())
 
 
 @pytest.mark.runner
 class TestWorkerInvariance:
-    def test_results_independent_of_workers_and_fast_path(self):
-        spec = SessionSpec(distance_m=4.0, batch_queries=7)
-        outcomes = []
-        for n_workers, fast in (
-            (1, True),
-            (2, True),
-            (1, False),
-            (2, False),
-        ):
-            result = run_parallel_sessions(
-                spec,
-                3,
-                queries=20,
-                seed=9,
-                n_workers=n_workers,
-                session_fast_path=fast,
+    def test_results_independent_of_workers_and_chunking(self):
+        # Worker count and chunk size are both result-neutral, and the
+        # stats equal the oracle loop's run of each unit.
+        def spec(batch):
+            return SessionSpec(distance_m=4.0, batch_queries=batch)
+
+        outcomes = [
+            run_parallel_sessions(
+                spec(batch), 3, queries=20, seed=9, n_workers=n_workers
+            ).values
+            for n_workers, batch in ((1, 7), (2, 7), (1, 256), (2, 1))
+        ]
+        assert all(values == outcomes[0] for values in outcomes[1:])
+        reference = []
+        for i in range(3):
+            session = spec(7)(
+                UnitContext(
+                    index=i, parameters={"session": i}, root_seed=9
+                )
             )
-            outcomes.append(result.values)
-        first = outcomes[0]
-        assert all(values == first for values in outcomes[1:])
+            reference.append(
+                oracle.Session(session.system, rng=session.rng)
+                .run_queries(20)
+            )
+        assert outcomes[0] == reference
 
     def test_session_spec_is_picklable_and_validates(self):
         spec = SessionSpec(kind="nlos", location="B")
@@ -541,10 +598,10 @@ class TestCacheInvalidationFromSession:
     """Satellite: mutating geometry mid-run must propagate everywhere."""
 
     def test_mid_run_mutation_keeps_paths_identical(self):
-        slow = _session(False)
-        fast = _session(True)
-        control = _session(True)
-        for session in (slow, fast, control):
+        reference = _oracle()
+        engine = _session()
+        control = _session()
+        for session in (reference, engine, control):
             session.run_queries(10)
 
         def mutate(session):
@@ -557,20 +614,20 @@ class TestCacheInvalidationFromSession:
             channel._h_tag_los = channel._h_tag_los * 0.02
             channel.invalidate_caches()
 
-        mutate(slow)
-        mutate(fast)
-        slow.run_queries(10)
-        fast.run_queries(10)
+        mutate(reference)
+        mutate(engine)
+        reference.run_queries(10)
+        engine.run_queries(10)
         control.run_queries(10)
-        _assert_sessions_identical(slow, fast)
+        _assert_sessions_identical(reference, engine)
         # The mutation visibly changed the physics of the second half
         # (weaker reflection -> different decode outcomes) — i.e. the
-        # batch engine saw the new geometry, not a stale cache.
-        assert _bitmaps(fast)[10:] != _bitmaps(control)[10:]
-        assert _bitmaps(fast)[:10] == _bitmaps(control)[:10]
+        # engine saw the new geometry, not a stale cache.
+        assert _bitmaps(engine)[10:] != _bitmaps(control)[10:]
+        assert _bitmaps(engine)[:10] == _bitmaps(control)[:10]
 
     def test_invalidate_refreshes_static_vectors_via_session(self):
-        session = _session(True)
+        session = _session()
         session.run_queries(3)
         channel = session.system.error_model.channel
         before = channel.channel_vector(TagState.ABSORB)
@@ -581,15 +638,15 @@ class TestCacheInvalidationFromSession:
 
 
 class TestBuilderMemo:
-    def test_build_fast_matches_build_across_memo_cycle(self):
+    def test_build_matches_reference_across_memo_cycle(self):
         # Unencrypted frames are pure functions of the SSN, which wraps
         # through a 64-value cycle for the default 64-subframe A-MPDU:
         # 130 builds revisit every memo entry at least once.
         ref_system, _ = los_scenario(4.0, seed=5)
         memo_system, _ = los_scenario(4.0, seed=5)
         for _ in range(130):
-            expected = ref_system.builder.build()
-            got = memo_system.builder.build_fast()
+            expected = build_reference(ref_system.builder)
+            got = memo_system.builder.build()
             assert got.psdu == expected.psdu
             assert got.mpdus == expected.mpdus
             assert got.ssn == expected.ssn
@@ -638,30 +695,29 @@ class TestFadingBatch:
         )
 
 
-class TestTagFastPath:
-    def test_process_query_fast_matches_reference(self):
+class TestTagFsm:
+    def test_process_query_matches_reference(self):
+        from repro.tag.state_machine import QueryObservation
+
         def make():
             system, _ = los_scenario(4.0, seed=5)
             system.load_tag_bits([1, 0] * 31)
             return system
 
-        ref, fast = make(), make()
+        ref, engine = make(), make()
         for _ in range(5):
             frame = ref.builder.build()
-            fast.builder.build()
-            from repro.core.system import QueryObservation
-
             observation = QueryObservation(
                 n_subframes=frame.n_subframes,
                 n_trigger_subframes=frame.n_trigger_subframes,
                 subframe_s=frame.mean_subframe_s,
-                rx_power_dbm=ref._rx_at_tag_dbm,
+                rx_power_dbm=ref.rx_power_at_tag_dbm,
                 temperature_c=ref.temperature_c,
             )
-            expected = ref.tag.process_query(observation)
-            got = fast.tag.process_query_fast(observation)
+            expected = oracle.process_query(ref.tag, observation)
+            got = engine.tag.process_query(observation)
             assert got == expected
         assert (
             ref.tag.rng.bit_generator.state
-            == fast.tag.rng.bit_generator.state
+            == engine.tag.rng.bit_generator.state
         )

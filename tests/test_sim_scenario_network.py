@@ -105,7 +105,7 @@ class TestTagPoller:
             "door": los_scenario(1.0, seed=1)[0],
             "window": los_scenario(6.0, seed=2)[0],
         }
-        poller = TagPoller(systems, dwell_s=0.05, rng=np.random.default_rng(0))
+        poller = TagPoller(systems, dwell_s=0.05)
         results = poller.run_rounds(2)
         assert {r.tag_name for r in results} == {"door", "window"}
         for result in results:

@@ -320,9 +320,7 @@ class TestScheduledSession:
     @staticmethod
     def _scheduled(**kwargs):
         system, _ = los_scenario(2.0, seed=5)
-        session = MeasurementSession(
-            system, rng=np.random.default_rng(6), session_fast_path=True
-        )
+        session = MeasurementSession(system, rng=np.random.default_rng(6))
         system.load_tag_bits([1, 0] * 400)
         defaults = dict(
             session=session,
