@@ -5,8 +5,7 @@ Usage::
     python -m repro sweep [--distances 1,2,...] [--workers 4] [--seed 0]
                           [--metrics-out M.json] [--trace-out T.jsonl]
                           [--retries 3] [--timeout 30] [--backoff 0.1]
-                          [--inject-faults crash:0] [--checkpoint C.jsonl]
-                          [--resume]
+                          [--checkpoint C.jsonl] [--resume]
     python -m repro metrics [--sessions 4] [--queries 50] [--workers 2]
                             [--format table|json|prometheus] [--out PATH]
                             [--input M1.json --input M2.json]
@@ -75,7 +74,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         activate,
     )
     from .runner import (
-        FaultSpec,
         RetryPolicy,
         SweepError,
         SweepSpec,
@@ -92,15 +90,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not distances:
         print("--distances must name at least one point", file=sys.stderr)
         return 2
-    faults = None
-    if args.inject_faults:
-        try:
-            faults = FaultSpec.parse(
-                args.inject_faults, hang_s=args.hang_seconds
-            )
-        except ValueError as error:
-            print(f"bad --inject-faults: {error}", file=sys.stderr)
-            return 2
     retry = None
     if (
         args.retries is not None
@@ -155,7 +144,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             spec,
             n_workers=n_workers,
             retry=retry,
-            faults=faults,
             checkpoint=args.checkpoint,
             resume=args.resume,
         )
@@ -289,7 +277,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             from .obs import merge_metric_snapshots
 
             snapshots = []
-            transports = []
             for path, item in zip(args.input, payloads):
                 snap = (
                     item.get("metrics")
@@ -304,9 +291,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                     )
                     return 2
                 snapshots.append(snap)
-                transport = item.get("transport")
-                if isinstance(transport, dict) and "schema" in transport:
-                    transports.append(transport)
             try:
                 payload = {
                     "metrics": merge_metric_snapshots(snapshots),
@@ -315,10 +299,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                     ),
                     "version": payloads[0].get("version"),
                 }
-                if transports:
-                    payload["transport"] = merge_metric_snapshots(
-                        transports
-                    )
             except ValueError as error:
                 print(
                     f"cannot merge --input payloads: {error}",
@@ -350,25 +330,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    # Chunk-transport metrics (payload bytes / encode times) ride in a
-    # separate operational snapshot so they never perturb the
-    # deterministic physics aggregate; fold them into the human-facing
-    # renderings here.
-    transport = payload.get("transport")
-    if not (isinstance(transport, dict) and "schema" in transport):
-        transport = None
     if args.format == "json":
         text = json.dumps(payload, indent=2)
     elif args.format == "prometheus":
-        from .obs import merge_metric_snapshots
-
         try:
-            exposed = (
-                merge_metric_snapshots([snapshot, transport])
-                if transport is not None
-                else snapshot
-            )
-            text = render_prometheus(exposed)
+            text = render_prometheus(snapshot)
         except ValueError as error:
             print(f"bad snapshot: {error}", file=sys.stderr)
             return 2
@@ -379,10 +345,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             f"repro {payload.get('version', '?')})",
         )
         text = table.render()
-        if transport is not None:
-            text += "\n\n" + _metrics_table(
-                transport, "chunk transport (coordinator-side)"
-            ).render()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -735,8 +697,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(json.dumps(config.to_json(), sort_keys=True))
         return 0
     service = SweepService(config)
-    # SIGTERM takes Ctrl-C's path: the running job's thread finishes,
-    # its pool workers are joined, and the server exits 0.
+    # SIGTERM takes Ctrl-C's path: a running job stops at its next
+    # chunk boundary, its pool workers are joined, and the server
+    # exits 0.
     signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         service.run_forever()
@@ -808,20 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="base backoff sleep in seconds between chunk retries "
         "(enables fault tolerance)",
-    )
-    sweep.add_argument(
-        "--inject-faults",
-        type=str,
-        default=None,
-        metavar="SPEC",
-        help="deterministic fault injection, e.g. 'crash:0,3;corrupt:2' "
-        "(kinds: crash, hang, corrupt, exit; indices are work units)",
-    )
-    sweep.add_argument(
-        "--hang-seconds",
-        type=float,
-        default=0.05,
-        help="how long an injected hang sleeps",
     )
     sweep.add_argument(
         "--checkpoint",

@@ -199,12 +199,6 @@ class WiTagSystem:
         frame, delay = self.draw_cycle()
         return self.run_queries_batch([frame], [delay])[0]
 
-    def run_queries(self, count: int) -> list[QueryResult]:
-        """Run ``count`` consecutive query cycles."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        return [self.run_query() for _ in range(count)]
-
     def run_queries_batch(
         self,
         frames: Sequence[QueryFrame],

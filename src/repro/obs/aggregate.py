@@ -9,11 +9,7 @@ sums, and per-chunk registries are merged in chunk order.
 
 Stage counters (wall-clock) aggregate the same way but are *not*
 deterministic across runs — they answer "where did worker time go?",
-not "what happened in the physics?".  Chunk-transport metrics (payload
-bytes, encode times) are the same kind of operational signal: they
-exist only when chunks actually cross a process boundary, so they live
-in their own registry (:meth:`TelemetryAggregate.transport_snapshot`)
-and never perturb the deterministic physics snapshot.
+not "what happened in the physics?".
 """
 
 from __future__ import annotations
@@ -33,10 +29,8 @@ class TelemetryAggregate:
 
     _registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     _stage: dict[str, StageCounters] = field(default_factory=dict)
-    _transport: MetricsRegistry = field(default_factory=MetricsRegistry)
     chunks: int = 0
     has_metrics: bool = False
-    has_transport: bool = False
 
     @classmethod
     def from_chunks(
@@ -80,41 +74,6 @@ class TelemetryAggregate:
         if counted:
             self.has_metrics = True
 
-    def record_transport(self, events: Iterable[Any]) -> None:
-        """Fold chunk-transport events into the *operational* metrics.
-
-        ``events`` are :class:`repro.runner.transport.TransportEvent`
-        objects the coordinator collected while decoding chunk
-        payloads; each adds its encoded size to
-        ``runner_chunk_bytes_total{codec}`` and its encode time to
-        ``runner_chunk_encode_seconds``.  These land in a registry of
-        their own (:meth:`transport_snapshot`), not the physics
-        snapshot: a serial run moves zero payload bytes, so folding
-        transport into :meth:`metrics_snapshot` would break the
-        serial-equals-parallel aggregate invariant.
-        """
-        from .telemetry import ENCODE_SECONDS_BUCKETS
-
-        counted = False
-        for event in events:
-            self._transport.counter(
-                "runner_chunk_bytes_total",
-                "Encoded chunk payload bytes by transport codec",
-                labels=("codec",),
-            ).labels(codec=event.codec).inc(event.nbytes)
-            self._transport.histogram(
-                "runner_chunk_encode_seconds",
-                ENCODE_SECONDS_BUCKETS,
-                "Per-chunk transport encode wall-clock seconds",
-            ).observe(event.encode_s)
-            counted = True
-        if counted:
-            self.has_transport = True
-
-    def transport_snapshot(self) -> dict[str, Any] | None:
-        """Chunk-transport metric snapshot, or ``None`` if none flowed."""
-        return self._transport.snapshot() if self.has_transport else None
-
     def metrics_snapshot(self) -> dict[str, Any] | None:
         """Merged metric snapshot, or ``None`` if no chunk had metrics."""
         return self._registry.snapshot() if self.has_metrics else None
@@ -153,5 +112,4 @@ class TelemetryAggregate:
             "chunks": self.chunks,
             "metrics": self.metrics_snapshot(),
             "stage": self.stage_timings(),
-            "transport": self.transport_snapshot(),
         }

@@ -2,15 +2,15 @@
 
 Converts the JSONL trace records written by
 :class:`repro.obs.trace.TraceWriter` (query spans, session stage
-timings, engine retry/transport events) into two standard offline
+timings, engine retry events) into two standard offline
 formats:
 
 * :func:`chrome_trace` — the Chrome tracing / Perfetto ``trace_event``
   JSON object format (load via ``chrome://tracing`` or
   https://ui.perfetto.dev).  Query cycles become complete (``"X"``)
   events laid end-to-end on simulated time; per-group stage timings
-  become complete events on their own tracks; retry/transport records
-  become instant (``"i"``) events.
+  become complete events on their own tracks; retry records become
+  instant (``"i"``) events.
 * :func:`flamegraph_lines` — Brendan Gregg's collapsed-stack text
   (``group;stage <microseconds>`` per line), ready for
   ``flamegraph.pl`` or speedscope.  Lines sum to the total stage time
@@ -87,9 +87,8 @@ def chrome_trace(
       ``args``.
     * ``tid 2`` (*sessions*) — one instant event per ``session``
       record at the simulated time it closed.
-    * ``tid 3`` (*engine*) — instant events for ``retry`` records and
-      complete events for ``transport`` records (spanning the chunk's
-      encode+decode wall-clock at the current simulated time).
+    * ``tid 3`` (*engine*) — instant events for ``retry`` records.
+      ``transport`` records, which older versions wrote, are skipped.
     * one stage track per stage-timing group (``tid >= 4``) — each
       stage a complete event, stages laid end-to-end per group, so
       relative widths read like a flamegraph row.
@@ -183,27 +182,6 @@ def chrome_trace(
                     "args": {
                         key: record[key]
                         for key in ("attempt", "reason", "action")
-                        if key in record
-                    },
-                }
-            )
-        elif kind == "transport":
-            events.append(
-                {
-                    "name": f"transport chunk {record['chunk']}",
-                    "cat": "engine",
-                    "ph": "X",
-                    "ts": now_us,
-                    "dur": (
-                        float(record.get("encode_s", 0.0))
-                        + float(record.get("decode_s", 0.0))
-                    )
-                    * _US,
-                    "pid": 1,
-                    "tid": 3,
-                    "args": {
-                        key: record[key]
-                        for key in ("codec", "nbytes")
                         if key in record
                     },
                 }

@@ -35,10 +35,6 @@ from .metrics import (
     log_buckets,
 )
 
-#: Per-chunk transport encode times: tens of microseconds (small pickle
-#: payloads) up to seconds (huge shared-memory arrays).
-ENCODE_SECONDS_BUCKETS = log_buckets(1e-5, 10.0, 13)
-
 #: Simulated AP polling-round durations: milliseconds (a handful of
 #: tags, light contention) up to ~a minute (thousands of tags).
 ROUND_SECONDS_BUCKETS = log_buckets(1e-3, 1e2, 11)
@@ -176,16 +172,6 @@ class Telemetry:
                 "runner_chunk_retries_total",
                 "Engine chunk fault-tolerance events by failure reason",
                 labels=("reason",),
-            )
-            self._chunk_bytes = registry_.counter(
-                "runner_chunk_bytes_total",
-                "Encoded chunk payload bytes by transport codec",
-                labels=("codec",),
-            )
-            self._chunk_encode = registry_.histogram(
-                "runner_chunk_encode_seconds",
-                ENCODE_SECONDS_BUCKETS,
-                "Per-chunk transport encode wall-clock seconds",
             )
             # Fleet-scale families (multi-tag cells, the vectorized
             # fleet engine, and the multi-AP network layer).  Created
@@ -566,33 +552,6 @@ class Telemetry:
                     "attempt": int(event.attempt),
                     "reason": str(event.reason),
                     "action": str(event.action),
-                }
-            )
-            self.writer.flush()
-
-    def on_chunk_transport(self, event) -> None:
-        """One chunk payload crossing the process boundary.
-
-        Called by the coordinator's scheduler on the *live* telemetry
-        with a :class:`repro.runner.transport.TransportEvent` after it
-        decodes a chunk.  Counted under
-        ``runner_chunk_bytes_total{codec}`` and
-        ``runner_chunk_encode_seconds``; when tracing, written as a
-        ``transport`` trace record.
-        """
-        if self.metrics_enabled:
-            self._chunk_bytes.labels(codec=event.codec).inc(event.nbytes)
-            self._chunk_encode.observe(event.encode_s)
-        if self.writer is not None:
-            self.writer.write(
-                {
-                    "schema": TRACE_SCHEMA,
-                    "kind": "transport",
-                    "chunk": int(event.chunk_index),
-                    "codec": str(event.codec),
-                    "nbytes": int(event.nbytes),
-                    "encode_s": float(event.encode_s),
-                    "decode_s": float(event.decode_s),
                 }
             )
             self.writer.flush()

@@ -57,8 +57,8 @@ def load_status(path: str) -> dict[str, Any]:
     Accepts either a bare registry snapshot (``{"schema": 1,
     "metrics": {...}}``, what ``/metrics?format=json`` serves) or the
     aggregated telemetry payload ``--metrics-out`` writes (snapshot
-    nested under its ``"metrics"`` key, with an optional
-    ``"transport"`` sibling that is folded in for display).
+    nested under its ``"metrics"`` key; any other key, such as the
+    ``"transport"`` section older versions wrote, is ignored).
     """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
@@ -67,13 +67,8 @@ def load_status(path: str) -> dict[str, Any]:
     nested = payload.get("metrics")
     if isinstance(nested, Mapping) and "schema" in nested:
         # Aggregated telemetry payload: the registry snapshot nests
-        # under "metrics" (with an operational "transport" sibling).
+        # under "metrics".
         snapshot: Any = nested
-        transport = payload.get("transport")
-        if isinstance(transport, Mapping) and "schema" in transport:
-            from .metrics import merge_metric_snapshots
-
-            snapshot = merge_metric_snapshots([snapshot, transport])
     elif "schema" in payload:
         snapshot = payload
     else:

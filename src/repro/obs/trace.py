@@ -21,9 +21,10 @@ Record kinds:
   :class:`repro.runner.faults.RetryEvent`): which chunk failed, the
   attempt number, the failure reason, and what the scheduler did about
   it (retry, serial fallback, or terminal failure).
-* ``transport`` — one chunk payload crossing the process boundary (see
-  :class:`repro.runner.transport.TransportEvent`): the codec, encoded
-  size, and encode/decode wall-clock.
+* ``transport`` — one chunk payload crossing the process boundary: the
+  codec, encoded size, and encode/decode wall-clock.  Older versions
+  wrote these; nothing writes them now, but they still validate so
+  those traces keep loading.
 
 Sampling (:class:`TraceSampler`) bounds trace cost on long runs:
 ``every_n`` keeps one query in N, ``head`` always keeps the first few,

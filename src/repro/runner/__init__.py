@@ -14,11 +14,15 @@ Fault tolerance (see ``docs/fault_tolerance.md``):
 
 * :class:`RetryPolicy` — retries, backoff, chunk deadline, circuit
   breaker; thread through ``run_units`` / ``run_sweep`` /
-  ``run_sessions`` via ``retry=``.
-* :class:`FaultSpec` — deterministic fault injection for tests and
-  ``repro sweep --inject-faults``.
+  ``run_sessions`` via ``retry=``.  Each :class:`RetryEvent` records
+  one decision (reasons ``unit-error``, ``timeout``, ``executor``).
 * :func:`load_checkpoint` / :func:`checkpoint_fingerprint` — the
   chunk-granular checkpoint files written by ``checkpoint=``.
+
+Pooled chunks return their values through the executor's own result
+pickle and settle as each one finishes: the checkpoint spill, the
+``on_chunk`` progress report and the observer's chance to stop the run
+all come per chunk, not per pool round.
 
 See ``docs/running_experiments.md`` for usage and the determinism
 contract, and :mod:`repro.runner.workers` for ready-made picklable
@@ -45,30 +49,15 @@ from .engine import (
     run_sweep,
     run_units,
 )
-from .faults import (
-    CorruptPayload,
-    FaultSpec,
-    InjectedFault,
-    RetryEvent,
-    RetryPolicy,
-)
+from .faults import RetryEvent, RetryPolicy
 from .sessions import run_sessions
-from .transport import (
-    EncodedChunk,
-    TransportError,
-    TransportEvent,
-)
 from .workers import FleetSpec, SessionSpec
 
 __all__ = [
     "CheckpointError",
     "ChunkProgress",
     "CheckpointState",
-    "CorruptPayload",
-    "EncodedChunk",
-    "FaultSpec",
     "FleetSpec",
-    "InjectedFault",
     "RetryEvent",
     "RetryPolicy",
     "SessionSpec",
@@ -77,8 +66,6 @@ __all__ = [
     "SweepSpec",
     "TelemetryAggregate",
     "TelemetrySpec",
-    "TransportError",
-    "TransportEvent",
     "UnitContext",
     "WorkUnitError",
     "WorkerTiming",

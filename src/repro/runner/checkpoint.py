@@ -17,16 +17,14 @@ File format (one JSON object per line):
   seed, grid, or chunking refuses to resume rather than silently
   mixing results.
 * ``chunk`` — one completed chunk: its index, unit span, worker pid,
-  busy seconds, and a base64 chunk stream of ``(values,
-  telemetry_snapshot)`` guarded by a BLAKE2b digest.  The stream is
-  the :mod:`repro.runner.transport` pickle stream that carried the
-  chunk across the process boundary, so spilling reuses the worker's
-  bytes instead of re-pickling.  Schema 2 records carry ``"codec":
-  "pickle"`` and the stream's ``payload_bytes``; schema 1 records,
-  plain base64 pickles, still load.  A record of the retired ``shm``
-  codec raises :class:`CheckpointError` rather than being skipped,
-  so its chunks never re-run silently.  Values are serialized (not
-  JSON) because work functions return arbitrary Python objects
+  busy seconds, and a base64 pickle stream of ``(values,
+  telemetry_snapshot)`` guarded by a BLAKE2b digest, both computed by
+  the coordinator when it spills the chunk.  Schema 2 records carry
+  ``"codec": "pickle"`` and the stream's ``payload_bytes``; schema 1
+  records, plain base64 pickles, still load.  A record of the retired
+  ``shm`` codec raises :class:`CheckpointError` rather than being
+  skipped, so its chunks never re-run silently.  Values are pickled
+  (not JSON) because work functions return arbitrary Python objects
   (``SessionStats``, numpy scalars, dataclasses) and resume must
   reproduce them bit-identically.
 
@@ -42,16 +40,9 @@ import base64
 import hashlib
 import json
 import os
+import pickle
 from dataclasses import dataclass
 from typing import Any
-
-from .transport import (
-    CODEC,
-    TransportError,
-    decode_payload,
-    encode_chunk,
-    payload_digest,
-)
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -70,6 +61,9 @@ CHECKPOINT_SCHEMA = 2
 
 #: Schemas :func:`load_checkpoint` accepts.
 _COMPATIBLE_SCHEMAS = (1, 2)
+
+#: The codec named in every schema-2 chunk record.
+CODEC = "pickle"
 
 _DIGEST_BYTES = 16
 
@@ -123,7 +117,34 @@ class CheckpointState:
         return str(self.meta.get("fingerprint", ""))
 
 
-def _decode_payload(
+def payload_digest(raw: bytes) -> str:
+    """BLAKE2b digest a chunk record stores beside its stream."""
+    return hashlib.blake2b(raw, digest_size=_DIGEST_BYTES).hexdigest()
+
+
+def encode_payload(
+    values: list[Any], telemetry: dict[str, Any] | None
+) -> bytes:
+    """One chunk's ``(values, telemetry)`` as the stream a record spills."""
+    return pickle.dumps((values, telemetry), protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def decode_payload(raw: bytes) -> tuple[list[Any], dict[str, Any] | None]:
+    """Decode a stream from :func:`encode_payload`.
+
+    Raises :class:`ValueError` when the stream does not unpickle to a
+    ``(values, telemetry)`` pair (truncated or foreign bytes).
+    """
+    try:
+        values, telemetry = pickle.loads(raw)
+    except Exception as exc:  # noqa: BLE001 - any unpickling failure
+        raise ValueError(
+            f"chunk stream could not be decoded: {type(exc).__name__}: {exc}"
+        ) from exc
+    return values, telemetry
+
+
+def _decode_record_payload(
     encoded: str, digest: str
 ) -> tuple[list[Any], dict[str, Any] | None]:
     raw = base64.b64decode(encoded.encode("ascii"), validate=True)
@@ -180,18 +201,13 @@ class CheckpointWriter:
         self._handle.flush()
         self.records_written += 1
 
-    def record_chunk(
-        self, chunk: CompletedChunk, encoded: bytes | None = None
-    ) -> None:
+    def record_chunk(self, chunk: CompletedChunk) -> None:
         """Persist one completed chunk (values + telemetry snapshot).
 
-        ``encoded`` is the stream that carried the chunk across the
-        process boundary: the coordinator hands those bytes in verbatim
-        and the writer spills them without re-serializing the values.
-        Serial runs (no boundary crossed) encode here, once.
+        The stream and its digest are computed here, once per spilled
+        chunk.
         """
-        if encoded is None:
-            encoded = encode_chunk(chunk.values, chunk.telemetry).payload
+        encoded = encode_payload(chunk.values, chunk.telemetry)
         self._write_line(
             {
                 "schema": CHECKPOINT_SCHEMA,
@@ -266,7 +282,7 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointState:
                     f"without resume) to start over"
                 )
             try:
-                values, telemetry = _decode_payload(
+                values, telemetry = _decode_record_payload(
                     record["payload"], record["digest"]
                 )
                 chunk = CompletedChunk(
@@ -279,12 +295,7 @@ def load_checkpoint(path: str | os.PathLike) -> CheckpointState:
                     telemetry=telemetry,
                     payload_bytes=int(record.get("payload_bytes", 0)),
                 )
-            except (
-                KeyError,
-                ValueError,
-                TypeError,
-                TransportError,
-            ):
+            except (KeyError, ValueError, TypeError):
                 skipped += 1
                 continue
             if len(chunk.values) != chunk.n_units:

@@ -27,12 +27,11 @@ multiprocessing, and for work functions that cannot be pickled.
 Fault tolerance extends the contract rather than weakening it.  With a
 :class:`repro.runner.faults.RetryPolicy`, failed chunks are retried
 (exponential backoff, deterministic jitter), hung chunks are cut off by
-an in-worker deadline, corrupt payloads are detected by the
-coordinator's integrity check, and repeated executor breakdowns trip a
-circuit breaker onto the serial executor — and because every unit's
-values are a pure function of its :class:`UnitContext`, a retried,
-resumed (see :mod:`repro.runner.checkpoint`), or serial-fallback run
-produces a bit-identical :class:`SweepResult`.
+an in-worker deadline, and repeated executor breakdowns trip a circuit
+breaker onto the serial executor — and because every unit's values are
+a pure function of its :class:`UnitContext`, a retried, resumed (see
+:mod:`repro.runner.checkpoint`), or serial-fallback run produces a
+bit-identical :class:`SweepResult`.
 """
 
 from __future__ import annotations
@@ -44,9 +43,9 @@ import signal
 import threading
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -65,16 +64,7 @@ from .checkpoint import (
     checkpoint_fingerprint,
     load_checkpoint,
 )
-from .faults import CorruptPayload, FaultSpec, RetryEvent, RetryPolicy
-from .transport import (
-    CODEC,
-    EncodedChunk,
-    TransportError,
-    TransportEvent,
-    decode_payload,
-    encode_chunk,
-    payload_digest,
-)
+from .faults import RetryEvent, RetryPolicy
 
 __all__ = [
     "ChunkProgress",
@@ -194,15 +184,17 @@ class ChunkProgress:
     The coordinator invokes the observer on its own thread, once per
     resolved chunk: first for every chunk restored from a checkpoint
     (``resumed=True``, in chunk order, before any execution starts),
-    then for each freshly executed chunk in completion order.  This is
-    the hook that makes the engine drivable from an event loop — a
-    server can forward each report into an ``asyncio`` queue and stream
-    live progress without polling (see :mod:`repro.serve`).
+    then for each freshly executed chunk as soon as it finishes (in
+    completion order, right after its checkpoint spill).  This is the
+    hook that makes the engine drivable from an event loop — a server
+    can forward each report into an ``asyncio`` queue and stream live
+    progress without polling (see :mod:`repro.serve`).
 
     An exception raised by the observer aborts the run and propagates
-    to the caller; completed chunks stay spilled in the checkpoint, so
-    observers may raise deliberately to implement cooperative
-    cancellation at chunk granularity.
+    to the caller: chunks not yet started are cancelled, and completed
+    chunks stay spilled in the checkpoint, so observers may raise
+    deliberately to implement cooperative cancellation at chunk
+    granularity.
 
     Attributes:
         chunk_index: position in the run's chunk list.
@@ -306,8 +298,9 @@ class SweepResult:
     #: any worker count, with or without retries — expose identical
     #: aggregated metric values.
     telemetry: TelemetryAggregate | None = None
-    #: Fault-tolerance decisions the scheduler made, in the order they
-    #: happened (empty for a clean run).
+    #: Fault-tolerance decisions the scheduler made, in the order it
+    #: made them — completion order within a pool round (empty for a
+    #: clean run).
     retries: tuple[RetryEvent, ...] = ()
     #: Chunks restored from a checkpoint instead of being re-run.
     resumed_chunks: int = 0
@@ -378,14 +371,6 @@ class _ChunkOutcome:
     worker: int
     busy_s: float
     telemetry: dict[str, Any] | None = None
-    #: Wire form: the payload as encoded by the worker (values and
-    #: telemetry are then empty until the coordinator materializes it).
-    encoded: EncodedChunk | None = None
-    #: Coordinator-side: the decoded payload's raw bytes, kept alive
-    #: exactly long enough for the checkpoint writer to spill the same
-    #: stream (the single-encode contract), then stripped before the
-    #: outcome is stored.
-    stream: bytes | None = None
 
 
 @contextmanager
@@ -426,15 +411,14 @@ def _run_chunk(
     fn: Callable[[UnitContext], Any],
     units: list[UnitContext],
     telemetry_spec: TelemetrySpec | None = None,
-    faults: FaultSpec | None = None,
-    attempt: int = 0,
     timeout_s: float | None = None,
 ) -> _ChunkOutcome:
     """Execute one chunk of units; never raises (failures are data).
 
     Returning failures instead of raising keeps tracebacks readable
     across the process boundary and lets the coordinator attribute the
-    error to a specific unit.
+    error to a specific unit.  A pooled chunk's outcome returns through
+    the executor's own result pickle.
 
     When a :class:`TelemetrySpec` is given, a fresh per-chunk
     :class:`repro.obs.Telemetry` is activated around the unit loop
@@ -442,11 +426,8 @@ def _run_chunk(
     :func:`repro.obs.runtime.attach_active`) and its snapshot rides
     back on the outcome — this is the cross-process telemetry channel.
     A spec of ``None`` leaves any caller-activated live telemetry in
-    place (the serial tracing flow).
-
-    ``faults`` and ``attempt`` drive deterministic fault injection
-    (:class:`repro.runner.faults.FaultSpec`); ``timeout_s`` arms the
-    in-process chunk deadline.
+    place (the serial tracing flow).  ``timeout_s`` arms the in-process
+    chunk deadline.
     """
     start = time.perf_counter()
     values: list[Any] = []
@@ -456,12 +437,7 @@ def _run_chunk(
         nonlocal failure
         for ctx in units:
             try:
-                if faults is not None:
-                    faults.apply_before(ctx.index, attempt)
-                value = fn(ctx)
-                if faults is not None:
-                    value = faults.apply_after(ctx.index, attempt, value)
-                values.append(value)
+                values.append(fn(ctx))
             except _ChunkTimeout as exc:
                 failure = _UnitFailure(
                     index=ctx.index,
@@ -515,34 +491,6 @@ def _run_chunk(
     )
 
 
-def _run_chunk_wire(
-    fn: Callable[[UnitContext], Any],
-    units: list[UnitContext],
-    telemetry_spec: TelemetrySpec | None = None,
-    faults: FaultSpec | None = None,
-    attempt: int = 0,
-    timeout_s: float | None = None,
-) -> _ChunkOutcome:
-    """Run a chunk and encode its payload for the result channel.
-
-    The worker-side entry point for the process executor: the chunk
-    body is :func:`_run_chunk` unchanged, but a successful outcome's
-    ``(values, telemetry)`` payload is encoded *once* here, as a
-    digested pickle stream, and rides the executor's result channel
-    as bytes.  Failed chunks return as-is (their partial values are
-    never used).
-    """
-    outcome = _run_chunk(fn, units, telemetry_spec, faults, attempt, timeout_s)
-    if outcome.failure is not None:
-        return outcome
-    return replace(
-        outcome,
-        values=[],
-        telemetry=None,
-        encoded=encode_chunk(outcome.values, outcome.telemetry),
-    )
-
-
 def _chunked(
     units: list[UnitContext], chunk_size: int
 ) -> list[list[UnitContext]]:
@@ -585,28 +533,21 @@ def resolve_executor(requested: str, n_workers: int) -> str:
     return "process"
 
 
-def _first_corrupt(outcome: _ChunkOutcome) -> int | None:
-    """Unit index of the first corrupt payload in a chunk, if any."""
-    for offset, value in enumerate(outcome.values):
-        if isinstance(value, CorruptPayload):
-            return outcome.first_index + offset
-    return None
-
-
 class _ChunkScheduler:
     """Runs chunks under a retry policy; the fault-tolerance core.
 
     Process-executor rounds: all unresolved chunks are submitted to a
-    fresh pool, successful outcomes are kept, failed chunks queue for
-    the next round (with backoff), and executor-level failures — a
-    worker killed mid-chunk, an unpicklable work function — count
+    fresh pool and each one settles as soon as it finishes — a good
+    outcome is kept (spilled and reported at once), a failed chunk
+    queues for the next round (with backoff).  Executor-level failures
+    — a worker killed mid-chunk, an unpicklable work function — count
     against the circuit breaker, which falls back to the always-correct
     serial executor when it trips.  Chunk failures (unit errors,
-    timeouts, corrupt payloads) count against the per-chunk
-    ``max_attempts`` budget instead; exhausting it makes the failure
-    terminal.  Without a :class:`RetryPolicy` the scheduler reproduces
-    the engine's historical strict behaviour: one attempt per chunk and
-    an immediate :class:`SweepError` on executor failure.
+    timeouts) count against the per-chunk ``max_attempts`` budget
+    instead; exhausting it makes the failure terminal.  Without a
+    :class:`RetryPolicy` the scheduler reproduces the engine's
+    historical strict behaviour: one attempt per chunk and an immediate
+    :class:`SweepError` on executor failure.
     """
 
     def __init__(
@@ -617,7 +558,6 @@ class _ChunkScheduler:
         n_workers: int,
         telemetry_spec: TelemetrySpec | None,
         retry: RetryPolicy | None,
-        faults: FaultSpec | None,
         seed: int,
         on_complete: Callable[[int, _ChunkOutcome], None] | None = None,
     ) -> None:
@@ -630,7 +570,6 @@ class _ChunkScheduler:
         self.retry = retry if retry is not None else RetryPolicy(
             max_attempts=1, breaker_failures=1, jitter=0.0
         )
-        self.faults = faults
         self.seed = seed
         self.on_complete = on_complete
         self.outcomes: dict[int, _ChunkOutcome] = {}
@@ -638,7 +577,6 @@ class _ChunkScheduler:
         self.terminal: dict[int, _UnitFailure] = {}
         self.events: list[RetryEvent] = []
         self.pool_breaks = 0
-        self.transport_events: list[TransportEvent] = []
 
     # -- event plumbing -------------------------------------------------
 
@@ -660,101 +598,12 @@ class _ChunkScheduler:
         if live is not None:
             live.on_chunk_retry(event)
 
-    # -- transport ------------------------------------------------------
-
-    def _materialize(
-        self, chunk_index: int, outcome: _ChunkOutcome
-    ) -> _ChunkOutcome:
-        """Decode a wire outcome into a settleable one.
-
-        Verifies the encoded stream's digest, decodes values +
-        telemetry, and records the transport event.  A transport
-        failure becomes an ordinary chunk failure (reason
-        ``transport``) charged against the retry budget — the chunk's
-        work is repeatable, so re-running it is strictly better than
-        dying.
-        """
-        if outcome.encoded is None:
-            return outcome
-        encoded = outcome.encoded
-        raw = encoded.payload
-        start = time.perf_counter()
-        try:
-            if payload_digest(raw) != encoded.digest:
-                raise TransportError("chunk stream failed its integrity check")
-            values, telemetry = decode_payload(raw)
-        except TransportError as exc:
-            first = self.chunks[chunk_index][0]
-            return replace(
-                outcome,
-                encoded=None,
-                failure=_UnitFailure(
-                    index=first.index,
-                    parameters=first.parameters,
-                    cause=f"{type(exc).__name__}: {exc}",
-                    remote_traceback=(
-                        "(chunk payload could not be decoded; no remote "
-                        "traceback)\n"
-                    ),
-                    reason="transport",
-                ),
-            )
-        event = TransportEvent(
-            chunk_index=chunk_index,
-            codec=CODEC,
-            nbytes=encoded.nbytes,
-            encode_s=encoded.encode_s,
-            decode_s=time.perf_counter() - start,
-        )
-        self.transport_events.append(event)
-        live = _active_telemetry()
-        if live is not None:
-            live.on_chunk_transport(event)
-        return replace(
-            outcome,
-            values=values,
-            telemetry=telemetry,
-            encoded=None,
-            stream=raw,
-        )
-
-    # -- classification -------------------------------------------------
-
-    def _classify(
-        self, chunk_index: int, outcome: _ChunkOutcome
-    ) -> _UnitFailure | None:
-        """``None`` for a good outcome, else the failure to charge."""
-        if outcome.failure is not None:
-            return outcome.failure
-        corrupt = _first_corrupt(outcome)
-        if corrupt is not None:
-            ctx = self.chunks[chunk_index][
-                corrupt - outcome.first_index
-            ]
-            return _UnitFailure(
-                index=corrupt,
-                parameters=ctx.parameters,
-                cause=(
-                    "corrupt payload detected by the coordinator's "
-                    "integrity check"
-                ),
-                remote_traceback="(payload failed validation; no remote "
-                "traceback)\n",
-                reason="corrupt",
-            )
-        return None
-
     def _settle(self, chunk_index: int, outcome: _ChunkOutcome) -> bool:
         """Accept or charge one executed chunk; True when resolved."""
-        failure = self._classify(chunk_index, outcome)
+        failure = outcome.failure
         if failure is None:
             if self.on_complete is not None:
                 self.on_complete(chunk_index, outcome)
-            if outcome.stream is not None:
-                # The spill consumed the encoded bytes; do not keep a
-                # second copy of every chunk's payload for the run's
-                # lifetime.
-                outcome = replace(outcome, stream=None)
             self.outcomes[chunk_index] = outcome
             return True
         failed_attempt = self.attempts.get(chunk_index, 0)
@@ -790,20 +639,23 @@ class _ChunkScheduler:
                     self.fn,
                     self.chunks[i],
                     self.telemetry_spec,
-                    self.faults,
-                    self.attempts.get(i, 0),
                     self.retry.timeout_s,
                 )
                 if not self._settle(i, outcome):
                     self._backoff([i])
 
     def _run_process_round(self, pending: list[int]) -> list[int]:
-        """One pool round; returns the chunks still unresolved."""
+        """One pool round; returns the chunks still unresolved.
+
+        If settling a chunk raises (an ``on_chunk`` observer stopping
+        the run), every chunk not yet started is cancelled, the pool
+        joins the ones still running, and the exception propagates.
+        """
         methods = multiprocessing.get_all_start_methods()
         method = "fork" if "fork" in methods else methods[0]
         context = multiprocessing.get_context(method)
-        collected: dict[int, _ChunkOutcome] = {}
-        broken: Exception | None = None
+        unresolved: list[int] = []
+        broken = False
         # Under fork the executor starts every worker up front, so size
         # the pool to the round: a retry of one chunk forks one process.
         # Workers take SIGTERM's default action whatever handler the
@@ -818,47 +670,54 @@ class _ChunkScheduler:
         ) as pool:
             futures = {
                 pool.submit(
-                    _run_chunk_wire,
+                    _run_chunk,
                     self.fn,
                     self.chunks[i],
                     self.telemetry_spec,
-                    self.faults,
-                    self.attempts.get(i, 0),
                     self.retry.timeout_s,
                 ): i
                 for i in pending
             }
-            for future, i in futures.items():
-                try:
-                    collected[i] = future.result()
-                except Exception as exc:  # pool break / unpicklable fn
-                    broken = exc
-                    if not self.tolerant:
-                        for other in futures:
-                            other.cancel()
-                        raise SweepError(
-                            f"executor failed before the work function "
-                            f"could report: {type(exc).__name__}: {exc} "
-                            f"(unpicklable work function or crashed "
-                            f"worker process?)"
-                        ) from exc
-        unresolved: list[int] = []
-        for i in pending:
-            if i in collected:
-                if not self._settle(i, self._materialize(i, collected[i])):
-                    unresolved.append(i)
-            else:
-                # The executor ate this chunk (its worker died, or the
-                # pool broke before it ran).  That is an executor
-                # failure, not the chunk's: it does not spend the
-                # chunk's retry budget, only the circuit breaker's.
-                self._emit(
-                    i, self.attempts.get(i, 0), "executor", "retry"
-                )
-                unresolved.append(i)
-        if broken is not None:
+            waiting = set(futures)
+            try:
+                while waiting:
+                    done, waiting = wait(
+                        waiting, return_when=FIRST_COMPLETED
+                    )
+                    for future in sorted(done, key=futures.__getitem__):
+                        i = futures[future]
+                        try:
+                            outcome = future.result()
+                        except Exception as exc:  # pool break / unpicklable fn
+                            if not self.tolerant:
+                                raise SweepError(
+                                    f"executor failed before the work "
+                                    f"function could report: "
+                                    f"{type(exc).__name__}: {exc} "
+                                    f"(unpicklable work function or "
+                                    f"crashed worker process?)"
+                                ) from exc
+                            # The executor ate this chunk (its worker
+                            # died, or the pool broke before it ran).
+                            # That is an executor failure, not the
+                            # chunk's: it does not spend the chunk's
+                            # retry budget, only the circuit breaker's.
+                            broken = True
+                            self._emit(
+                                i, self.attempts.get(i, 0), "executor",
+                                "retry",
+                            )
+                            unresolved.append(i)
+                            continue
+                        if not self._settle(i, outcome):
+                            unresolved.append(i)
+            except BaseException:
+                for future in futures:
+                    future.cancel()
+                raise
+        if broken:
             self.pool_breaks += 1
-        return unresolved
+        return sorted(unresolved)
 
     # -- entry point ----------------------------------------------------
 
@@ -901,19 +760,16 @@ def run_units(
     executor: str = "auto",
     telemetry: TelemetrySpec | None = None,
     retry: RetryPolicy | None = None,
-    faults: FaultSpec | None = None,
     checkpoint: str | os.PathLike | None = None,
     resume: bool = True,
     on_chunk: Callable[[ChunkProgress], None] | None = None,
 ) -> SweepResult:
     """Execute arbitrary work units; the primitive under :func:`run_sweep`.
 
-    Pooled workers return each chunk as one digested pickle stream
-    over the executor's result channel (:mod:`repro.runner.transport`);
-    a stream that fails its digest is a ``transport`` chunk failure,
-    charged to the retry budget.  The checkpoint spills those same
-    bytes, so values are encoded once per chunk; serial runs encode
-    only when they spill.
+    Pooled workers return each chunk's values and telemetry snapshot
+    through the executor's own result pickle.  The coordinator settles
+    every chunk as it finishes — spill, ``on_chunk`` report, retry
+    decision — and merges the results in chunk order at the end.
 
     Args:
         fn: work function, called once per unit with its
@@ -944,11 +800,9 @@ def run_units(
             the circuit-breaker serial fallback.  ``None`` preserves the
             strict historical behaviour (one attempt, executor failures
             raise immediately).
-        faults: optional :class:`repro.runner.faults.FaultSpec`
-            injecting deterministic crash/hang/corrupt/exit faults —
-            the test harness behind ``repro sweep --inject-faults``.
         checkpoint: optional JSONL path; every completed chunk spills
-            here (values + telemetry snapshot), and a restart with
+            here as it finishes (values + telemetry snapshot, digested
+            by the coordinator), and a restart with
             ``resume=True`` skips the chunks the file already holds.
         resume: when a checkpoint file exists, load it (default) rather
             than truncating and starting over.  A checkpoint written
@@ -957,7 +811,9 @@ def run_units(
         on_chunk: optional observer called on the coordinator thread
             with one :class:`ChunkProgress` per resolved chunk (resumed
             chunks first, then executed chunks in completion order).
-            Raising from the observer aborts the run — the cooperative
+            Raising from the observer aborts the run at that chunk:
+            chunks not yet started are cancelled, running ones finish
+            unrecorded, and the exception propagates — the cooperative
             cancellation point for callers driving the engine from an
             event loop.
 
@@ -1068,11 +924,7 @@ def run_units(
                     busy_s=outcome.busy_s,
                     values=outcome.values,
                     telemetry=outcome.telemetry,
-                ),
-                # Reuse the exact bytes that crossed the process
-                # boundary; only serial chunks (no boundary) encode
-                # here.
-                encoded=outcome.stream,
+                )
             )
         report(chunk_index, outcome, False)
 
@@ -1083,7 +935,6 @@ def run_units(
         n_workers,
         telemetry,
         retry,
-        faults,
         seed,
         on_complete=spill,
     )
@@ -1149,8 +1000,6 @@ def run_units(
         )
         if events:
             aggregate.record_retries(events)
-        if scheduler.transport_events:
-            aggregate.record_transport(scheduler.transport_events)
     return SweepResult(
         points=points,
         seed=seed,
@@ -1174,7 +1023,6 @@ def run_sweep(
     executor: str = "auto",
     telemetry: TelemetrySpec | None = None,
     retry: RetryPolicy | None = None,
-    faults: FaultSpec | None = None,
     checkpoint: str | os.PathLike | None = None,
     resume: bool = True,
     on_chunk: Callable[[ChunkProgress], None] | None = None,
@@ -1197,7 +1045,6 @@ def run_sweep(
         executor=executor,
         telemetry=telemetry,
         retry=retry,
-        faults=faults,
         checkpoint=checkpoint,
         resume=resume,
         on_chunk=on_chunk,

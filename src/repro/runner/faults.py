@@ -1,243 +1,30 @@
-"""Deterministic fault injection and retry policy for the engine.
+"""Retry policy and retry events: how the engine tolerates failures.
 
 Long sweeps meet real adversity: a worker process dies, a chunk hangs
-on a pathological parameter point, a result comes back mangled.  The
-paper family this repo reproduces treats reliability-under-adversity as
-a first-class concern (GuardRider's RS coding over uncontrolled WiFi
-traffic, CRC-signalled retransmission on WiTAG-style corruption), and
-the execution layer should meet the same bar: degrade gracefully, retry
-deterministically, never lose finished work.
+on a pathological parameter point.  The execution layer should degrade
+gracefully, retry deterministically, and never lose finished work.
 
-Two pieces live here:
-
-* :class:`FaultSpec` — a picklable description of *injected* faults.
-  The engine consults it at seeded points (a unit index plus the
-  chunk's attempt number), so a test — or ``repro sweep
-  --inject-faults`` — can make specific units crash, hang, return a
-  corrupt payload, or kill their worker process outright, and the fault
-  pattern replays identically on every run.
-* :class:`RetryPolicy` — how the engine *tolerates* faults: per-chunk
-  retry budget, exponential backoff with deterministic jitter, an
-  in-worker chunk deadline, and a circuit breaker that abandons the
-  process pool for the always-correct serial executor when the
-  executor itself keeps failing.
+* :class:`RetryPolicy` — per-chunk retry budget, exponential backoff
+  with deterministic jitter, an in-worker chunk deadline, and a circuit
+  breaker that abandons the process pool for the always-correct serial
+  executor when the executor itself keeps failing.
+* :class:`RetryEvent` — one decision the scheduler made under it.
 
 Both compose with the determinism contract rather than fighting it:
 work functions draw all randomness from their :class:`UnitContext`, so
 a retried, resumed, or serial-fallback chunk recomputes bit-identical
-values, and backoff jitter derives from :func:`repro.seeding.derived_seed`
-rather than wall-clock entropy.
+values, and backoff jitter derives from the run's seed rather than
+wall-clock entropy.  The chaos tests inject failures with a wrapper
+around the work function (``tests/faults.py``); nothing here does.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..seeding import derived_seed
-
-__all__ = [
-    "CorruptPayload",
-    "FaultSpec",
-    "InjectedFault",
-    "RetryEvent",
-    "RetryPolicy",
-]
-
-
-class InjectedFault(RuntimeError):
-    """Raised by an injected crash (or an exit fault downgraded to one)."""
-
-
-@dataclass(frozen=True)
-class CorruptPayload:
-    """Marker wrapping a unit value an injected fault corrupted.
-
-    The coordinator's integrity check treats any :class:`CorruptPayload`
-    in a chunk's values as a chunk failure — the engine-level analogue
-    of a CRC catching a mangled frame — so corruption is detected and
-    retried instead of silently landing in a :class:`SweepResult`.
-    """
-
-    value: Any
-
-
-#: Fault kinds in the priority order applied when one unit is named by
-#: several (the most disruptive wins).
-_FAULT_KINDS = ("exit", "crash", "hang", "corrupt")
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """Deterministic fault plan keyed on ``(unit index, attempt)``.
-
-    Attributes:
-        crash: unit indices that raise :class:`InjectedFault` before
-            their work function runs.
-        hang: unit indices that sleep :attr:`hang_s` before running
-            (long enough to trip a :class:`RetryPolicy` chunk deadline).
-        corrupt: unit indices whose return value is wrapped in
-            :class:`CorruptPayload` (detected coordinator-side).
-        exit: unit indices that kill their worker process with
-            ``os._exit`` — the process pool sees a dead worker, not an
-            exception.  In the serial executor (same pid as the
-            coordinator) the fault downgrades to a crash so injection
-            never kills the caller's interpreter.
-        failures: how many attempts of a faulty unit's chunk actually
-            fault; attempt numbers ``>= failures`` run clean, so a
-            retried chunk deterministically succeeds.  Set it above the
-            retry budget to model a permanent fault.
-        hang_s: how long a hang sleeps.
-        coordinator_pid: captured at construction; distinguishes the
-            serial executor from worker processes for ``exit`` faults.
-    """
-
-    crash: tuple[int, ...] = ()
-    hang: tuple[int, ...] = ()
-    corrupt: tuple[int, ...] = ()
-    exit: tuple[int, ...] = ()
-    failures: int = 1
-    hang_s: float = 0.05
-    coordinator_pid: int = field(default_factory=os.getpid)
-
-    def __post_init__(self) -> None:
-        if self.failures < 0:
-            raise ValueError("failures must be >= 0")
-        if self.hang_s < 0:
-            raise ValueError("hang_s must be >= 0")
-        for kind in _FAULT_KINDS:
-            object.__setattr__(
-                self, kind, tuple(int(i) for i in getattr(self, kind))
-            )
-
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        n_units: int,
-        *,
-        crash_rate: float = 0.0,
-        hang_rate: float = 0.0,
-        corrupt_rate: float = 0.0,
-        exit_rate: float = 0.0,
-        failures: int = 1,
-        hang_s: float = 0.05,
-    ) -> "FaultSpec":
-        """Draw fault points from a seeded substream (reproducible chaos).
-
-        Each unit independently gains each fault kind with the given
-        probability, using a generator derived from ``seed`` alone — the
-        same seed always injects the same faults at the same units.
-        """
-        rates = (exit_rate, crash_rate, hang_rate, corrupt_rate)
-        if any(not 0.0 <= r <= 1.0 for r in rates):
-            raise ValueError("fault rates must be in [0, 1]")
-        rng = np.random.default_rng(
-            np.random.SeedSequence(derived_seed(seed, 0xFA017))
-        )
-        picks: dict[str, tuple[int, ...]] = {}
-        for kind, rate in zip(_FAULT_KINDS, rates):
-            draws = rng.random(n_units)
-            picks[kind] = tuple(int(i) for i in np.flatnonzero(draws < rate))
-        return cls(
-            crash=picks["crash"],
-            hang=picks["hang"],
-            corrupt=picks["corrupt"],
-            exit=picks["exit"],
-            failures=failures,
-            hang_s=hang_s,
-        )
-
-    @classmethod
-    def parse(cls, text: str, **overrides: Any) -> "FaultSpec":
-        """Parse the CLI grammar ``kind:i,j;kind:k`` into a spec.
-
-        Kinds are ``crash``, ``hang``, ``corrupt`` and ``exit``;
-        indices are comma-separated unit positions.  Example:
-        ``crash:0,3;corrupt:2``.
-        """
-        picks: dict[str, tuple[int, ...]] = {}
-        for clause in text.split(";"):
-            clause = clause.strip()
-            if not clause:
-                continue
-            kind, _, indices = clause.partition(":")
-            kind = kind.strip()
-            if kind not in _FAULT_KINDS:
-                raise ValueError(
-                    f"unknown fault kind {kind!r} "
-                    f"(expected one of {', '.join(_FAULT_KINDS)})"
-                )
-            try:
-                parsed = tuple(
-                    int(i) for i in indices.split(",") if i.strip()
-                )
-            except ValueError:
-                raise ValueError(
-                    f"bad unit indices for fault kind {kind!r}: "
-                    f"{indices!r}"
-                ) from None
-            if not parsed:
-                raise ValueError(f"fault kind {kind!r} names no units")
-            picks[kind] = picks.get(kind, ()) + parsed
-        if not picks:
-            raise ValueError(f"no faults in spec {text!r}")
-        return cls(
-            crash=picks.get("crash", ()),
-            hang=picks.get("hang", ()),
-            corrupt=picks.get("corrupt", ()),
-            exit=picks.get("exit", ()),
-            **overrides,
-        )
-
-    @property
-    def faulty_units(self) -> tuple[int, ...]:
-        """All unit indices named by any fault kind, sorted."""
-        indices: set[int] = set()
-        for kind in _FAULT_KINDS:
-            indices.update(getattr(self, kind))
-        return tuple(sorted(indices))
-
-    def action(self, index: int, attempt: int) -> str | None:
-        """The fault (if any) for unit ``index`` on chunk ``attempt``.
-
-        Returns one of ``"exit"``, ``"crash"``, ``"hang"``,
-        ``"corrupt"`` or ``None``; deterministic in its arguments.
-        """
-        if attempt >= self.failures:
-            return None
-        for kind in _FAULT_KINDS:
-            if index in getattr(self, kind):
-                return kind
-        return None
-
-    def apply_before(self, index: int, attempt: int) -> None:
-        """Trigger pre-execution faults (exit, crash, hang) for a unit."""
-        action = self.action(index, attempt)
-        if action == "exit":
-            if os.getpid() != self.coordinator_pid:
-                os._exit(13)
-            raise InjectedFault(
-                f"injected worker exit at unit {index} "
-                f"(attempt {attempt}; serial executor downgrades to crash)"
-            )
-        if action == "crash":
-            raise InjectedFault(
-                f"injected crash at unit {index} (attempt {attempt})"
-            )
-        if action == "hang":
-            import time
-
-            time.sleep(self.hang_s)
-
-    def apply_after(self, index: int, attempt: int, value: Any) -> Any:
-        """Apply post-execution faults (payload corruption) to a value."""
-        if self.action(index, attempt) == "corrupt":
-            return CorruptPayload(value)
-        return value
+__all__ = ["RetryEvent", "RetryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -324,8 +111,8 @@ class RetryEvent:
         chunk_index: which chunk (position in the run's chunk list).
         first_unit: the chunk's first unit index (stable across runs).
         attempt: the attempt that failed (0-based).
-        reason: ``"unit-error"``, ``"timeout"``, ``"corrupt"`` or
-            ``"executor"`` (worker process died / pool unusable).
+        reason: ``"unit-error"``, ``"timeout"`` or ``"executor"``
+            (worker process died / pool unusable).
         action: ``"retry"``, ``"serial-fallback"`` or ``"failed"``
             (terminal — the retry budget is exhausted).
     """

@@ -19,7 +19,7 @@ from ..core.session import MeasurementSession, SessionStats
 from ..obs.runtime import attach_active
 from ..obs.telemetry import TelemetrySpec
 from .engine import ChunkProgress, SweepResult, UnitContext, run_units
-from .faults import FaultSpec, RetryPolicy
+from .faults import RetryPolicy
 
 __all__ = ["run_sessions"]
 
@@ -58,7 +58,6 @@ def run_sessions(
     executor: str = "auto",
     telemetry: TelemetrySpec | None = _STAGE_COUNTERS_ONLY,
     retry: RetryPolicy | None = None,
-    faults: FaultSpec | None = None,
     checkpoint: str | os.PathLike | None = None,
     resume: bool = True,
     on_chunk: Callable[[ChunkProgress], None] | None = None,
@@ -91,8 +90,8 @@ def run_sessions(
             time after parallel runs; pass ``TelemetrySpec()`` for full
             metrics, or ``None`` to leave a caller-activated live
             telemetry (e.g. a tracing one) in charge.
-        retry / faults / checkpoint / resume: fault tolerance, fault
-            injection and chunk-granular checkpoint/resume — see
+        retry / checkpoint / resume: fault tolerance and
+            chunk-granular checkpoint/resume — see
             :func:`repro.runner.engine.run_units` and
             ``docs/fault_tolerance.md``.  Session results resume
             bit-identically because each session rebuilds from its
@@ -132,7 +131,6 @@ def run_sessions(
         executor=executor,
         telemetry=telemetry,
         retry=retry,
-        faults=faults,
         checkpoint=checkpoint,
         resume=resume,
         on_chunk=on_chunk,

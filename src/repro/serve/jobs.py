@@ -23,7 +23,10 @@ an uninterrupted run (see ``docs/service.md``).
 Cancellation is cooperative and chunk-granular: a cancel request on a
 running job raises :class:`JobCancelled` from the engine's ``on_chunk``
 observer at the next chunk boundary, so finished chunks stay spilled
-and a resubmitted job resumes rather than recomputes.
+and a resubmitted job resumes rather than recomputes.  Stopping the
+pool (SIGTERM) ends a running job the same way, at its next chunk
+boundary, but leaves it ``running`` on disk, so a restart on the same
+spill directory resumes it.
 """
 
 from __future__ import annotations
@@ -98,6 +101,10 @@ class JobStoreFull(RuntimeError):
 
 class JobCancelled(RuntimeError):
     """Raised inside the engine's observer to stop a cancelled job."""
+
+
+class _PoolStopping(RuntimeError):
+    """Raised inside the engine's observer while the pool shuts down."""
 
 
 @dataclass(frozen=True)
@@ -650,7 +657,8 @@ class ExecutorPool:
     worker thread via :func:`execute_request`; the engine's per-chunk
     reports come back through the loop in order.  Slots never crash
     the pool: engine failures mark the job ``failed`` and the slot
-    moves on.
+    moves on.  :meth:`stop` ends running jobs at their next chunk
+    boundary.
     """
 
     def __init__(
@@ -668,6 +676,7 @@ class ExecutorPool:
         self.slots = slots
         self.metrics = metrics
         self._tasks: list[asyncio.Task] = []
+        self._stopping = False
 
     async def start(self) -> None:
         self._tasks = [
@@ -676,6 +685,12 @@ class ExecutorPool:
         ]
 
     async def stop(self) -> None:
+        # Running jobs see the flag at their next chunk boundary; the
+        # loop's shutdown then joins their threads.  Their slot tasks
+        # are cancelled here, before the loop can hand them a job
+        # thread's stop exception, so a stopped job is never marked
+        # failed: it stays ``running`` on disk and resumes on restart.
+        self._stopping = True
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
@@ -685,9 +700,14 @@ class ExecutorPool:
         self, loop: asyncio.AbstractEventLoop, job: Job
     ) -> Callable[[ChunkProgress], None]:
         def forward(progress: ChunkProgress) -> None:
-            # Worker-thread side of the bridge.  The cancel flag is a
-            # plain bool written on the loop; reading it here is the
-            # cooperative cancellation point (chunk granularity).
+            # Worker-thread side of the bridge.  The cancel and stop
+            # flags are plain bools written on the loop; reading them
+            # here is the cooperative cancellation point (chunk
+            # granularity).
+            if self._stopping:
+                raise _PoolStopping(
+                    f"job {job.id} stopped at chunk {progress.chunk_index}"
+                )
             if job.cancel_requested:
                 raise JobCancelled(
                     f"job {job.id} cancelled at chunk "

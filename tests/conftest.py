@@ -2,32 +2,39 @@
 
 The ``chaos`` fixture is the reusable fault-injection harness: any
 suite can run an engine call under deterministic injected
-crash/hang/corruption/worker-exit faults and assert the determinism
-contract survived (see ``docs/fault_tolerance.md``).
+crash/hang/worker-exit faults and assert the determinism contract
+survived (see ``docs/fault_tolerance.md``).
 """
+
+import os
 
 import pytest
 
 from repro.runner import (
-    FaultSpec,
     RetryPolicy,
     WorkUnitError,
     run_sweep,
     run_units,
 )
+from tests.faults import FaultSpec, FaultyWork
 
 
 class ChaosHarness:
     """Run engine calls under deterministic injected faults.
 
-    Thin convenience wrapper over :class:`repro.runner.FaultSpec` and
-    :class:`repro.runner.RetryPolicy`: build fault plans, run
-    ``run_units`` with them, and assert that a faulty-but-tolerated run
-    reproduces the fault-free result bit-for-bit.
+    Builds :class:`tests.faults.FaultSpec` plans, wraps work functions
+    in :class:`tests.faults.FaultyWork` (each wrapped run counts its
+    attempts in a fresh directory under ``state_root``), runs
+    ``run_units`` with them, and asserts that a faulty-but-tolerated
+    run reproduces the fault-free result bit-for-bit.
     """
 
     #: Default tolerance for injected single-failure faults.
     default_retry = RetryPolicy(max_attempts=3)
+
+    def __init__(self, state_root: str) -> None:
+        self.state_root = state_root
+        self._runs = 0
 
     def faults(self, **kwargs) -> FaultSpec:
         """A :class:`FaultSpec` (keyword passthrough)."""
@@ -37,9 +44,18 @@ class ChaosHarness:
         """A reproducible random fault plan (``FaultSpec.seeded``)."""
         return FaultSpec.seeded(seed, n_units, **rates)
 
+    def wrap(self, fn, faults: FaultSpec) -> FaultyWork:
+        """``fn`` with ``faults`` injected; attempts count from zero."""
+        self._runs += 1
+        state_dir = os.path.join(self.state_root, f"run{self._runs}")
+        os.makedirs(state_dir)
+        return FaultyWork(fn, faults, state_dir)
+
     def run(self, fn, units, *, faults=None, retry=default_retry, **kwargs):
         """``run_units`` with faults injected and (by default) tolerated."""
-        return run_units(fn, units, faults=faults, retry=retry, **kwargs)
+        if faults is not None:
+            fn = self.wrap(fn, faults)
+        return run_units(fn, units, retry=retry, **kwargs)
 
     def check_bit_identical(
         self, fn, units, *, faults, retry=default_retry, **kwargs
@@ -72,12 +88,13 @@ class ChaosHarness:
         from exactly this state.  Pick ``crash_unit`` at least one
         chunk into the sweep or there is nothing to resume.
         """
-        faults = FaultSpec(crash=(crash_unit,), failures=10**6)
+        faulty = self.wrap(
+            fn, FaultSpec(crash=(crash_unit,), failures=10**6)
+        )
         try:
             run_sweep(
-                fn,
+                faulty,
                 spec,
-                faults=faults,
                 retry=RetryPolicy(max_attempts=1),
                 checkpoint=checkpoint,
                 resume=True,
@@ -90,6 +107,6 @@ class ChaosHarness:
 
 
 @pytest.fixture
-def chaos() -> ChaosHarness:
+def chaos(tmp_path) -> ChaosHarness:
     """Deterministic fault-injection harness for engine calls."""
-    return ChaosHarness()
+    return ChaosHarness(str(tmp_path / "chaos"))

@@ -83,16 +83,15 @@ class TestSweep:
         assert out == ""
 
     def test_permanent_fault_exit_1_with_diagnosis(self, capsys):
+        # Distance 0 puts the tag on the client: unit 0 raises.
         code, out, err = run(
             capsys,
             [
                 "sweep",
                 "--distances",
-                "2,4",
+                "0,2",
                 "--seconds",
                 "0.02",
-                "--inject-faults",
-                "crash:0",
                 "--retries",
                 "1",
             ],

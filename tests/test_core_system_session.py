@@ -76,14 +76,6 @@ class TestRunQuery:
         # 15 dBm - FSPL(1 m) ~= -25 dBm.
         assert system.rx_power_at_tag_dbm == pytest.approx(-25.2, abs=1.0)
 
-    def test_run_queries_count(self):
-        system = fresh_system()
-        system.load_tag_bits([1, 0] * 31 * 3)
-        results = system.run_queries(3)
-        assert len(results) == 3
-        with pytest.raises(ValueError):
-            system.run_queries(-1)
-
 
 class TestMeasurementSession:
     def test_run_for_duration(self):

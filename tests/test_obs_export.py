@@ -21,6 +21,7 @@ from repro.obs import (
     chrome_trace,
     flamegraph_lines,
     read_trace,
+    validate_trace_record,
 )
 from repro.obs.export import merge_stage_timings
 from repro.sim.scenario import los_scenario
@@ -75,6 +76,25 @@ class TestChromeTrace:
         }
         assert "queries" in names
         assert any(n.startswith("stages:") for n in names)
+
+    def test_legacy_transport_records_validate_and_are_skipped(
+        self, trace_records
+    ):
+        # Older versions wrote one record per chunk crossing the
+        # process boundary; nothing writes them now.
+        transport = {
+            "schema": trace_records[0]["schema"],
+            "kind": "transport",
+            "chunk": 0,
+            "codec": "pickle",
+            "nbytes": 512,
+            "encode_s": 1e-5,
+            "decode_s": 2e-5,
+        }
+        validate_trace_record(transport)
+        assert chrome_trace(trace_records + [transport]) == chrome_trace(
+            trace_records
+        )
 
     def test_round_trips_through_json(self, trace_records):
         doc = chrome_trace(trace_records)

@@ -138,6 +138,45 @@ class TestTop:
         assert "repro top:" in capsys.readouterr().err
 
 
+def legacy_payload(counter_value, label):
+    """A payload as older versions wrote it, with a "transport" section."""
+    transport = MetricsRegistry()
+    transport.counter(
+        "runner_chunk_bytes_total", "bytes", labels=("codec",)
+    ).labels(codec="pickle").inc(512)
+    return {**payload(counter_value, label), "transport": transport.snapshot()}
+
+
+class TestLegacyTransportSection:
+    """Payloads that carry a ``transport`` section load; it is ignored."""
+
+    def test_top_ignores_it(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(legacy_payload(3, "a")))
+        families = load_status(str(path))["metrics"]["metrics"]
+        assert set(families) == {"demo_total", "demo_seconds"}
+        assert main(["top", "--input", str(path)]) == 0
+
+    @pytest.mark.parametrize("fmt", ["table", "prometheus"])
+    def test_metrics_input_ignores_it(self, tmp_path, capsys, fmt):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(legacy_payload(3, "a")))
+        assert main(["metrics", "--input", str(path), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert "demo_total" in out
+        assert "runner_chunk_bytes_total" not in out
+
+    def test_merged_inputs_drop_it(self, tmp_path, capsys):
+        paths = []
+        for name, value in (("a", 3), ("b", 5)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(legacy_payload(value, name)))
+            paths += ["--input", str(path)]
+        assert main(["metrics", *paths, "--format", "json"]) == 0
+        merged = json.loads(capsys.readouterr().out)
+        assert set(merged) == {"metrics", "chunks", "version"}
+
+
 class TestMetricsInputMerge:
     def test_two_payloads_merge_label_series(self, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -3,9 +3,10 @@
 The engine's determinism contract must survive adversity: a retried,
 resumed, or serial-fallback run has to produce bit-identical
 ``SweepResult`` payloads and chunk-ordered telemetry merges.  This
-suite injects deterministic crashes, hangs, corrupt payloads and worker
-exits (``repro.runner.faults.FaultSpec``) and asserts exactly that,
-plus the checkpoint file format's resilience to torn writes.
+suite injects deterministic crashes, hangs and worker exits by wrapping
+the work function (``tests/faults.py``) and asserts exactly that, plus
+the checkpoint file format's resilience to torn writes and the
+per-chunk settling of pooled rounds.
 
 Fast cases run in tier-1; hang-timeout cases are marked ``slow`` and
 run in the CI chaos job (``pytest -m faults``).
@@ -19,14 +20,12 @@ import os
 import random
 import signal
 import threading
+import time
 
 import pytest
 
 from repro.runner import (
     CheckpointError,
-    CorruptPayload,
-    FaultSpec,
-    InjectedFault,
     RetryEvent,
     RetryPolicy,
     SweepError,
@@ -42,6 +41,7 @@ from repro.runner import (
 )
 from repro.runner.checkpoint import CheckpointWriter, CompletedChunk
 from repro.runner.workers import SessionSpec, rng_probe
+from tests.faults import FaultSpec, FaultyWork, InjectedFault
 
 try:
     from hypothesis import HealthCheck, given, settings
@@ -68,6 +68,14 @@ def probe_with_log(ctx: UnitContext):
         with open(log, "a", encoding="utf-8") as handle:
             handle.write(f"{ctx.index}\n")
     return rng_probe(ctx)
+
+
+def slow_logged_unit(ctx: UnitContext):
+    """Log the unit's start, then take a tenth of a second."""
+    with open(ctx.parameters["log"], "a", encoding="utf-8") as handle:
+        handle.write(f"{ctx.index}\n")
+    time.sleep(0.1)
+    return ctx.index
 
 
 def must_not_run(ctx: UnitContext):
@@ -107,34 +115,12 @@ def sigterm_raises():
 
 
 class TestFaultSpec:
-    def test_parse_grammar(self):
-        spec = FaultSpec.parse("crash:0,3;corrupt:2;hang:1;exit:4")
-        assert spec.crash == (0, 3)
-        assert spec.corrupt == (2,)
-        assert spec.hang == (1,)
-        assert spec.exit == (4,)
-        assert spec.faulty_units == (0, 1, 2, 3, 4)
-
-    def test_parse_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultSpec.parse("explode:1")
-
-    def test_parse_rejects_bad_indices(self):
-        with pytest.raises(ValueError, match="bad unit indices"):
-            FaultSpec.parse("crash:a,b")
-
-    def test_parse_rejects_empty(self):
-        with pytest.raises(ValueError, match="no faults"):
-            FaultSpec.parse(";")
-        with pytest.raises(ValueError, match="names no units"):
-            FaultSpec.parse("crash:")
-
     def test_seeded_is_deterministic(self):
-        a = FaultSpec.seeded(7, 100, crash_rate=0.2, corrupt_rate=0.1)
-        b = FaultSpec.seeded(7, 100, crash_rate=0.2, corrupt_rate=0.1)
-        assert a.crash == b.crash and a.corrupt == b.corrupt
+        a = FaultSpec.seeded(7, 100, crash_rate=0.2, hang_rate=0.1)
+        b = FaultSpec.seeded(7, 100, crash_rate=0.2, hang_rate=0.1)
+        assert a.crash == b.crash and a.hang == b.hang
         assert a.crash  # 20% of 100 units: essentially always non-empty
-        c = FaultSpec.seeded(8, 100, crash_rate=0.2, corrupt_rate=0.1)
+        c = FaultSpec.seeded(8, 100, crash_rate=0.2, hang_rate=0.1)
         assert c.crash != a.crash
 
     def test_seeded_rate_extremes(self):
@@ -154,18 +140,10 @@ class TestFaultSpec:
         assert spec.action(1, 2) is None  # budget exhausted: runs clean
         assert spec.action(0, 0) is None
 
-    def test_exit_downgrades_in_coordinator(self):
-        spec = FaultSpec(exit=(0,))
+    def test_exit_downgrades_in_coordinator(self, tmp_path):
+        work = FaultyWork(rng_probe, FaultSpec(exit=(0,)), str(tmp_path))
         with pytest.raises(InjectedFault, match="downgrades to crash"):
-            spec.apply_before(0, 0)
-
-    def test_apply_after_wraps_corrupt(self):
-        spec = FaultSpec(corrupt=(3,))
-        wrapped = spec.apply_after(3, 0, {"ber": 0.1})
-        assert isinstance(wrapped, CorruptPayload)
-        assert wrapped.value == {"ber": 0.1}
-        assert spec.apply_after(3, 1, "v") == "v"
-        assert spec.apply_after(2, 0, "v") == "v"
+            work(units(1)[0])
 
     def test_validation(self):
         with pytest.raises(ValueError, match="failures"):
@@ -231,25 +209,19 @@ class TestSerialRetries:
         assert {e.action for e in events} == {"retry"}
         assert sorted(e.first_unit for e in events) == [0, 6]
 
-    def test_corrupt_payload_detected_and_retried(self, chaos):
-        _, chaotic = chaos.check_bit_identical(
-            rng_probe,
-            units(8),
-            faults=chaos.faults(corrupt=(4,)),
-            chunk_size=4,
-        )
-        assert chaotic.retry_summary() == {"corrupt": 1}
-        assert not any(
-            isinstance(v, CorruptPayload) for v in chaotic.values
-        )
-
     def test_seeded_chaos_bit_identical(self, chaos):
         faults = chaos.seeded(
-            11, 20, crash_rate=0.2, corrupt_rate=0.2
+            11, 20, crash_rate=0.2, exit_rate=0.2
         )
         assert faults.faulty_units  # the draw actually hit something
+        # Attempts count per unit, so a chunk holding k faulty units
+        # needs k + 1 attempts: 4 cover any plan at chunk size 3.
         chaos.check_bit_identical(
-            rng_probe, units(20), faults=faults, chunk_size=3
+            rng_probe,
+            units(20),
+            faults=faults,
+            retry=RetryPolicy(max_attempts=4),
+            chunk_size=3,
         )
 
     def test_budget_exhaustion_raises_with_context(self, chaos):
@@ -404,6 +376,38 @@ class TestCoordinatorSigtermHandler:
         assert "executor" in {e.reason for e in chaotic.retries}
         assert multiprocessing.active_children() == []
 
+
+class TestPerChunkSettling:
+    """A pooled round settles each chunk as it finishes."""
+
+    def test_observer_raise_stops_the_round(self, tmp_path):
+        log = tmp_path / "starts.log"
+        work = [
+            UnitContext(index=i, parameters={"log": str(log)}, root_seed=0)
+            for i in range(32)
+        ]
+        reports = []
+
+        def stop(progress):
+            reports.append(progress)
+            raise RuntimeError("stop at the first report")
+
+        with pytest.raises(RuntimeError, match="first report"):
+            run_units(
+                slow_logged_unit,
+                work,
+                chunk_size=1,
+                n_workers=2,
+                executor="process",
+                on_chunk=stop,
+            )
+        assert len(reports) == 1
+        # Chunks not yet started were cancelled; only the few already
+        # handed to the two workers ran on.
+        assert len(executed_units(log)) < 16
+        assert multiprocessing.active_children() == []
+
+
 @pytest.mark.slow
 class TestChunkTimeouts:
     def test_hang_cut_off_and_retried_serial(self, chaos):
@@ -550,12 +554,13 @@ class TestCheckpointResume:
         ]
         # "Interrupt": unit 5 (chunk 2) keeps failing with no tolerance.
         with pytest.raises(WorkUnitError):
-            run_units(
+            chaos.run(
                 probe_with_log,
                 mk_units(log_a),
+                faults=chaos.faults(crash=(5,), failures=99),
+                retry=None,
                 seed=5,
                 chunk_size=2,
-                faults=chaos.faults(crash=(5,), failures=99),
                 checkpoint=ck,
             )
         done_before = set(load_checkpoint(ck).chunks)
@@ -613,7 +618,7 @@ class TestCheckpointResume:
         baseline, chaotic = chaos.check_bit_identical(
             rng_probe,
             units(10, seed=4),
-            faults=chaos.faults(crash=(3,), corrupt=(8,)),
+            faults=chaos.faults(crash=(3, 8)),
             seed=4,
             chunk_size=2,
             checkpoint=ck,
@@ -717,7 +722,7 @@ class TestTelemetryUnderRetry:
         chaotic = chaos.run(
             metric_probe,
             units(8),
-            faults=chaos.faults(crash=(1,), corrupt=(6,)),
+            faults=chaos.faults(crash=(1, 6)),
             chunk_size=2,
             telemetry=spec,
         )
@@ -730,7 +735,7 @@ class TestTelemetryUnderRetry:
             s["labels"]["reason"]: s["value"]
             for s in retry_family["series"]
         }
-        assert reasons == {"unit-error": 1.0, "corrupt": 1.0}
+        assert reasons == {"unit-error": 2.0}
 
     def test_merge_order_invariant_under_process_retries(self, chaos):
         spec = TelemetrySpec(metrics=True)
@@ -764,14 +769,14 @@ class TestTelemetryUnderRetry:
             chaos.run(
                 rng_probe,
                 units(6),
-                faults=chaos.faults(crash=(0,), corrupt=(5,)),
+                faults=chaos.faults(crash=(0, 5)),
                 chunk_size=2,
                 telemetry=None,
             )
         live.close()
         summary = summarize_trace(str(trace))
         assert summary["records"].get("retry") == 2
-        assert summary["retries"] == {"unit-error": 1, "corrupt": 1}
+        assert summary["retries"] == {"unit-error": 2}
         retry_metric = live.registry.snapshot()["metrics"][
             "runner_chunk_retries_total"
         ]
@@ -854,12 +859,12 @@ class TestSweepCli:
     def test_fault_without_retry_fails_cleanly(self, capsys):
         from repro.cli import main
 
+        # Distance 0 puts the tag on the client: unit 0 raises.
         rc = main(
             [
                 "sweep",
-                "--distances", "1,2",
+                "--distances", "0,2",
                 "--seconds", "0.05",
-                "--inject-faults", "crash:0",
                 "--chunk", "1",
             ]
         )
@@ -870,15 +875,11 @@ class TestSweepCli:
         assert "retry summary" in captured.err
         assert "Traceback (most recent call last)" not in captured.err
 
-    def test_bad_fault_spec_is_usage_error(self, capsys):
+    def test_tolerated_faults_match_clean_run(
+        self, capsys, monkeypatch, chaos
+    ):
         from repro.cli import main
-
-        rc = main(["sweep", "--inject-faults", "explode:1"])
-        assert rc == 2
-        assert "bad --inject-faults" in capsys.readouterr().err
-
-    def test_tolerated_faults_match_clean_run(self, capsys):
-        from repro.cli import main
+        from repro.runner import workers
 
         base_args = [
             "sweep", "--distances", "1,2", "--seconds", "0.05",
@@ -886,10 +887,12 @@ class TestSweepCli:
         ]
         assert main(base_args) == 0
         clean = capsys.readouterr().out
-        assert main(
-            base_args
-            + ["--inject-faults", "crash:0;corrupt:1", "--retries", "3"]
-        ) == 0
+        monkeypatch.setattr(
+            workers,
+            "los_ber_point",
+            chaos.wrap(workers.los_ber_point, chaos.faults(crash=(0, 1))),
+        )
+        assert main(base_args + ["--retries", "3"]) == 0
         chaotic = capsys.readouterr().out
         def table_rows(out):
             # Keep the physics rows; worker-timing rows carry wall-clock

@@ -1,15 +1,13 @@
-"""Chunk transport: the pickle codec, its integrity check, and no leaks.
+"""Chunk results across process and spill boundaries, and no leaks.
 
-A pooled worker encodes each chunk's ``(values, telemetry)`` payload
-once as a digested pickle stream that rides the executor's own result
-channel; the coordinator checks the digest before decoding, and the
-checkpoint spills the same bytes.  The determinism contract requires
-that channel to be invisible in the results (bit-identical values for
-any executor, worker count and chunk size), a stream that fails its
-digest to cost a ``transport`` retry rather than a wrong value, and
-``/dev/shm`` to hold no ``rpr-*`` entry afterwards, even when workers
-crash or exit.  Checkpoints spilled by the retired ``shm`` codec must
-refuse to resume instead of silently re-running their chunks.
+A pooled worker's chunk outcome rides the executor's own result
+pickle; the coordinator spills a completed chunk to the checkpoint as
+one digested pickle stream.  The determinism contract requires both
+crossings to be invisible in the results (bit-identical values for any
+executor, worker count and chunk size), and ``/dev/shm`` to hold no
+``rpr-*`` entry afterwards, even when workers crash or exit.
+Checkpoints spilled by the retired ``shm`` codec must refuse to resume
+instead of silently re-running their chunks.
 """
 
 import base64
@@ -22,27 +20,22 @@ import pytest
 
 from repro.runner import (
     CheckpointError,
-    RetryPolicy,
     SweepError,
     SweepSpec,
-    TelemetrySpec,
     UnitContext,
-    WorkUnitError,
     checkpoint_fingerprint,
     load_checkpoint,
     run_sweep,
     run_units,
 )
-from repro.runner import engine
-from repro.runner.checkpoint import CheckpointWriter, CompletedChunk
-from repro.runner.transport import (
-    TransportError,
-    cleanup_segment,
+from repro.runner.checkpoint import (
+    CheckpointWriter,
+    CompletedChunk,
     decode_payload,
-    encode_chunk,
-    leaked_segments,
+    encode_payload,
     payload_digest,
 )
+from repro.runner.transport import cleanup_segment, leaked_segments
 from repro.runner.workers import rng_probe
 
 try:
@@ -105,18 +98,17 @@ def payload_values():
 class TestCodecLayer:
     def test_pickle_roundtrip(self):
         values = payload_values()
-        encoded = encode_chunk(values, {"k": 1})
-        assert encoded.nbytes == len(encoded.payload) > 0
-        assert encoded.digest == payload_digest(encoded.payload)
-        decoded, telemetry = decode_payload(encoded.payload)
+        raw = encode_payload(values, {"k": 1})
+        assert len(raw) > 0
+        decoded, telemetry = decode_payload(raw)
         assert telemetry == {"k": 1}
         assert canon(decoded) == canon(values)
 
     def test_truncated_stream_raises(self):
-        raw = encode_chunk(payload_values(), None).payload
-        with pytest.raises(TransportError):
+        raw = encode_payload(payload_values(), None)
+        with pytest.raises(ValueError):
             decode_payload(raw[: len(raw) // 2])
-        with pytest.raises(TransportError):
+        with pytest.raises(ValueError):
             decode_payload(b"XXXX" + raw[4:])
 
     @pytest.mark.skipif(
@@ -165,9 +157,7 @@ if HAVE_HYPOTHESIS:
     @settings(max_examples=40, deadline=None)
     @given(values=payloads)
     def test_property_roundtrip(values):
-        decoded, telemetry = decode_payload(
-            encode_chunk(values, None).payload
-        )
+        decoded, telemetry = decode_payload(encode_payload(values, None))
         assert telemetry is None
         assert canon(decoded) == canon(values)
 
@@ -187,61 +177,6 @@ class TestEngineTransport:
         assert pooled.executor == executor
         assert canon(pooled.values) == canon(serial.values)
         assert leaked_segments() == []
-
-    def test_pooled_run_records_pickle_transport_metrics(self):
-        result = run_units(
-            rng_probe,
-            units(8),
-            seed=3,
-            n_workers=2,
-            executor="process",
-            chunk_size=2,
-            telemetry=TelemetrySpec(metrics=True),
-        )
-        assert len(result.values) == 8
-        series = result.telemetry.transport_snapshot()["metrics"][
-            "runner_chunk_bytes_total"
-        ]["series"]
-        assert [s["labels"] for s in series] == [{"codec": "pickle"}]
-        assert series[0]["value"] > 0
-
-    def test_digest_mismatch_is_a_transport_retry(self, monkeypatch):
-        clean = run_units(rng_probe, units(6), seed=4, chunk_size=2)
-        real = engine.payload_digest
-        calls = []
-
-        def flaky(raw):
-            # The coordinator's check; workers digest with the
-            # transport module's own function, which stays intact.
-            calls.append(1)
-            return "0" * 32 if len(calls) == 1 else real(raw)
-
-        monkeypatch.setattr(engine, "payload_digest", flaky)
-        retried = run_units(
-            rng_probe,
-            units(6),
-            seed=4,
-            n_workers=2,
-            executor="process",
-            chunk_size=2,
-            retry=RetryPolicy(max_attempts=3),
-        )
-        assert retried.retry_summary() == {"transport": 1}
-        assert [e.action for e in retried.retries] == ["retry"]
-        assert retried.values == clean.values
-
-    def test_digest_mismatch_without_budget_fails_the_unit(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(engine, "payload_digest", lambda raw: "0" * 32)
-        with pytest.raises(WorkUnitError, match="integrity check"):
-            run_units(
-                rng_probe,
-                units(4),
-                n_workers=2,
-                executor="process",
-                chunk_size=2,
-            )
 
 
 class TestChaosNoLeaks:

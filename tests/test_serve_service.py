@@ -380,3 +380,40 @@ class TestHttpContract:
                 await service.stop()
 
         asyncio.run(main())
+
+    def test_oversized_body_gets_413_and_server_keeps_serving(self):
+        from repro.serve.app import MAX_BODY_BYTES
+
+        async def oversized_head_only(port):
+            # Headers only: the server must refuse on Content-Length
+            # alone, before reading a byte of the body.
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port
+            )
+            head = (
+                "POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+            )
+            writer.write(head.encode("latin-1"))
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), EXCHANGE_TIMEOUT_S)
+            writer.close()
+            await writer.wait_closed()
+            head_blob, _, body = raw.partition(b"\r\n\r\n")
+            return int(head_blob.split(b" ", 2)[1]), json.loads(body)
+
+        async def main():
+            service = SweepService(ServeConfig(port=0, slots=1))
+            await service.start()
+            try:
+                status, error = await oversized_head_only(service.port)
+                assert status == 413
+                assert isinstance(error["error"], str) and error["error"]
+                status, health = await http_json(
+                    service.port, "GET", "/healthz"
+                )
+                assert status == 200 and health["ok"]
+            finally:
+                await service.stop()
+
+        asyncio.run(main())

@@ -3,10 +3,13 @@
 The server runs in a new session, so its process group id is its pid
 and every pool worker it forks shares that group.  SIGTERM must end
 the server with status 0 and leave the group empty: no pool worker
-outlives it.  The port comes from the server's own banner line, which
-``--port 0`` makes the only way to find it.
+outlives it.  A running job stops at its next chunk boundary, not at
+the end of its pool round, and stays resumable.  The port comes from
+the server's own banner line, which ``--port 0`` makes the only way to
+find it.
 """
 
+import contextlib
 import json
 import os
 import re
@@ -37,6 +40,20 @@ POOLED_JOB = {
     "fn": "los_ber_point",
     "fn_kwargs": {"sim_seconds": 2.0},
     "sweep": {"axes": {"distance_m": [1.0, 2.0, 3.0, 4.0]}, "seed": 1},
+    "n_workers": 2,
+}
+
+#: Sixteen one-point chunks of about 0.2 s each on two workers: one
+#: pool round of about 1.6 s.
+CHUNKED_JOB = {
+    "kind": "sweep",
+    "fn": "los_ber_point",
+    "fn_kwargs": {"sim_seconds": 0.5},
+    "sweep": {
+        "axes": {"distance_m": [round(0.4 * i, 1) for i in range(1, 17)]},
+        "seed": 1,
+        "chunk_size": 1,
+    },
     "n_workers": 2,
 }
 
@@ -73,15 +90,15 @@ def wait_for(predicate, timeout_s):
     return predicate()
 
 
-@pytest.fixture
-def server():
+@contextlib.contextmanager
+def running_server(*extra_args):
     """A ``repro serve --port 0`` process group; yields (proc, port)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p
     )
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0"],
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *extra_args],
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
@@ -112,6 +129,12 @@ def server():
             pass
         proc.wait()
         proc.stderr.close()
+
+
+@pytest.fixture
+def server():
+    with running_server() as running:
+        yield running
 
 
 def submit(port, body):
@@ -152,3 +175,23 @@ class TestSigterm:
     def test_sigterm_when_idle_exits_0(self, server):
         proc, _port = server
         assert_clean_sigterm(proc)
+
+    def test_sigterm_stops_the_job_at_a_chunk_boundary(self, tmp_path):
+        spill = tmp_path / "spill"
+        with running_server("--spill-dir", str(spill)) as (proc, port):
+            job_id = submit(port, CHUNKED_JOB)["id"]
+            checkpoint = spill / f"{job_id}.ckpt.jsonl"
+
+            def spilled():
+                if not checkpoint.exists():
+                    return 0
+                return checkpoint.read_text().count('"kind":"chunk"')
+
+            assert wait_for(spilled, 30.0), "no chunk was ever spilled"
+            assert_clean_sigterm(proc)
+
+        # The round stopped early: some chunks spilled, not all, and
+        # the job stays resumable rather than cancelled.
+        assert 1 <= spilled() < 16
+        job = json.loads((spill / f"{job_id}.job.json").read_text())
+        assert job["state"] == "running"
