@@ -20,7 +20,7 @@ import numpy as np
 
 from conftest import engine_workers, print_banner
 from repro.analysis.reporting import Table
-from repro.phy.channel import BackscatterChannel, ChannelGeometry, TagState
+from repro.phy.channel import STATE_CODES, BackscatterChannel, ChannelGeometry
 from repro.phy.error_model import LinkErrorModel
 from repro.phy.mcs import ht_mcs
 from repro.runner import SweepSpec, run_sweep
@@ -40,10 +40,11 @@ def corruption_failure_probability(model, design, rng):
     the order of one sample after another.
     """
     fading = model.sample_fading_batch(N_SAMPLES)
+    zero_code = STATE_CODES.index(design.state_for_bit_zero)
     probabilities = model.subframe_success_probabilities_batch2d(
         MPDU_BITS,
         design.state_for_bit_one,
-        [[design.state_for_bit_zero]] * N_SAMPLES,
+        np.full((N_SAMPLES, 1), zero_code, dtype=np.int8),
         fading,
     )
     total = 0.0

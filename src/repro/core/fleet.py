@@ -79,6 +79,7 @@ import numpy as np
 
 from ..mac.block_ack import BlockAck, BlockAckScoreboard
 from ..phy.channel import (
+    STATE_CODES,
     BackscatterChannel,
     ChannelGeometry,
     PathLossModel,
@@ -576,12 +577,14 @@ class TagFleet:
             return []
 
         frames = [self._builder.build() for _ in addresses]
+        first = frames[0]
+        k = first.n_subframes
         idle = self._design.state_for_bit_one
 
         # Phase 1 — tag FSMs, in query order then tag index order.
         responders_per_q: list[list[int]] = []
         transmissions_per_q: list[dict[int, object]] = []
-        for frame, address in zip(frames, addresses):
+        for address in addresses:
             indices: Iterable[int] = (
                 range(self.n_tags)
                 if address is None
@@ -591,9 +594,9 @@ class TagFleet:
             transmissions: dict[int, object] = {}
             for i in indices:
                 observation = QueryObservation(
-                    n_subframes=frame.n_subframes,
-                    n_trigger_subframes=frame.n_trigger_subframes,
-                    subframe_s=frame.mean_subframe_s,
+                    n_subframes=k,
+                    n_trigger_subframes=first.n_trigger_subframes,
+                    subframe_s=first.mean_subframe_s,
                     rx_power_dbm=float(self.rx_power_dbm[i]),
                     temperature_c=self.temperature_c,
                 )
@@ -604,24 +607,26 @@ class TagFleet:
             responders_per_q.append(responders)
             transmissions_per_q.append(transmissions)
 
-        # Row assembly: one decode row per (query, responder); a query
-        # nobody answered decodes one benign row through tag 0's link.
-        k = frames[0].n_subframes
+        # Row assembly: one decode row of state codes per (query,
+        # responder); a query nobody answered decodes one benign idle
+        # row through tag 0's link.
         row_tag: list[int] = []
-        row_states: list[Sequence] = []
         rows_per_q: list[int] = []
-        for q, frame in enumerate(frames):
+        code_rows: list[np.ndarray] = []
+        idle_row = np.full(k, STATE_CODES.index(idle), dtype=np.int8)
+        for q in range(len(frames)):
             responders = responders_per_q[q]
             if responders:
                 for i in responders:
                     row_tag.append(i)
-                    row_states.append(transmissions_per_q[q][i].states)
+                    code_rows.append(transmissions_per_q[q][i].codes)
                 rows_per_q.append(len(responders))
             else:
                 row_tag.append(0)
-                row_states.append((idle,) * frame.n_subframes)
+                code_rows.append(idle_row)
                 rows_per_q.append(1)
         n_rows = len(row_tag)
+        codes = np.stack(code_rows)
 
         # Phase 2 — fading, one draw per row in row order.
         direct = np.empty(n_rows, dtype=complex)
@@ -631,7 +636,7 @@ class TagFleet:
 
         # Phase 3 — one batched decode, chunked by batch_tags (memory
         # only: per-row generators make chunk boundaries draw-neutral).
-        mpdu_bits = [8 * len(mpdu) for mpdu in frames[0].mpdus]
+        mpdu_bits = [8 * len(mpdu) for mpdu in first.mpdus]
         outcomes = np.empty((n_rows, k), dtype=bool)
         tag_indices = np.asarray(row_tag, dtype=np.intp)
         for start in range(0, n_rows, self.batch_tags):
@@ -643,7 +648,7 @@ class TagFleet:
             outcomes[start:stop] = self._decoder.subframe_outcomes_batch2d(
                 mpdu_bits,
                 idle,
-                row_states[start:stop],
+                codes[start:stop],
                 FadingBatch(
                     direct_gains=direct[start:stop],
                     tag_fadings=tag_fade[start:stop],
@@ -704,7 +709,7 @@ class TagFleet:
                 telemetry.on_cell_query(
                     result,
                     n_subframes=k,
-                    state_rows=row_states[row : row + count],
+                    code_rows=codes[row : row + count],
                     fading_rows=[
                         (complex(direct[r]), complex(tag_fade[r]))
                         for r in range(row, row + count)

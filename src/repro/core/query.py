@@ -20,19 +20,21 @@ Two details make queries tag-friendly:
 When the network uses encryption, each MPDU body is protected with CCMP or
 WEP before aggregation.  Nothing else changes — which is the paper's
 encryption-compatibility argument made concrete.  Every query carries the
-same plaintexts in the same subframe sizes, so a builder fixes its header
-templates, plaintexts and airtime schedule once; each build splices in
-sequence numbers, seals the bodies and appends the FCS.
+same plaintexts in the same subframe sizes, so a builder fixes its
+delimiters, header templates, pads, plaintexts and airtime schedule once;
+each build splices in sequence numbers, seals the bodies, appends the FCS
+and joins the PSDU in one loop over the MPDUs.
 """
 
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 
 from ..mac.addresses import MacAddress
-from ..mac.ampdu import DELIMITER_BYTES, aggregate, subframe_lengths
-from ..mac.crc import fcs_bytes
+from ..mac.ampdu import DELIMITER_BYTES, encode_delimiter
+from ..mac.block_ack import SEQUENCE_MODULUS
 from ..mac.frames import QosDataFrame, SequenceControl
 from ..mac.security.ccmp import CCMP_HEADER_BYTES, MIC_BYTES, CcmpContext
 from ..mac.security.wep import ICV_BYTES, IV_BYTES, WepContext
@@ -140,14 +142,16 @@ class QueryBuilder:
             self._wep = WepContext(config.encryption_key)
             self._seal_overhead = IV_BYTES + 1 + ICV_BYTES  # IV, key id, ICV
         self._target_bytes = self._target_subframe_bytes()
-        # Between builds only the per-MPDU sequence-control field and,
-        # on an encrypted network, the sealed bodies change: CCMP packet
-        # numbers and WEP IVs advance every MPDU.  So the per-subframe
-        # header templates, the plaintexts and the airtime schedule are
-        # fixed on first use (see _fix_templates()), and every build,
-        # encrypted or not, splices and seals against them.
+        # Between builds only the per-MPDU sequence-control field, the
+        # FCS and, on an encrypted network, the sealed bodies change:
+        # CCMP packet numbers and WEP IVs advance every MPDU.  So each
+        # subframe's delimiter, header halves and pad, the plaintexts
+        # and the airtime schedule are fixed on first use (see
+        # _fix_templates()), and every build, encrypted or not, splices
+        # and seals against them.
         self._templates: (
-            tuple[list[tuple[bytes, bytes]], list[bytes]] | None
+            tuple[list[tuple[bytes, bytes, bytes, bytes]], list[bytes]]
+            | None
         ) = None
         self._schedule: SubframeSchedule | None = None
         # Sequence numbers advance n_subframes per build (mod 4096), so
@@ -207,38 +211,51 @@ class QueryBuilder:
         return bytes(payload_len)
 
     def _fix_templates(self) -> None:
-        """Fix the header templates, plaintexts and airtime schedule.
+        """Fix the subframe templates, plaintexts and airtime schedule.
 
-        Each subframe's MPDU header is kept split around its 2-byte
-        sequence-control field (bytes 22..24).  The header depends on
-        the body only through whether it is empty, so a placeholder body
-        of the sealed length stands in for the ciphertext; its frame has
-        the on-air length every build will have.
+        MPDU lengths never change between builds, so each subframe's
+        template is fixed here: its delimiter, its MPDU header split
+        around the 2-byte sequence-control field (bytes 22..24), and
+        its pad.  A template depends only on the MPDU's length, so each
+        distinct length is serialized once, with a placeholder body of
+        the sealed length standing in for the ciphertext, and its
+        template object is shared by every subframe of that length.
         """
         cfg = self.config
-        heads: list[tuple[bytes, bytes]] = []
+        by_length: dict[int, tuple[bytes, bytes, bytes, bytes]] = {}
+        templates: list[tuple[bytes, bytes, bytes, bytes]] = []
         plaintexts: list[bytes] = []
-        frames: list[bytes] = []
+        lengths: list[int] = []
         for index, size in enumerate(self._subframe_byte_plan()):
             plaintext = self._payload_for(size, index < cfg.n_trigger_subframes)
-            frame = QosDataFrame(
-                receiver=self.ap,
-                transmitter=self.client,
-                destination=self.ap,
-                seq=SequenceControl(0),
-                payload=bytes(len(plaintext) + self._seal_overhead),
-            ).serialize()
-            heads.append((frame[:22], frame[24 : QosDataFrame.HEADER_BYTES]))
+            body_bytes = len(plaintext) + self._seal_overhead
+            mpdu_bytes = _MIN_MPDU_BYTES + body_bytes
+            template = by_length.get(mpdu_bytes)
+            if template is None:
+                header = QosDataFrame(
+                    receiver=self.ap,
+                    transmitter=self.client,
+                    destination=self.ap,
+                    seq=SequenceControl(0),
+                    payload=bytes(body_bytes),
+                ).serialize()
+                template = by_length[mpdu_bytes] = (
+                    encode_delimiter(mpdu_bytes),
+                    header[:22],
+                    header[24 : QosDataFrame.HEADER_BYTES],
+                    bytes(-mpdu_bytes % 4),
+                )
+            templates.append(template)
             plaintexts.append(plaintext)
-            frames.append(frame)
+            lengths.append(DELIMITER_BYTES + mpdu_bytes + len(template[3]))
         self._schedule = subframe_schedule(
-            subframe_lengths(frames),
+            lengths,
             cfg.mcs,
             channel_width_mhz=cfg.channel_width_mhz,
             short_gi=cfg.short_gi,
             phy_format=cfg.phy_format,
         )
-        self._templates = (heads, plaintexts)
+        self._templates = (templates, plaintexts)
 
     def _seal(self, plaintexts: list[bytes]) -> list[bytes]:
         """The MPDU bodies on the air, consuming packet numbers or IVs.
@@ -256,11 +273,14 @@ class QueryBuilder:
         """Build the next query A-MPDU, consuming sequence numbers.
 
         Advances the sequence counter, and on an encrypted network the
-        packet number or IV, by one per MPDU.  On an open network a
-        frame is a pure function of its starting sequence number, so
-        repeats within the modulo-4096 cycle come out of a per-SSN memo
-        instead of being re-spliced.  Encrypted frames change with every
-        packet number or IV, so they are sealed afresh on every call.
+        packet number or IV, by one per MPDU.  Each MPDU is its fixed
+        header with the sequence-control bytes spliced in, the (sealed)
+        body and a CRC-32 FCS; the PSDU joins them with their fixed
+        delimiters and pads.  On an open network a frame is a pure
+        function of its starting sequence number, so repeats within the
+        modulo-4096 cycle come out of a per-SSN memo instead of being
+        re-spliced.  Encrypted frames change with every packet number
+        or IV, so they are sealed afresh on every call.
         """
         ssn = self.sequence.next_value
         cached = self._frame_memo.get(ssn)
@@ -269,15 +289,20 @@ class QueryBuilder:
             return cached
         if self._templates is None:
             self._fix_templates()
-        heads, plaintexts = self._templates
+        templates, plaintexts = self._templates
         bodies = self._seal(plaintexts)
         mpdus: list[bytes] = []
-        for (head, qos), body in zip(heads, bodies):
-            seq = SequenceControl(self.sequence.allocate()).to_int()
-            frame = head + seq.to_bytes(2, "little") + qos + body
-            mpdus.append(frame + fcs_bytes(frame))
+        parts: list[bytes] = []
+        seq = ssn
+        for (delimiter, head, qos, pad), body in zip(templates, bodies):
+            frame = head + (seq << 4).to_bytes(2, "little") + qos + body
+            mpdu = frame + zlib.crc32(frame).to_bytes(4, "little")
+            mpdus.append(mpdu)
+            parts += (delimiter, mpdu, pad)
+            seq = (seq + 1) % SEQUENCE_MODULUS
+        self.sequence.advance(len(mpdus))
         frame = QueryFrame(
-            psdu=aggregate(mpdus),
+            psdu=b"".join(parts),
             mpdus=tuple(mpdus),
             schedule=self._schedule,
             ssn=ssn,

@@ -39,7 +39,7 @@ from ..mac.addresses import MacAddress
 from ..mac.block_ack import BlockAck, BlockAckScoreboard
 from ..mac.csma import ContentionModel
 from ..perf import StageCounters
-from ..phy.channel import TagState
+from ..phy.channel import STATE_CODES
 from ..phy.error_model import FadingBatch, LinkErrorModel
 from ..phy.fading import CorrelatedFadingChannel
 from ..seeding import component_rng
@@ -170,26 +170,6 @@ class WiTagSystem:
         self.counters.add("query-build", time.perf_counter() - start)
         return frame, self._access_delay_s()
 
-    def _effective_states(self, transmission, query: QueryFrame) -> list[TagState]:
-        """Apply timing-misalignment collateral to the tag's state plan.
-
-        A misaligned toggle still corrupts (most of) its target subframe —
-        corruption needs only part of the subframe to see a changed
-        channel — but additionally spills into one neighbour, corrupting
-        it as well.  The neighbour is chosen uniformly (drift sign is
-        unknown to the reader).
-        """
-        states = list(transmission.states)
-        zero_state = self.tag.design.state_for_bit_zero
-        for j, aligned in enumerate(transmission.toggles_aligned):
-            if aligned or transmission.bits_loaded[j] != 0:
-                continue
-            k = query.n_trigger_subframes + j
-            neighbour = k + (1 if self.rng.random() < 0.5 else -1)
-            if 0 <= neighbour < len(states):
-                states[neighbour] = zero_state
-        return states
-
     def run_query(self) -> QueryResult:
         """Execute one full query cycle (paper Figure 2, steps 1 and 2).
 
@@ -210,10 +190,12 @@ class WiTagSystem:
 
         ``frames[q]`` and ``access_delays_s[q]`` are query ``q``'s frame
         and access delay, built and drawn in order by
-        :meth:`draw_cycle`.  The rest of each cycle runs here: a cheap
-        per-query prologue (fading, tag FSM with vectorized alignment
-        draws) and then all PHY decode work as a single ``(count,
-        n_subframes)`` matrix through
+        :meth:`draw_cycle` (one builder, so one frame shape per chunk).
+        The rest of each cycle runs here: a cheap per-query prologue
+        (fading, then the tag FSM, whose ``int8`` row of state codes
+        goes into one ``(count, n_subframes)`` code matrix, with the
+        misalignment collateral marked by array operations) and then
+        all PHY decode work on that matrix through
         :meth:`LinkErrorModel.subframe_outcomes_batch2d`; block-ACK
         bitmaps fall out of one ``np.packbits``.
 
@@ -260,30 +242,52 @@ class WiTagSystem:
         else:
             fading = self.error_model.sample_fading_batch(count)
 
-        preamble_state = self.tag.design.state_for_bit_one
-        state_rows: list[list[TagState]] = []
+        design = self.tag.design
+        zero_code = STATE_CODES.index(design.state_for_bit_zero)
+        first = frames[0]
+        n_subframes = first.n_subframes
+        # Every frame of a builder shares one schedule and shape, so one
+        # observation serves the whole chunk.
+        observation = QueryObservation(
+            n_subframes=n_subframes,
+            n_trigger_subframes=first.n_trigger_subframes,
+            subframe_s=first.mean_subframe_s,
+            rx_power_dbm=self._rx_at_tag_dbm,
+            temperature_c=self.temperature_c,
+        )
+        codes = np.empty((count, n_subframes), dtype=np.int8)
         transmissions = []
         with self.counters.timed("tag-fsm", count):
-            for frame in frames:
+            for q in range(count):
                 if load_bits is not None:
                     load_bits()
-                observation = QueryObservation(
-                    n_subframes=frame.n_subframes,
-                    n_trigger_subframes=frame.n_trigger_subframes,
-                    subframe_s=frame.mean_subframe_s,
-                    rx_power_dbm=self._rx_at_tag_dbm,
-                    temperature_c=self.temperature_c,
-                )
                 transmission = self.tag.process_query(observation)
                 transmissions.append(transmission)
-                state_rows.append(self._effective_states(transmission, frame))
+                codes[q] = transmission.codes
+                # Misalignment collateral: a misaligned zero-bit toggle
+                # still corrupts (most of) its own subframe, and also
+                # spills into one neighbour, chosen uniformly (the
+                # reader cannot know the drift's sign): one uniform per
+                # spilling bit, in bit order.
+                aligned = transmission.toggles_aligned
+                if aligned.all():
+                    continue
+                zero_bits = np.array(transmission.bits_loaded) == 0
+                spills = np.flatnonzero(zero_bits & ~aligned)
+                neighbours = (
+                    observation.n_trigger_subframes
+                    + spills
+                    + np.where(self.rng.random(spills.size) < 0.5, 1, -1)
+                )
+                in_frame = (neighbours >= 0) & (neighbours < n_subframes)
+                codes[q, neighbours[in_frame]] = zero_code
 
         # MPDU sizes are fixed by the builder's byte plan, so one row
         # serves every query in the chunk.
-        mpdu_bits = [8 * len(mpdu) for mpdu in frames[0].mpdus]
+        mpdu_bits = [8 * len(mpdu) for mpdu in first.mpdus]
         with self.counters.timed("phy-decode", count):
             outcomes = self.error_model.subframe_outcomes_batch2d(
-                mpdu_bits, preamble_state, state_rows, fading
+                mpdu_bits, design.state_for_bit_one, codes, fading
             )
 
         results: list[QueryResult] = []
@@ -301,7 +305,6 @@ class WiTagSystem:
             tel = self.telemetry
             if tel is not None:
                 row_true = outcome_matrix.sum(axis=1)
-                n_subframes = outcome_matrix.shape[1]
             for q, frame in enumerate(frames):
                 bitmap = int.from_bytes(packed[q].tobytes(), "little")
                 block_ack = BlockAck(
@@ -327,7 +330,7 @@ class WiTagSystem:
                     tel.on_query(
                         result,
                         n_failed=int(n_subframes - row_true[q]),
-                        states=state_rows[q],
+                        codes=codes[q],
                         fading=fading.sample(q),
                     )
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..perf import StageCounters
+from ..phy.channel import STATE_CODES
 from .metrics import (
     BER_BUCKETS,
     SINR_LINEAR_BUCKETS,
@@ -53,6 +54,8 @@ from .trace import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from ..core.fleet import MultiTagQueryResult, TagFleet
     from ..core.session import SessionStats
     from ..core.system import QueryResult, WiTagSystem
@@ -60,6 +63,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.network import FleetNetwork, FleetRoundStats
 
 __all__ = ["Telemetry", "TelemetrySpec"]
+
+
+def _codes_digest(codes: "np.ndarray") -> str:
+    """:func:`states_digest` of tag-state codes, rows in order."""
+    return states_digest(STATE_CODES[c] for c in codes.ravel().tolist())
 
 
 class Telemetry:
@@ -351,10 +359,15 @@ class Telemetry:
         result: "QueryResult",
         *,
         n_failed: int,
-        states: Iterable[Any],
+        codes: "np.ndarray",
         fading: "FadingSample",
     ) -> None:
-        """One completed query cycle."""
+        """One completed query cycle.
+
+        ``codes`` is the query's row of tag-state codes (see
+        :data:`repro.phy.channel.STATE_CODES`); it is turned back into
+        state names only for a trace record.
+        """
         n_subframes = result.query.n_subframes
         if self.metrics_enabled:
             self._queries.inc()
@@ -378,7 +391,7 @@ class Telemetry:
                 "subframes": int(n_subframes),
                 "subframes_failed": int(n_failed),
                 "bitmap": f"{result.block_ack.bitmap:016x}",
-                "states_digest": states_digest(states),
+                "states_digest": _codes_digest(codes),
                 "fading_digest": fading_digest(
                     fading.direct_gain, fading.tag_fading
                 ),
@@ -395,7 +408,7 @@ class Telemetry:
         result: "MultiTagQueryResult",
         *,
         n_subframes: int,
-        state_rows: Iterable[Any],
+        code_rows: "np.ndarray",
         fading_rows: Iterable[tuple[complex, complex]],
         cycle_s: float,
     ) -> None:
@@ -404,7 +417,7 @@ class Telemetry:
         Args:
             result: the query outcome.
             n_subframes: subframes in the query's A-MPDU.
-            state_rows: one per-subframe tag-state plan per decode row
+            code_rows: one row of tag-state codes per decode row
                 (responders in responder order; the benign idle row
                 for an unanswered query).
             fading_rows: one ``(direct_gain, tag_fading)`` pair per
@@ -450,9 +463,7 @@ class Telemetry:
                 "subframes": int(n_subframes),
                 "subframes_failed": int(n_failed),
                 "bitmap": f"{result.block_ack.bitmap:016x}",
-                "states_digest": states_digest(
-                    state for row in state_rows for state in row
-                ),
+                "states_digest": _codes_digest(code_rows),
                 "fading_digest": fading_rows_digest(fading_rows),
                 "cycle_s": float(cycle_s),
             }

@@ -7,6 +7,7 @@ DESIGN.md for how each piece substitutes for the paper's hardware testbed.
 
 from .airtime import PpduTiming, SubframeSchedule, ppdu_airtime, subframe_schedule
 from .channel import (
+    STATE_CODES,
     BackscatterChannel,
     ChannelGeometry,
     PathLossModel,
@@ -41,6 +42,7 @@ __all__ = [
     "PpduTiming",
     "PreambleInfo",
     "ReceiverNoise",
+    "STATE_CODES",
     "SubframeSchedule",
     "TagAntenna",
     "TagChannelWaveform",

@@ -65,6 +65,12 @@ class TagState(enum.Enum):
         return complex(-1.0, 0.0)
 
 
+#: Integer codes of the tag states: code ``c`` stands for
+#: ``STATE_CODES[c]``.  The tag FSM emits a row of ``int8`` codes per
+#: query, and the 2-D decode indexes its channel-change stack by them.
+STATE_CODES: tuple[TagState, ...] = tuple(TagState)
+
+
 @dataclass(frozen=True)
 class PathLossModel:
     """Log-distance path loss with optional fixed obstruction loss.

@@ -147,7 +147,9 @@ def decode_payload(raw: bytes) -> tuple[list[Any], dict[str, Any] | None]:
 def _decode_record_payload(
     encoded: str, digest: str
 ) -> tuple[list[Any], dict[str, Any] | None]:
-    raw = base64.b64decode(encoded.encode("ascii"), validate=True)
+    if not isinstance(encoded, str) or not isinstance(digest, str):
+        raise TypeError("chunk payload and digest must be strings")
+    raw = base64.b64decode(encoded, validate=True)
     if payload_digest(raw) != digest:
         raise ValueError("chunk payload digest mismatch")
     return decode_payload(raw)

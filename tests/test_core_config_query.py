@@ -9,6 +9,7 @@ from repro.core.system import DEFAULT_AP, DEFAULT_CLIENT
 from repro.mac.ampdu import deaggregate
 from repro.mac.frames import QosDataFrame
 from repro.mac.security.ccmp import CcmpContext
+from repro.mac.sequence import SequenceCounter
 from repro.phy.mcs import ht_mcs
 from tests.oracles import query as query_oracle
 
@@ -211,6 +212,46 @@ class TestEncryptedBuildsMatchOracle:
         query = builder.build()
         assert airtime == query.airtime_s
         assert query.mpdus == query_oracle.build_reference(reference).mpdus
+
+
+class TestBuildAcrossSequenceWrap:
+    """The spliced build equals the from-scratch one through 4095 -> 0."""
+
+    @pytest.mark.parametrize("mode,key", [
+        (EncryptionMode.OPEN, None),
+        (EncryptionMode.WPA2_CCMP, b"0123456789abcdef"),
+        (EncryptionMode.WEP, b"12345"),
+    ], ids=["open", "wpa2-ccmp", "wep"])
+    @pytest.mark.parametrize("n_subframes", [64, 37])
+    def test_builds_match_reference(self, mode, key, n_subframes):
+        config = WiTagConfig(
+            encryption=mode, encryption_key=key, n_subframes=n_subframes
+        )
+        builder, reference = (
+            QueryBuilder(
+                config,
+                client=DEFAULT_CLIENT,
+                ap=DEFAULT_AP,
+                sequence=SequenceCounter(4096 - n_subframes - 5),
+            )
+            for _ in range(2)
+        )
+        ssns = []
+        for _ in range(3):
+            got = builder.build()
+            expected = query_oracle.build_reference(reference)
+            assert got.psdu == expected.psdu
+            assert got.mpdus == expected.mpdus
+            assert got.ssn == expected.ssn
+            assert got.schedule == expected.schedule
+            ssns.append(got.ssn)
+        # The second query's sequence numbers wrap from 4095 to 0.
+        assert ssns == [
+            4096 - n_subframes - 5, 4091, n_subframes - 5
+        ]
+        assert builder.sequence.next_value == (
+            reference.sequence.next_value
+        )
 
 
 class TestEncryptedQueries:

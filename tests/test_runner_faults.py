@@ -506,6 +506,28 @@ class TestCheckpointFile:
         assert state.chunks == {}
         assert state.skipped_lines == 1
 
+    def test_non_string_payload_or_digest_is_skipped(self, tmp_path):
+        # Valid JSON, wrong types: counted as damaged lines, not raised.
+        path = tmp_path / "run.ckpt.jsonl"
+        with CheckpointWriter(path, {"fingerprint": "a"}) as writer:
+            for index in range(4):
+                writer.record_chunk(
+                    CompletedChunk(index, index, 1, 1, 0.0, [index], None)
+                )
+        lines = path.read_text().splitlines()
+        for line_no, field, value in (
+            (1, "payload", 5),
+            (2, "digest", 5),
+            (3, "payload", None),
+        ):
+            record = json.loads(lines[line_no])
+            record[field] = value
+            lines[line_no] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        state = load_checkpoint(path)
+        assert state.skipped_lines == 3
+        assert {i: c.values for i, c in state.chunks.items()} == {3: [3]}
+
     def test_last_record_wins(self, tmp_path):
         path = tmp_path / "run.ckpt.jsonl"
         with CheckpointWriter(path, {"fingerprint": "a"}) as writer:
@@ -582,6 +604,29 @@ class TestCheckpointResume:
             {i for c in done_before for i in (2 * c, 2 * c + 1)}
         )
         assert rerun | first_run >= set(range(8)) - {5}
+
+    def test_non_string_payload_chunks_are_recomputed(self, tmp_path):
+        ck = tmp_path / "sweep.ckpt.jsonl"
+        log = tmp_path / "resume.log"
+        spec = SweepSpec(
+            axes={"x": list(range(6)), "log": [str(log)]},
+            seed=4,
+            chunk_size=2,
+        )
+        clean = run_sweep(probe_with_log, spec, checkpoint=ck)
+        lines = ck.read_text().splitlines()
+        for line_no, field in ((1, "payload"), (3, "digest")):
+            record = json.loads(lines[line_no])
+            assert record["kind"] == "chunk"
+            record[field] = 5
+            lines[line_no] = json.dumps(record)
+        ck.write_text("\n".join(lines) + "\n")
+        log.unlink()
+        assert load_checkpoint(ck).skipped_lines == 2
+        resumed = run_sweep(probe_with_log, spec, checkpoint=ck)
+        assert resumed.values == clean.values
+        assert resumed.resumed_chunks == 1
+        assert sorted(executed_units(log)) == [0, 1, 4, 5]
 
     def test_resume_with_different_worker_count(self, tmp_path):
         ck = tmp_path / "sweep.ckpt.jsonl"

@@ -10,6 +10,7 @@ from repro.tag.envelope_detector import (
 )
 from repro.tag.oscillator import ring_oscillator_20mhz, witag_crystal_50khz
 from repro.tag.timing import TimingModel
+from tests.oracles import link as oracle
 
 
 class TestEnvelopeDetector:
@@ -127,7 +128,9 @@ class TestTimingModel:
             witag_crystal_50khz(), subframe_s=20e-6, sync_jitter_s=1.5e-6
         )
         rng = np.random.default_rng(3)
-        misses = sum(not tm.aligned(10, rng) for _ in range(4000)) / 4000
+        misses = sum(
+            not oracle.aligned(tm, 10, rng) for _ in range(4000)
+        ) / 4000
         assert misses == pytest.approx(
             tm.misalignment_probability(10), abs=0.02
         )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.phy.channel import TagState
+from repro.phy.channel import STATE_CODES, TagState
 from repro.tag.harvester import RfHarvester
 from repro.tag.power import (
     PowerBudget,
@@ -48,9 +48,11 @@ class TestTagStateMachine:
         assert tx.detected
         assert tx.bits_loaded == (1, 0, 1, 0)
         # Trigger subframes idle; then bit states; trailing idle.
-        assert tx.states[0] is TagState.REFLECT_0
-        assert tx.states[2] is TagState.REFLECT_0  # bit 1
-        assert tx.states[3] is TagState.REFLECT_180  # bit 0
+        states = [STATE_CODES[c] for c in tx.codes]
+        assert tx.codes.dtype == np.int8
+        assert states[0] is TagState.REFLECT_0
+        assert states[2] is TagState.REFLECT_0  # bit 1
+        assert states[3] is TagState.REFLECT_180  # bit 0
 
     def test_queue_consumed_fifo(self):
         fsm = TagStateMachine(rng=np.random.default_rng(0))
@@ -73,13 +75,16 @@ class TestTagStateMachine:
         assert tx.bits_loaded == ()
         assert fsm.pending_bits == 3
         # An undetected query leaves the tag idle throughout.
-        assert all(s is TagState.REFLECT_0 for s in tx.states)
+        assert len(tx.codes) == 10
+        assert all(STATE_CODES[c] is TagState.REFLECT_0 for c in tx.codes)
 
     def test_unused_slots_idle(self):
         fsm = TagStateMachine(rng=np.random.default_rng(0))
         fsm.load_bits([0, 0])
         tx = fsm.process_query(make_query())
-        assert all(s is TagState.REFLECT_0 for s in tx.states[4:])
+        assert all(
+            STATE_CODES[c] is TagState.REFLECT_0 for c in tx.codes[4:]
+        )
 
     def test_alignment_flags_per_bit(self):
         fsm = TagStateMachine(rng=np.random.default_rng(0))
