@@ -7,6 +7,7 @@ the parallel engine, the stage-counter table helpers, and the
 ``repro metrics`` / ``repro trace`` CLI surface.
 """
 
+import hashlib
 import json
 import re
 
@@ -31,8 +32,11 @@ from repro.obs import (
     summarize_trace,
     validate_trace_record,
 )
+from repro.core.fleet import TagFleet
+from repro.phy.channel import ChannelGeometry
 from repro.runner import SessionSpec, run_sessions
-from repro.sim.scenario import los_scenario
+from repro.sim.scenario import build_system, los_scenario
+from tests.oracles import link as oracle
 
 
 def _traced_session(path, *, queries=25, seed=5, metrics=True,
@@ -254,6 +258,79 @@ class TestTraceSampling:
 
 
 @pytest.mark.runner
+def _query_records_sha256(path) -> tuple[int, str]:
+    """Count and SHA-256 of a trace file's query records, as written."""
+    lines = [
+        line
+        for line in path.read_text().splitlines()
+        if json.loads(line).get("kind") == "query"
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    return len(lines), digest
+
+
+class TestTraceRecordPins:
+    """Query trace records of fixed-seed runs, byte for byte.
+
+    The equivalence suites run engine and oracle through the same
+    telemetry hooks, so a change to the hooks themselves moves both
+    alike.  These pins hold the records (bitmaps, state and fading
+    digests, cycle times) to the bytes they were recorded with.
+    """
+
+    SESSION_SHA256 = (
+        "8243ba73c85ee4ea0fe56f386117cb78"
+        "00f587981cd81fed83dbd29b26152da6"
+    )
+    FLEET_SHA256 = (
+        "433a8de61efa72033261bfad1aea8305"
+        "cc338b4efe7e125c01cb8cb5e25a8310"
+    )
+
+    @pytest.mark.parametrize("loop", ["engine", "oracle"])
+    def test_session_query_records(self, tmp_path, loop):
+        # The weak tag link misses triggers, and misaligned zero-bit
+        # toggles draw collateral neighbours from the system generator.
+        system, _ = build_system(ChannelGeometry.on_line(20.0, 10.0), seed=5)
+        collateral_before = system.rng.bit_generator.state
+        path = tmp_path / "session.jsonl"
+        telemetry = Telemetry(writer=TraceWriter(str(path)))
+        telemetry.attach(system)
+        rng = np.random.default_rng(5)
+        if loop == "engine":
+            session = MeasurementSession(system, rng=rng, batch_queries=16)
+        else:
+            session = oracle.Session(system, rng=rng)
+        stats = session.run_queries(40)
+        telemetry.close()
+        assert stats.missed_triggers > 0
+        assert system.rng.bit_generator.state != collateral_before
+        assert _query_records_sha256(path) == (40, self.SESSION_SHA256)
+
+    def test_fleet_query_records(self, tmp_path):
+        # on_cell_query: a five-responder broadcast, answered and
+        # drained addressed queries, and idle ones.
+        rng = np.random.default_rng(11)
+        positions = np.column_stack(
+            [rng.uniform(1.0, 9.0, 6), rng.uniform(-4.0, 4.0, 6)]
+        )
+        fleet = TagFleet.build(positions, seed=11)
+        path = tmp_path / "fleet.jsonl"
+        telemetry = Telemetry(writer=TraceWriter(str(path)))
+        telemetry.attach_fleet(fleet)
+        bits = np.random.default_rng(3)
+        for i, name in enumerate(fleet.names[:-1]):
+            n_bits = 5 if i == 0 else 100
+            fleet.load_bits(name, bits.integers(0, 2, n_bits).tolist())
+        responders = [len(fleet.run_query(address=None).responded)]
+        responders += [len(r.responded) for r in fleet.poll_round().values()]
+        responders.append(len(fleet.run_query(address=None).responded))
+        responders += [len(r.responded) for r in fleet.poll_round().values()]
+        telemetry.close()
+        assert responders == [5, 0, 1, 1, 1, 1, 0] + [0] * 7
+        assert _query_records_sha256(path) == (14, self.FLEET_SHA256)
+
+
 class TestCrossProcessAggregation:
     def _run(self, n_workers):
         return run_sessions(
