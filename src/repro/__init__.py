@@ -19,8 +19,7 @@ Subpackages:
     * :mod:`repro.analysis` -- BER/CDF/statistics utilities.
     * :mod:`repro.runner` -- parallel experiment engine with a
       bit-identical-for-any-worker-count determinism contract.
-    * :mod:`repro.seeding` -- SeedSequence-based stream derivation
-      (public facade: :mod:`repro.sim.rng`).
+    * :mod:`repro.seeding` -- SeedSequence-based stream derivation.
 
 Quickstart:
     >>> from repro.sim import los_scenario

@@ -4,14 +4,11 @@ from .ber import BitErrorCounter
 from .cdf import EmpiricalCdf
 from .reporting import Table, format_value
 from .stats import Summary, db, geometric_mean
-from .sweep import ParameterSweep, SweepPoint
 
 __all__ = [
     "BitErrorCounter",
     "EmpiricalCdf",
-    "ParameterSweep",
     "Summary",
-    "SweepPoint",
     "Table",
     "db",
     "format_value",

@@ -26,7 +26,7 @@ from .fleet import MultiTagQueryResult, TagFleet
 from .framing import TagMessage, bits_to_bytes, bytes_to_bits, deframe, scan_for_frames
 from .query import QueryBuilder, QueryFrame, TRIGGER_PATTERN
 from .rate_control import AdaptiveSession, QueryRateController
-from .session import MeasurementSession, SessionStats, run_parallel_sessions
+from .session import MeasurementSession, SessionStats
 from .system import DEFAULT_AP, DEFAULT_CLIENT, QueryResult, WiTagSystem
 from .throughput import (
     CycleBreakdown,
@@ -60,7 +60,6 @@ __all__ = [
     "QueryResult",
     "RepetitionCode",
     "SessionStats",
-    "run_parallel_sessions",
     "TRIGGER_PATTERN",
     "TagEncoder",
     "TagFleet",

@@ -10,9 +10,7 @@ as code.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -20,9 +18,6 @@ from ..seeding import component_rng
 from .query import QueryFrame
 from .system import QueryResult, WiTagSystem
 from .throughput import block_ack_airtime_s
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
-    from ..runner.engine import SweepResult, UnitContext
 
 Bits = list[int]
 
@@ -193,82 +188,3 @@ class MeasurementSession:
             "system": self.system.counters.as_dict(),
             "error_model": self.system.error_model.counters.as_dict(),
         }
-
-
-#: Dedup keys for which the small-query serial-fallback warning already
-#: fired in this process.  A retried or checkpoint-resumed job calls
-#: :func:`run_parallel_sessions` once per (re)dispatch with the same
-#: configuration; warning on every one of them buried real signal, so
-#: the fallback now warns once per key and stays silent after.
-_small_query_warned: set = set()
-
-
-def reset_small_query_warnings() -> None:
-    """Forget which callers already saw the small-query fallback warning.
-
-    Test hook: the dedup set is process-global, so suites asserting the
-    warning fires (or fires exactly once) reset it first to stay
-    independent of execution order.
-    """
-    _small_query_warned.clear()
-
-
-def run_parallel_sessions(
-    build: "Callable[[UnitContext], MeasurementSession]",
-    n_sessions: int,
-    *,
-    queries: int | None = None,
-    duration_s: float | None = None,
-    seed: int = 0,
-    n_workers: int = 1,
-    warn_key: "object | None" = None,
-    **engine_kwargs,
-) -> "SweepResult":
-    """Run independent sessions through the parallel engine.
-
-    Thin forwarding wrapper around :func:`repro.runner.run_sessions`
-    (imported lazily — the runner builds on this module) so session
-    consumers get parallel execution without importing the runner
-    package themselves.  ``result.values`` is a list of
-    :class:`SessionStats`, one per session, in session order and
-    bit-identical for any ``n_workers``.
-
-    When the per-session query count is smaller than the requested
-    chunk size, process-pool dispatch would cost more than the work
-    itself; matching ``run_units`` behaviour, this falls back to the
-    serial executor with a warning instead of raising.  The warning is
-    deduplicated per ``warn_key`` (defaulting to the
-    ``(queries, chunk_size)`` pair) so a job that re-dispatches the
-    same configuration — a retry loop, a checkpoint resume, a job
-    server re-running a spec — warns once, not once per dispatch; the
-    serial fallback itself still applies every time.
-    """
-    from ..runner import run_sessions
-
-    chunk_size = engine_kwargs.get("chunk_size")
-    if (
-        queries is not None
-        and chunk_size is not None
-        and queries < chunk_size
-    ):
-        key = warn_key if warn_key is not None else (queries, chunk_size)
-        if key not in _small_query_warned:
-            _small_query_warned.add(key)
-            warnings.warn(
-                f"n_queries ({queries}) < chunk_size ({chunk_size}): "
-                "parallel dispatch would dominate the work; falling back "
-                "to the serial executor",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        engine_kwargs = dict(engine_kwargs, executor="serial")
-
-    return run_sessions(
-        build,
-        n_sessions,
-        queries=queries,
-        duration_s=duration_s,
-        seed=seed,
-        n_workers=n_workers,
-        **engine_kwargs,
-    )

@@ -85,23 +85,6 @@ class TelemetryAggregate:
             for group in sorted(self._stage)
         }
 
-    def stage_counters(self, group: str) -> StageCounters:
-        """The merged :class:`StageCounters` for ``group`` (may be empty)."""
-        return self._stage.get(group, StageCounters())
-
-    def merge_into(self, session) -> None:
-        """Fold merged stage counters back into a caller's live objects.
-
-        ``session`` is a :class:`repro.core.session.MeasurementSession`;
-        the "system" and "error_model" groups land on its system's and
-        error model's counters, restoring ``stage_timings()`` after a
-        parallel run whose workers did the actual timing.
-        """
-        session.system.counters.merge(self.stage_counters("system"))
-        session.system.error_model.counters.merge(
-            self.stage_counters("error_model")
-        )
-
     def as_dict(self) -> dict[str, Any]:
         """JSON-able view, stamped with schema and producing version."""
         from .. import __version__

@@ -3,7 +3,8 @@
 Public surface:
 
 * :class:`SweepSpec` / :class:`SweepResult` — declarative sweep grid
-  and ordered results with per-worker timing counters.
+  and ordered results (:class:`SweepPoint` per unit) with per-worker
+  timing counters.
 * :func:`run_sweep` — evaluate a work function at every grid point.
 * :func:`run_sessions` — run many measurement sessions as work units.
 * :func:`run_units` — the raw primitive beneath both.
@@ -40,12 +41,12 @@ from .checkpoint import (
 from .engine import (
     ChunkProgress,
     SweepError,
+    SweepPoint,
     SweepResult,
     SweepSpec,
     UnitContext,
     WorkerTiming,
     WorkUnitError,
-    resolve_executor,
     run_sweep,
     run_units,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "RetryPolicy",
     "SessionSpec",
     "SweepError",
+    "SweepPoint",
     "SweepResult",
     "SweepSpec",
     "TelemetryAggregate",
@@ -71,7 +73,6 @@ __all__ = [
     "WorkerTiming",
     "checkpoint_fingerprint",
     "load_checkpoint",
-    "resolve_executor",
     "run_sessions",
     "run_sweep",
     "run_units",

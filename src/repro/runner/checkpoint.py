@@ -37,6 +37,7 @@ after a partial retry simply overwrite on load (last record wins).
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
 import os
@@ -188,15 +189,25 @@ class CheckpointWriter:
         if fresh:
             from .. import __version__
 
-            self._write_line(
-                {
-                    "schema": CHECKPOINT_SCHEMA,
-                    "kind": "header",
-                    "producer": "repro",
-                    "version": __version__,
-                    **meta,
-                }
-            )
+            try:
+                self._write_line(
+                    {
+                        "schema": CHECKPOINT_SCHEMA,
+                        "kind": "header",
+                        "producer": "repro",
+                        "version": __version__,
+                        **meta,
+                    }
+                )
+            except OSError:
+                # A torn header would make every later resume refuse
+                # the file, so a header that cannot be written leaves
+                # no file at all.
+                with contextlib.suppress(OSError):
+                    self._handle.close()
+                with contextlib.suppress(OSError):
+                    os.remove(self.path)
+                raise
 
     def _write_line(self, record: dict[str, Any]) -> None:
         self._handle.write(json.dumps(record, separators=(",", ":")) + "\n")

@@ -12,7 +12,7 @@ determinism contract:
 The contract holds because randomness is never shared between units.
 Work unit ``index`` of a sweep seeded with ``seed`` draws all of its
 randomness from ``numpy`` SeedSequence children keyed ``(index, ...)``
-(see :mod:`repro.sim.rng`), which depend only on the root seed and the
+(see :mod:`repro.seeding`), which depend only on the root seed and the
 unit's position — not on which process runs it, how units are batched
 into tasks, or how many siblings exist.  Workers therefore never
 communicate randomness; they only return values, which the coordinator
@@ -20,9 +20,10 @@ reassembles in unit order.
 
 Units are batched into *chunks* (several units per submitted task) to
 amortize inter-process pickling overhead; chunking is a pure scheduling
-concern and cannot affect results.  A serial executor runs everything
-in-process for ``n_workers=1``, for platforms without ``fork``-style
-multiprocessing, and for work functions that cannot be pickled.
+concern and cannot affect results.  ``n_workers`` alone picks the
+executor: a serial one runs everything in-process for ``n_workers=1``
+and on platforms without ``fork``-style multiprocessing; any other
+run uses a process pool.
 
 Fault tolerance extends the contract rather than weakening it.  With a
 :class:`repro.runner.faults.RetryPolicy`, failed chunks are retried
@@ -51,7 +52,6 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from ..analysis.reporting import Table
-from ..analysis.sweep import SweepPoint
 from ..obs.aggregate import TelemetryAggregate
 from ..obs.runtime import activate as _activate_telemetry
 from ..obs.runtime import active as _active_telemetry
@@ -69,12 +69,12 @@ from .faults import RetryEvent, RetryPolicy
 __all__ = [
     "ChunkProgress",
     "SweepError",
+    "SweepPoint",
     "SweepResult",
     "SweepSpec",
     "UnitContext",
     "WorkUnitError",
     "WorkerTiming",
-    "resolve_executor",
     "run_sweep",
     "run_units",
 ]
@@ -159,6 +159,15 @@ class UnitContext:
 
 
 @dataclass(frozen=True)
+class SweepPoint:
+    """One evaluated unit: its parameters, value and derived seed."""
+
+    parameters: dict[str, Any]
+    value: Any
+    seed: int
+
+
+@dataclass(frozen=True)
 class WorkerTiming:
     """Per-worker progress/timing counters (observability hook).
 
@@ -223,12 +232,12 @@ class SweepSpec:
 
     Attributes:
         axes: name -> values; the grid is the Cartesian product in axis
-            insertion order (same convention as
-            :class:`repro.analysis.sweep.ParameterSweep`).
+            insertion order.
         seed: root seed; unit ``i`` derives its streams from
             ``SeedSequence(seed, spawn_key=(i, ...))``.
-        chunk_size: units per submitted task; ``None`` picks a size that
-            gives each worker a few tasks.
+        chunk_size: units per submitted task, and the one place a sweep
+            sets it; ``None`` picks a size that gives each worker a few
+            tasks.
     """
 
     axes: dict[str, list[Any]]
@@ -507,29 +516,18 @@ def _auto_chunk_size(n_units: int, n_workers: int) -> int:
     return max(1, -(-n_units // max(1, 4 * n_workers)))
 
 
-def resolve_executor(requested: str, n_workers: int) -> str:
-    """The executor ``run_units`` will actually use for a request.
+def _executor_for(n_workers: int) -> str:
+    """The executor a run of ``n_workers`` starts on.
 
-    Mirrors the engine's silent serial fallbacks (``n_workers == 1``,
-    or ``auto`` on platforms without a fork-style start method) so
-    callers — e.g. the session layer's small-workload fallback, or
-    tests asserting dispatch behaviour — can predict them without
-    duplicating the policy.
+    Serial for one worker, and on platforms without a fork-style start
+    method (spawn would need importable work functions); the process
+    pool otherwise.
     """
-    if requested not in ("auto", "serial", "process"):
-        raise ValueError(
-            f"executor must be 'auto', 'serial' or 'process', "
-            f"got {requested!r}"
-        )
-    if requested == "serial" or n_workers == 1:
+    methods = multiprocessing.get_all_start_methods()
+    if n_workers == 1 or (
+        "fork" not in methods and "forkserver" not in methods
+    ):
         return "serial"
-    if requested == "auto":
-        methods = multiprocessing.get_all_start_methods()
-        if "fork" not in methods and "forkserver" not in methods:
-            # No fork-style start method (e.g. some embedded platforms):
-            # spawn requires importable work functions, so default to the
-            # always-correct serial path; "process" forces the pool.
-            return "serial"
     return "process"
 
 
@@ -757,7 +755,6 @@ def run_units(
     seed: int = 0,
     n_workers: int = 1,
     chunk_size: int | None = None,
-    executor: str = "auto",
     telemetry: TelemetrySpec | None = None,
     retry: RetryPolicy | None = None,
     checkpoint: str | os.PathLike | None = None,
@@ -779,15 +776,15 @@ def run_units(
         units: the units to execute; results come back in this order.
         seed: recorded in the result (the units already carry theirs);
             also keys backoff jitter and the checkpoint fingerprint.
-        n_workers: worker processes; 1 means in-process serial.
+        n_workers: worker processes, and the executor choice: 1 runs
+            in-process serial, more run a process pool (serial on
+            platforms without a fork-style start method).
         chunk_size: units per task; ``None`` auto-sizes.  Telemetry
             callers comparing serial vs. parallel aggregates should pin
             this: the auto size depends on ``n_workers``, and chunking
             decides how worker registries partition before the merge.
             Checkpoint users resuming under a different worker count
             must pin it too (the fingerprint refuses a resize).
-        executor: "auto" (process pool when possible), "serial", or
-            "process" (force a pool even for one worker).
         telemetry: optional :class:`repro.obs.TelemetrySpec`; each chunk
             then runs with a fresh activated telemetry whose snapshot is
             shipped back and merged (in chunk order) into
@@ -831,7 +828,7 @@ def run_units(
     """
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    executor_kind = resolve_executor(executor, n_workers)
+    executor_kind = _executor_for(n_workers)
     if chunk_size is None:
         chunk_size = _auto_chunk_size(len(units), n_workers)
     if chunk_size < 1:
@@ -1019,8 +1016,6 @@ def run_sweep(
     spec: SweepSpec,
     *,
     n_workers: int = 1,
-    chunk_size: int | None = None,
-    executor: str = "auto",
     telemetry: TelemetrySpec | None = None,
     retry: RetryPolicy | None = None,
     checkpoint: str | os.PathLike | None = None,
@@ -1031,18 +1026,18 @@ def run_sweep(
 
     ``measure`` receives one :class:`UnitContext` per point and must
     take all randomness from it (``ctx.rng(...)`` / ``ctx.seed``); under
-    that discipline the result is bit-identical for any ``n_workers``,
-    ``chunk_size`` and ``executor`` choice — and, with ``retry`` /
-    ``checkpoint``, identical again under retries, serial fallback, and
-    checkpoint resume (see ``docs/fault_tolerance.md``).
+    that discipline the result is bit-identical for any ``n_workers``
+    and ``spec.chunk_size`` — and, with ``retry`` / ``checkpoint``,
+    identical again under retries, serial fallback, and checkpoint
+    resume (see ``docs/fault_tolerance.md``).  The other keywords are
+    :func:`run_units`'s.
     """
     return run_units(
         measure,
         spec.units(),
         seed=spec.seed,
         n_workers=n_workers,
-        chunk_size=chunk_size if chunk_size is not None else spec.chunk_size,
-        executor=executor,
+        chunk_size=spec.chunk_size,
         telemetry=telemetry,
         retry=retry,
         checkpoint=checkpoint,

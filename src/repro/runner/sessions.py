@@ -55,7 +55,6 @@ def run_sessions(
     parameters: list[dict[str, Any]] | None = None,
     n_workers: int = 1,
     chunk_size: int | None = None,
-    executor: str = "auto",
     telemetry: TelemetrySpec | None = _STAGE_COUNTERS_ONLY,
     retry: RetryPolicy | None = None,
     checkpoint: str | os.PathLike | None = None,
@@ -82,7 +81,7 @@ def run_sessions(
         parameters: optional per-session parameter dicts (len must be
             ``n_sessions``) carried into ``ctx.parameters`` and the
             result points; defaults to ``{"session": i}``.
-        n_workers / chunk_size / executor: see
+        n_workers / chunk_size: see
             :func:`repro.runner.engine.run_units`.
         telemetry: per-chunk :class:`repro.obs.TelemetrySpec`.  The
             default collects stage counters only (near-zero cost) so
@@ -128,7 +127,6 @@ def run_sessions(
         seed=seed,
         n_workers=n_workers,
         chunk_size=chunk_size,
-        executor=executor,
         telemetry=telemetry,
         retry=retry,
         checkpoint=checkpoint,

@@ -44,8 +44,7 @@ class SessionSpec:
     calling it with a :class:`UnitContext` builds a fresh
     :class:`MeasurementSession` from scenario parameters and the
     context's substreams, so it can be passed directly as the
-    ``build`` argument of :func:`repro.runner.run_sessions` /
-    :func:`repro.core.session.run_parallel_sessions`.
+    ``build`` argument of :func:`repro.runner.run_sessions`.
 
     Attributes:
         kind: ``"los"`` (paper Fig. 5 geometry; reads

@@ -1,10 +1,9 @@
 """Deterministic random-stream derivation (dependency-free substrate).
 
-This is the implementation behind :mod:`repro.sim.rng`, the public
-seeding facade.  It lives at the package root, importing nothing but
-``numpy``, so that every layer (``phy``, ``mac``, ``tag``, ``core``)
-can route its default randomness through one audited derivation point
-without creating import cycles through ``repro.sim``.
+The public seeding module.  It lives at the package root, importing
+nothing but ``numpy``, so that every layer (``phy``, ``mac``, ``tag``,
+``core``) can route its default randomness through one audited
+derivation point without creating import cycles through ``repro.sim``.
 
 Three rules keep experiments reproducible and fork-safe:
 

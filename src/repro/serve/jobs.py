@@ -32,6 +32,7 @@ spill directory resumes it.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import functools
 import heapq
 import json
@@ -39,9 +40,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, AsyncIterator, Callable
 
-from ..core.session import run_parallel_sessions
 from ..obs.serve import ServerMetrics
-from ..runner import run_sweep
+from ..runner import run_sessions, run_sweep
 from ..runner.engine import ChunkProgress, SweepResult
 from .schema import (
     JOB_SCHEMA,
@@ -160,7 +160,6 @@ def execute_request(
     checkpoint: str | os.PathLike | None = None,
     resume: bool = True,
     on_chunk: Callable[[ChunkProgress], None] | None = None,
-    warn_key: object | None = None,
 ) -> SweepResult:
     """Run one validated job request through the engine (synchronous).
 
@@ -182,7 +181,7 @@ def execute_request(
             resume=resume,
             on_chunk=on_chunk,
         )
-    return run_parallel_sessions(
+    return run_sessions(
         request.sessions,
         request.n_sessions,
         queries=request.queries,
@@ -194,7 +193,6 @@ def execute_request(
         checkpoint=checkpoint,
         resume=resume,
         on_chunk=on_chunk,
-        warn_key=warn_key,
     )
 
 
@@ -248,10 +246,12 @@ class JobStore:
 
     All mutation happens on the event loop under one
     ``asyncio.Condition``; worker threads reach the store only through
-    ``run_coroutine_threadsafe``.  Every state change appends a
-    ``state`` event and (with a spill directory) rewrites the job's
-    sidecar file atomically, so the on-disk table is always a valid
-    snapshot for a restarted server to :meth:`load_jobs` from.
+    ``run_coroutine_threadsafe``.  Every state change (with a spill
+    directory) first rewrites the job's sidecar file atomically, then
+    updates memory and appends a ``state`` event, so the on-disk table
+    is always a valid snapshot for a restarted server to
+    :meth:`load_jobs` from.  A sidecar that cannot be written fails
+    the job in memory and leaves the file at its last state.
     """
 
     def __init__(
@@ -289,17 +289,28 @@ class JobStore:
         return os.path.join(self.spill_dir, f"{job_id}.result.json")
 
     def _write_json(self, path: str, payload: dict[str, Any]) -> None:
+        """Replace ``path`` atomically; a failed write leaves no ``.tmp``."""
         tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.write("\n")
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle)
+                handle.write("\n")
+            os.replace(tmp, path)
+        except OSError:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
+            raise
 
     def _persist(self, job: Job) -> None:
+        """Write the job's sidecar, after its result payload if any."""
         if self.spill_dir is None:
             return
         from .. import __version__
 
+        if job.result is not None:
+            self._write_json(self._result_path(job.id), job.result)
         self._write_json(
             self._job_path(job.id),
             {
@@ -316,8 +327,34 @@ class JobStore:
                 "request": job_request_to_json(job.request),
             },
         )
-        if job.result is not None:
-            self._write_json(self._result_path(job.id), job.result)
+
+    def _enter(
+        self, job: Job, state: str, error: str | None = None, **fields: Any
+    ) -> None:
+        """Move ``job`` to ``state``: write its sidecar, then memory.
+
+        A sidecar that cannot be written (a full spill directory) fails
+        the job instead: it ends ``failed`` in memory with the
+        ``OSError``'s text, and the file keeps the last state written,
+        which is what a restarted server reloads.  Callers hold the lock.
+        """
+        try:
+            self._persist(
+                dataclasses.replace(job, state=state, error=error, **fields)
+            )
+        except OSError as exc:
+            if state != FAILED:
+                error = f"{type(exc).__name__}: {exc}"
+            state, fields = FAILED, {}
+        job.state = state
+        job.error = error
+        for name, value in fields.items():
+            setattr(job, name, value)
+        if state == RUNNING:
+            self.dispatch_log.append(job.id)
+        self._append_event(job, "state", {"state": state, "error": error})
+        self._publish_census()
+        self._cond.notify_all()
 
     def load_jobs(self) -> list[Job]:
         """Reload persisted jobs; returns the ones needing a re-enqueue.
@@ -426,18 +463,21 @@ class JobStore:
                     f"store already holds {active} active job(s) "
                     f"(max_jobs={self.max_jobs})"
                 )
-            self._seq += 1
+            seq = self._seq + 1
             job = Job(
-                id=f"job-{self._seq:06d}",
+                id=f"job-{seq:06d}",
                 request=request,
-                seq=self._seq,
+                seq=seq,
                 priority=request.priority,
             )
+            # A submit whose sidecar cannot be written raises here,
+            # before the job enters the table.
+            self._persist(job)
+            self._seq = seq
             self.jobs[job.id] = job
             self._append_event(
                 job, "state", {"state": QUEUED, "recovered": False}
             )
-            self._persist(job)
             if self.metrics is not None:
                 self.metrics.job_submitted(request.kind)
             self._publish_census()
@@ -461,23 +501,18 @@ class JobStore:
     async def advance(
         self, job_id: str, state: str, *, error: str | None = None
     ) -> Job:
-        """Move a job along the state machine (illegal edges raise)."""
+        """Move a job along the state machine (illegal edges raise).
+
+        The job ends ``failed`` instead when its sidecar cannot be
+        written (see :meth:`_enter`).
+        """
         async with self._cond:
             job = self._get_locked(job_id)
             if (job.state, state) not in _TRANSITIONS:
                 raise JobStateError(
                     f"job {job_id} cannot go {job.state} -> {state}"
                 )
-            job.state = state
-            job.error = error
-            if state == RUNNING:
-                self.dispatch_log.append(job_id)
-            self._append_event(
-                job, "state", {"state": state, "error": error}
-            )
-            self._persist(job)
-            self._publish_census()
-            self._cond.notify_all()
+            self._enter(job, state, error)
             return job
 
     async def cancel(self, job_id: str) -> Job:
@@ -497,16 +532,11 @@ class JobStore:
                     f"job {job_id} already {job.state}; nothing to cancel"
                 )
             if job.state == QUEUED:
-                job.state = CANCELLED
-                self._append_event(
-                    job, "state", {"state": CANCELLED, "error": None}
-                )
-                self._persist(job)
-                self._publish_census()
+                self._enter(job, CANCELLED)
             else:
                 job.cancel_requested = True
                 self._append_event(job, "cancelling", {})
-            self._cond.notify_all()
+                self._cond.notify_all()
             return job
 
     async def delete(self, job_id: str) -> None:
@@ -562,17 +592,17 @@ class JobStore:
             self._cond.notify_all()
 
     async def complete(self, job_id: str, result: SweepResult) -> Job:
-        """Mark a job completed with its engine result."""
+        """Mark a job completed with its engine result.
+
+        The job ends ``failed`` instead when its result or sidecar
+        cannot be written (see :meth:`_enter`).
+        """
         async with self._cond:
             job = self._get_locked(job_id)
             if (job.state, COMPLETED) not in _TRANSITIONS:
                 raise JobStateError(
                     f"job {job_id} cannot go {job.state} -> completed"
                 )
-            job.state = COMPLETED
-            job.error = None
-            job.result = result_to_json(result)
-            job.resumed_chunks = result.resumed_chunks
             # Telemetry tail for SSE: merged stage timings plus the
             # scheduler's last few fault-tolerance events.
             if result.telemetry is not None:
@@ -607,12 +637,12 @@ class JobStore:
                         ]
                     },
                 )
-            self._append_event(
-                job, "state", {"state": COMPLETED, "error": None}
+            self._enter(
+                job,
+                COMPLETED,
+                result=result_to_json(result),
+                resumed_chunks=result.resumed_chunks,
             )
-            self._persist(job)
-            self._publish_census()
-            self._cond.notify_all()
             return job
 
     # -- subscriptions ----------------------------------------------------
@@ -656,9 +686,9 @@ class ExecutorPool:
     Each slot claims the highest-priority queued job and runs it on a
     worker thread via :func:`execute_request`; the engine's per-chunk
     reports come back through the loop in order.  Slots never crash
-    the pool: engine failures mark the job ``failed`` and the slot
-    moves on.  :meth:`stop` ends running jobs at their next chunk
-    boundary.
+    the pool: engine failures, and sidecars or checkpoint spills that
+    cannot be written, mark the job ``failed`` and the slot moves on.
+    :meth:`stop` ends running jobs at their next chunk boundary.
     """
 
     def __init__(
@@ -729,7 +759,6 @@ class ExecutorPool:
                 checkpoint=checkpoint,
                 resume=True,
                 on_chunk=self._on_chunk(loop, job),
-                warn_key=job.id,
             )
         except JobCancelled:
             await self.store.advance(job.id, CANCELLED)
@@ -753,5 +782,6 @@ class ExecutorPool:
                 continue
             if job.state != QUEUED:
                 continue  # cancelled (or deleted) while queued
-            await self.store.advance(job_id, RUNNING)
-            await self._run_job(job)
+            job = await self.store.advance(job_id, RUNNING)
+            if job.state == RUNNING:  # failed if its sidecar was not written
+                await self._run_job(job)

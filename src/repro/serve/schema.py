@@ -308,7 +308,7 @@ class JobRequest:
       via :func:`repro.runner.run_sweep`.
     * ``"sessions"`` — run :attr:`n_sessions` independent measurement
       sessions built from :attr:`sessions` via
-      :func:`repro.core.session.run_parallel_sessions` (exactly one of
+      :func:`repro.runner.run_sessions` (exactly one of
       :attr:`queries` / :attr:`duration_s` decides their length).
 
     Either way the job's values are bit-identical to calling the engine

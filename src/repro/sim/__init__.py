@@ -1,5 +1,6 @@
 """Deployment scenarios: geometry, floor plans, event loop, tracing."""
 
+from ..seeding import named_rngs, spawn_rngs
 from .events import EventLoop
 from .floorplan import FloorPlan, los_testbed, paper_testbed
 from .geometry import Material, PathProfile, Point, Wall, path_profile
@@ -14,7 +15,6 @@ from .network import (
     TagPoller,
     TrafficStation,
 )
-from .rng import named_rngs, spawn_rngs
 from .scenario import (
     DEFAULT_TX_POWER_DBM,
     ScenarioInfo,

@@ -32,9 +32,9 @@ from ..phy.error_model import LinkErrorModel
 from ..phy.fading import CorrelatedFadingChannel
 from ..phy.mcs import Mcs, highest_reliable_mcs
 from ..phy.noise import ReceiverNoise
+from ..seeding import named_rngs
 from ..tag.state_machine import TagStateMachine
 from .floorplan import FloorPlan, los_testbed, paper_testbed
-from .rng import named_rngs
 
 #: Default client transmit power (commodity NIC).
 DEFAULT_TX_POWER_DBM = 15.0

@@ -192,51 +192,3 @@ class TestReporting:
         assert format_value(1234567.0) == "1.23e+06"
         assert format_value(0.25) == "0.250"
         assert format_value("s") == "s"
-
-
-class TestParameterSweep:
-    def test_cartesian_order(self):
-        from repro.analysis.sweep import ParameterSweep
-
-        sweep = ParameterSweep(
-            axes={"x": [1, 2], "y": [10, 20]},
-            measure=lambda seed, x, y: x * y,
-        )
-        points = sweep.run()
-        assert [p.value for p in points] == [10, 20, 20, 40]
-        assert points[0].parameters == {"x": 1, "y": 10}
-
-    def test_seeds_distinct_and_reproducible(self):
-        from repro.analysis.sweep import ParameterSweep
-
-        sweep = ParameterSweep(
-            axes={"x": [0, 1, 2]},
-            measure=lambda seed, x: seed,
-            base_seed=100,
-        )
-        assert [p.value for p in sweep.run()] == [100, 101, 102]
-
-    def test_table_and_best(self):
-        from repro.analysis.sweep import ParameterSweep
-
-        sweep = ParameterSweep(
-            axes={"n": [1, 3, 2]}, measure=lambda seed, n: n * n
-        )
-        sweep.run()
-        text = sweep.table("squares", "n^2").render()
-        assert "squares" in text
-        assert sweep.best().value == 9
-        assert sweep.best(maximize=False).value == 1
-
-    def test_validation(self):
-        from repro.analysis.sweep import ParameterSweep
-
-        with pytest.raises(ValueError):
-            ParameterSweep(axes={}, measure=lambda seed: 0)
-        with pytest.raises(ValueError):
-            ParameterSweep(axes={"x": []}, measure=lambda seed, x: 0)
-        sweep = ParameterSweep(axes={"x": [1]}, measure=lambda seed, x: 0)
-        with pytest.raises(RuntimeError):
-            sweep.table("t")
-        with pytest.raises(RuntimeError):
-            sweep.best()

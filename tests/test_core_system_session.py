@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.session import MeasurementSession, run_parallel_sessions
+from repro.core.session import MeasurementSession
 from repro.core.system import WiTagSystem
 from repro.mac.block_ack import BlockAck
+from repro.runner import run_sessions
 from repro.sim.scenario import los_scenario
 from tests.oracles import link as oracle
 
@@ -190,12 +191,11 @@ class TestSessionViaEngine:
     def test_engine_matches_serial_loop_exactly(self, n_workers):
         """SessionStats equality is field-exact, not approximate."""
         expected = self.serial_stats()
-        result = run_parallel_sessions(
+        result = run_sessions(
             _fixed_seed_session,
             1,
             queries=self.QUERIES,
             n_workers=n_workers,
-            executor="process" if n_workers > 1 else "auto",
         )
         (stats,) = result.values
         assert stats == expected  # frozen dataclass: all fields compared
@@ -203,9 +203,8 @@ class TestSessionViaEngine:
         assert stats.throughput_bps == expected.throughput_bps
 
     def test_many_sessions_each_match_their_serial_run(self):
-        result = run_parallel_sessions(
-            _substream_session, 3, queries=5, seed=17, n_workers=2,
-            executor="process",
+        result = run_sessions(
+            _substream_session, 3, queries=5, seed=17, n_workers=2
         )
         for point, stats in zip(result.points, result.values):
             serial = MeasurementSession(

@@ -164,9 +164,7 @@ class TestScalarEquivalence:
             for i in range(3)
         ]
         serial = run_units(fn, list(units), seed=21, n_workers=1)
-        parallel = run_units(
-            fn, list(units), seed=21, n_workers=2, executor="process"
-        )
+        parallel = run_units(fn, list(units), seed=21, n_workers=2)
         assert serial.values == parallel.values
         assert all(v["queries"] == 6 for v in serial.values)
 

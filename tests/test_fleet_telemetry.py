@@ -184,7 +184,7 @@ class TestRunnerAggregation:
     """Fleet telemetry rides FleetSpec through the chunked engine."""
 
     @staticmethod
-    def _run(n_workers, executor):
+    def _run(n_workers):
         from repro.obs import TelemetrySpec
 
         fn = functools.partial(
@@ -203,13 +203,12 @@ class TestRunnerAggregation:
             seed=21,
             n_workers=n_workers,
             chunk_size=2,
-            executor=executor,
             telemetry=TelemetrySpec(metrics=True),
         )
 
     def test_serial_and_process_pool_aggregate_identically(self):
-        serial = self._run(1, "serial")
-        parallel = self._run(2, "process")
+        serial = self._run(1)
+        parallel = self._run(2)
         assert serial.values == parallel.values
         assert serial.telemetry is not None
         assert parallel.telemetry is not None

@@ -2,7 +2,7 @@
 
 ``run_sweep(seed=s, n_workers=1)`` must equal ``n_workers=4``
 bit-for-bit — BER values, received bitmaps, stats — for any sweep
-shape, chunking, or executor choice; two runs with the same seed must
+shape or chunking; two runs with the same seed must
 be identical; different seeds must differ.  These tests are the
 contract's enforcement: if per-unit seeding ever picks up a dependence
 on scheduling (shared generators, fork-time stream duplication,
@@ -70,9 +70,7 @@ class TestWorkerCountInvariance:
     def test_rng_streams_identical_1_vs_4_workers(self, axes):
         spec = SweepSpec(axes=axes, seed=42)
         serial = run_sweep(rng_fingerprint, spec, n_workers=1)
-        parallel = run_sweep(
-            rng_fingerprint, spec, n_workers=4, executor="process"
-        )
+        parallel = run_sweep(rng_fingerprint, spec, n_workers=4)
         assert serial.values == parallel.values
         assert [p.parameters for p in serial.points] == [
             p.parameters for p in parallel.points
@@ -84,10 +82,8 @@ class TestWorkerCountInvariance:
         baseline = run_sweep(rng_fingerprint, spec, n_workers=1)
         chunked = run_sweep(
             rng_fingerprint,
-            spec,
+            SweepSpec(axes=spec.axes, seed=9, chunk_size=chunk_size),
             n_workers=3,
-            chunk_size=chunk_size,
-            executor="process",
         )
         assert baseline.values == chunked.values
         assert chunked.chunk_size == chunk_size
@@ -96,9 +92,7 @@ class TestWorkerCountInvariance:
         """BER, block-ACK bitmaps and SessionStats, bit-for-bit."""
         spec = SweepSpec(axes={"distance_m": [1.0, 4.0, 7.0]}, seed=5)
         serial = run_sweep(session_unit, spec, n_workers=1)
-        parallel = run_sweep(
-            session_unit, spec, n_workers=4, executor="process"
-        )
+        parallel = run_sweep(session_unit, spec, n_workers=4)
         assert serial.values == parallel.values
 
     def test_run_sessions_identical_1_vs_4_workers(self):
@@ -111,7 +105,6 @@ class TestWorkerCountInvariance:
             queries=3,
             seed=21,
             n_workers=4,
-            executor="process",
         )
         assert serial.values == parallel.values
 
@@ -173,9 +166,7 @@ class TestDeterminismBroad:
     def test_many_layouts(self, n_workers, axes):
         spec = SweepSpec(axes=axes, seed=3)
         baseline = run_sweep(rng_fingerprint, spec, n_workers=1)
-        layout = run_sweep(
-            rng_fingerprint, spec, n_workers=n_workers, executor="process"
-        )
+        layout = run_sweep(rng_fingerprint, spec, n_workers=n_workers)
         assert baseline.values == layout.values
 
     def test_long_session_sweep_identical(self):
@@ -184,9 +175,7 @@ class TestDeterminismBroad:
             seed=31,
         )
         serial = run_sweep(session_unit, spec, n_workers=1)
-        parallel = run_sweep(
-            session_unit, spec, n_workers=4, executor="process"
-        )
+        parallel = run_sweep(session_unit, spec, n_workers=4)
         assert serial.values == parallel.values
 
 

@@ -6,6 +6,7 @@ serial fallback, error propagation out of workers, timing counters, and
 result rendering.
 """
 
+import multiprocessing
 import os
 
 import pytest
@@ -110,10 +111,13 @@ class TestSerialFallback:
         assert result.executor == "serial"
         assert len(result.worker_timings) == 1
 
-    def test_forced_serial_with_many_workers(self):
-        result = run_units(echo, units(6), n_workers=4, executor="serial")
+    def test_no_fork_style_start_method_runs_serial(self, monkeypatch):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        result = run_units(echo, units(4), n_workers=2)
         assert result.executor == "serial"
-        assert result.values == [{"x": i} for i in range(6)]
+        assert result.values == [{"x": i} for i in range(4)]
 
     def test_serial_accepts_unpicklable_fn(self):
         captured = []
@@ -125,11 +129,6 @@ class TestSerialFallback:
         result = run_units(closure, units(4), n_workers=1)
         assert result.values == [0, 1, 2, 3]
         assert captured == [0, 1, 2, 3]
-
-    def test_rejects_bad_executor_name(self):
-        for name in ("threads", "warm"):
-            with pytest.raises(ValueError, match="executor"):
-                run_units(echo, units(1), executor=name)
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError, match="n_workers"):
@@ -155,7 +154,7 @@ class TestErrorPropagation:
             chaos.run(
                 echo, units(5),
                 faults=chaos.faults(crash=(2,)), retry=None,
-                n_workers=3, executor="process", chunk_size=1,
+                n_workers=3, chunk_size=1,
             )
         assert excinfo.value.index == 2
         assert excinfo.value.chunk_index == 2
@@ -174,9 +173,7 @@ class TestErrorPropagation:
             return ctx.index
 
         with pytest.raises(SweepError):
-            run_units(
-                closure, units(4), n_workers=2, executor="process"
-            )
+            run_units(closure, units(4), n_workers=2)
 
     def test_work_unit_error_is_sweep_error(self):
         assert issubclass(WorkUnitError, SweepError)
@@ -194,7 +191,7 @@ class TestTimingCounters:
 
     def test_parallel_counters_cover_every_unit(self):
         result = run_units(
-            echo, units(8), n_workers=2, executor="process", chunk_size=2
+            echo, units(8), n_workers=2, chunk_size=2
         )
         assert result.executor == "process"
         assert sum(t.n_units for t in result.worker_timings) == 8
@@ -215,7 +212,7 @@ class TestProcessPoolSizing:
 
         monkeypatch.setattr(os, "fork", counting_fork)
         spec = SweepSpec(axes={"x": [21]}, seed=4)
-        pooled = run_sweep(double_x, spec, n_workers=4, executor="process")
+        pooled = run_sweep(double_x, spec, n_workers=4)
         assert len(forks) == 1
         assert pooled.executor == "process"
         assert pooled.n_workers == 4
@@ -250,28 +247,6 @@ class TestRunSweepAndResult:
         result = run_sweep(measure, spec, n_workers=1)
         rendered = result.table("demo").render()
         assert "ber" in rendered and "rate" in rendered
-
-
-def legacy_measure(seed, x):
-    return seed * 1000 + x
-
-
-class TestLegacySweepBridge:
-    """ParameterSweep.run_parallel == ParameterSweep.run, same seeds."""
-
-    def test_parallel_path_matches_serial_path(self):
-        from repro.analysis.sweep import ParameterSweep
-
-        serial = ParameterSweep(
-            axes={"x": [1, 2, 3, 4]}, measure=legacy_measure, base_seed=5
-        )
-        parallel = ParameterSweep(
-            axes={"x": [1, 2, 3, 4]}, measure=legacy_measure, base_seed=5
-        )
-        a = serial.run()
-        b = parallel.run_parallel(n_workers=2, executor="process")
-        assert a == b
-        assert [p.seed for p in b] == [5, 6, 7, 8]
 
 
 class TestRunSessionsValidation:

@@ -14,6 +14,7 @@ run in the CI chaos job (``pytest -m faults``).
 
 import copy
 import dataclasses
+import errno
 import json
 import multiprocessing
 import os
@@ -279,7 +280,6 @@ class TestProcessRetries:
             faults=chaos.faults(crash=(2, 5)),
             chunk_size=2,
             n_workers=2,
-            executor="process",
         )
         assert chaotic.retry_summary() == {"unit-error": 2}
         assert chaotic.executor == "process"
@@ -293,7 +293,6 @@ class TestProcessRetries:
             retry=RetryPolicy(max_attempts=3, breaker_failures=1),
             chunk_size=2,
             n_workers=2,
-            executor="process",
         )
         assert chaotic.values == baseline.values
         assert chaotic.executor == "serial"  # circuit breaker fell back
@@ -306,7 +305,7 @@ class TestProcessRetries:
             return ctx.index
 
         with pytest.raises(SweepError, match="executor failed"):
-            run_units(closure, units(4), n_workers=2, executor="process")
+            run_units(closure, units(4), n_workers=2)
 
     def test_tolerant_mode_survives_unpicklable_via_fallback(self):
         def closure(ctx):  # unpicklable: every pool round breaks
@@ -316,7 +315,6 @@ class TestProcessRetries:
             closure,
             units(4),
             n_workers=2,
-            executor="process",
             retry=RetryPolicy(breaker_failures=1),
         )
         assert result.values == [0, 3, 6, 9]
@@ -338,7 +336,6 @@ class TestCoordinatorSigtermHandler:
             units(4),
             chunk_size=1,
             n_workers=2,
-            executor="process",
         )
         assert result.executor == "process"
         assert result.values == [True] * 4
@@ -361,7 +358,6 @@ class TestCoordinatorSigtermHandler:
                     faults=chaos.faults(exit=(2,)),
                     chunk_size=2,
                     n_workers=2,
-                    executor="process",
                 )
             except BaseException as exc:  # surfaced below
                 outcome["error"] = exc
@@ -398,7 +394,6 @@ class TestPerChunkSettling:
                 work,
                 chunk_size=1,
                 n_workers=2,
-                executor="process",
                 on_chunk=stop,
             )
         assert len(reports) == 1
@@ -431,7 +426,6 @@ class TestChunkTimeouts:
             retry=RetryPolicy(max_attempts=3, timeout_s=0.1),
             chunk_size=2,
             n_workers=2,
-            executor="process",
         )
         assert chaotic.retry_summary() == {"timeout": 1}
 
@@ -632,8 +626,7 @@ class TestCheckpointResume:
         ck = tmp_path / "sweep.ckpt.jsonl"
         spec = SweepSpec(axes={"x": list(range(8))}, seed=2, chunk_size=2)
         parallel = run_sweep(
-            rng_probe, spec, n_workers=2, executor="process",
-            checkpoint=ck,
+            rng_probe, spec, n_workers=2, checkpoint=ck,
         )
         resumed = run_sweep(must_not_run, spec, n_workers=1, checkpoint=ck)
         assert resumed.values == parallel.values
@@ -655,6 +648,28 @@ class TestCheckpointResume:
         spec = SweepSpec(axes={"x": [1, 2, 3, 4]}, seed=0, chunk_size=2)
         run_sweep(rng_probe, spec, checkpoint=ck)
         result = run_sweep(rng_probe, spec, checkpoint=ck, resume=False)
+        assert result.resumed_chunks == 0
+        assert len(load_checkpoint(ck).chunks) == 2
+
+    def test_header_that_cannot_be_written_leaves_no_file(
+        self, tmp_path, monkeypatch
+    ):
+        # A full disk tears the header mid-line; a file left so would
+        # make every later resume refuse it as headerless.
+        ck = tmp_path / "sweep.ckpt.jsonl"
+        spec = SweepSpec(axes={"x": [1, 2, 3, 4]}, seed=0, chunk_size=2)
+
+        def torn_write(writer, record):
+            writer._handle.write('{"schema": 2, "ki')
+            writer._handle.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(CheckpointWriter, "_write_line", torn_write)
+        with pytest.raises(OSError, match="No space left"):
+            run_sweep(rng_probe, spec, checkpoint=ck)
+        assert not ck.exists()
+        monkeypatch.undo()
+        result = run_sweep(rng_probe, spec, checkpoint=ck)
         assert result.resumed_chunks == 0
         assert len(load_checkpoint(ck).chunks) == 2
 
@@ -793,7 +808,6 @@ class TestTelemetryUnderRetry:
             faults=chaos.faults(crash=(3,)),
             chunk_size=2,
             n_workers=2,
-            executor="process",
             telemetry=spec,
         )
         assert _strip_retry_family(
@@ -826,78 +840,6 @@ class TestTelemetryUnderRetry:
             "runner_chunk_retries_total"
         ]
         assert sum(s["value"] for s in retry_metric["series"]) == 2.0
-
-
-class TestRunParallelSessionsWarning:
-    def test_small_query_count_warns_and_goes_serial(self):
-        from repro.core.session import (
-            reset_small_query_warnings,
-            run_parallel_sessions,
-        )
-
-        reset_small_query_warnings()
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            result = run_parallel_sessions(
-                SessionSpec(distance_m=3.0),
-                2,
-                queries=2,
-                seed=0,
-                n_workers=2,
-                chunk_size=8,
-                executor="process",
-            )
-        assert result.executor == "serial"
-        assert len(result.values) == 2
-
-    def test_warning_fires_once_per_job_across_redispatches(self):
-        # Satellite bugfix: a resumed/retried job used to warn on every
-        # re-dispatch of the same small-query configuration; the
-        # warning now dedups per warn_key while the serial fallback
-        # itself still applies every time.
-        import warnings
-
-        from repro.core.session import (
-            reset_small_query_warnings,
-            run_parallel_sessions,
-        )
-
-        reset_small_query_warnings()
-        kwargs = dict(
-            queries=2, seed=0, n_workers=2, chunk_size=8,
-            executor="process", warn_key="job-000042",
-        )
-        build = SessionSpec(distance_m=3.0)
-        with pytest.warns(RuntimeWarning) as record:
-            first = run_parallel_sessions(build, 2, **kwargs)
-        fallback = [
-            w for w in record if "falling back" in str(w.message)
-        ]
-        assert len(fallback) == 1
-        # Same job re-dispatching (e.g. after a checkpoint resume):
-        # silent, but still serial and bit-identical.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            again = run_parallel_sessions(build, 2, **kwargs)
-        assert again.executor == "serial"
-        assert again.values == first.values
-        # A different job warns on its own first dispatch.
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            run_parallel_sessions(
-                build, 2, **{**kwargs, "warn_key": "job-000043"}
-            )
-
-    def test_ample_queries_do_not_warn(self):
-        import warnings
-
-        from repro.core.session import run_parallel_sessions
-
-        build = SessionSpec(distance_m=3.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            result = run_parallel_sessions(
-                build, 2, queries=4, seed=0, n_workers=1, chunk_size=2
-            )
-        assert len(result.values) == 2
 
 
 class TestSweepCli:

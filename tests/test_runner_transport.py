@@ -171,7 +171,6 @@ class TestEngineTransport:
             units(6),
             seed=1,
             n_workers=2,
-            executor=executor,
             chunk_size=2,
         )
         assert pooled.executor == executor
@@ -188,7 +187,6 @@ class TestChaosNoLeaks:
             units(8),
             faults=chaos.faults(crash=(1, 5)),
             n_workers=2,
-            executor="process",
             chunk_size=2,
         )
         assert "unit-error" in {e.reason for e in chaotic.retries}
@@ -202,7 +200,6 @@ class TestChaosNoLeaks:
             units(8),
             faults=chaos.faults(exit=(2,)),
             n_workers=2,
-            executor="process",
             chunk_size=2,
         )
         assert "executor" in {e.reason for e in chaotic.retries}
@@ -254,7 +251,6 @@ class TestResume:
             checkpoint=str(path),
             resume=True,
             n_workers=2,
-            executor="process",
         )
         assert resumed.resumed_chunks > 0
         assert canon(resumed.values) == canon(clean.values)
@@ -269,7 +265,6 @@ class TestResume:
             spec,
             checkpoint=str(path),
             n_workers=2,
-            executor="process",
         )
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert [r["codec"] for r in records[1:]] == ["pickle", "pickle"]

@@ -1,18 +1,24 @@
 """Job store / queue / executor-pool lifecycle and concurrency tests.
 
-Everything here drives the service's asyncio internals directly (no
+Most of this drives the service's asyncio internals directly (no
 HTTP): the submit/cancel/complete state machine, clients racing the
 same job id, priority-queue fairness under a saturated pool, and the
 server-restart resume path, which must reproduce an uninterrupted
-run's values bit-for-bit from the engine checkpoint.
+run's values bit-for-bit from the engine checkpoint.  A spill
+directory that stops taking writes must fail jobs, not executor
+slots; those cases read the SSE stream over HTTP to its ``done``.
 """
 
 import asyncio
 import dataclasses
+import errno
+import json
+import os
 
 import pytest
 
-from repro.runner import SweepSpec
+from repro.runner import SessionSpec, SweepSpec, run_sessions
+from repro.runner.checkpoint import CheckpointWriter
 from repro.runner.workers import rng_probe
 from repro.serve import (
     TERMINAL_STATES,
@@ -23,9 +29,14 @@ from repro.serve import (
     JobStateError,
     JobStore,
     JobStoreFull,
+    ServeConfig,
+    SweepService,
     execute_request,
+    job_request_to_json,
+    parse_events,
     result_to_json,
 )
+from tests.test_serve_service import http, http_json
 
 pytestmark = pytest.mark.serve
 
@@ -340,6 +351,38 @@ class TestPoolExecution:
         assert pooled["executor"] == "process"
         assert pooled["points"] == reference["points"]
 
+    def test_sessions_job_matches_direct_run_on_the_pool(self):
+        # Fewer queries per session than units per chunk: the pool
+        # still runs it, since the worker count alone picks the executor.
+        spec = SessionSpec(distance_m=3.0)
+        request = JobRequest(
+            kind="sessions",
+            sessions=spec,
+            n_sessions=3,
+            queries=2,
+            chunk_size=8,
+            n_workers=2,
+        )
+
+        async def main():
+            store = JobStore()
+            queue = JobQueue()
+            job = await store.submit(request)
+            await queue.put(job)
+            pool = ExecutorPool(store, queue, slots=1)
+            await pool.start()
+            done = await wait_terminal(store, job.id)
+            await pool.stop()
+            return done
+
+        done = asyncio.run(main())
+        assert done.state == "completed"
+        direct = result_to_json(
+            run_sessions(spec, 3, queries=2, chunk_size=8, n_workers=1)
+        )
+        assert done.result["points"] == direct["points"]
+        assert done.result["executor"] == "process"
+
 
 class TestRestartResume:
     def test_restart_resumes_bit_identical(self, tmp_path, chaos):
@@ -426,3 +469,236 @@ class TestRestartResume:
         assert reloaded.chunks_done == done.chunks_done
         assert reloaded.n_chunks == done.n_chunks
         assert reloaded.resumed_chunks == done.resumed_chunks
+
+
+def no_space() -> OSError:
+    return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class FullDisk:
+    """The spill directory's writers, failing on demand with ENOSPC.
+
+    ``sidecars`` fails :meth:`JobStore._write_json` (job sidecars and
+    result payloads) while set; ``spills`` fails the checkpoint's chunk
+    records.  ``sidecar_when`` narrows the sidecar failures to the
+    writes whose path and payload it accepts.
+    """
+
+    def __init__(self, monkeypatch):
+        self.sidecars = False
+        self.spills = False
+        self.sidecar_when = lambda path, payload: True
+        write_json = JobStore._write_json
+        write_line = CheckpointWriter._write_line
+
+        def full_write_json(store, path, payload):
+            if self.sidecars and self.sidecar_when(path, payload):
+                raise no_space()
+            write_json(store, path, payload)
+
+        def full_write_line(writer, record):
+            if self.spills and record["kind"] == "chunk":
+                raise no_space()
+            write_line(writer, record)
+
+        monkeypatch.setattr(JobStore, "_write_json", full_write_json)
+        monkeypatch.setattr(CheckpointWriter, "_write_line", full_write_line)
+
+
+async def submit_and_follow(port, request):
+    """POST ``request``; its id and its SSE events, read to EOF."""
+    status, submitted = await http_json(
+        port, "POST", "/jobs", body=job_request_to_json(request)
+    )
+    assert status == 202, submitted
+    return submitted["id"], await follow(port, submitted["id"])
+
+
+async def follow(port, job_id):
+    _, _, stream = await http(port, "GET", f"/jobs/{job_id}/events")
+    return parse_events(stream)
+
+
+def states(events):
+    return [e.data["state"] for e in events if e.event == "state"]
+
+
+class TestFullSpillDirectory:
+    """Writes to the spill directory fail: jobs fail, slots carry on."""
+
+    def test_failed_write_removes_its_tmp_file(self, tmp_path, monkeypatch):
+        store = JobStore(tmp_path)
+
+        def torn_dump(payload, handle):
+            handle.write("{")
+            raise no_space()
+
+        monkeypatch.setattr(json, "dump", torn_dump)
+        with pytest.raises(OSError, match="No space left"):
+            store._write_json(str(tmp_path / "job.json"), {"state": "x"})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_submit_that_cannot_persist_leaves_no_job(
+        self, tmp_path, monkeypatch
+    ):
+        disk = FullDisk(monkeypatch)
+
+        async def main():
+            service = SweepService(
+                ServeConfig(spill_dir=str(tmp_path), slots=1)
+            )
+            await service.start()
+            try:
+                disk.sidecars = True
+                status, body = await http_json(
+                    service.port,
+                    "POST",
+                    "/jobs",
+                    body=job_request_to_json(sweep_request()),
+                )
+                listed = await http_json(service.port, "GET", "/jobs")
+                disk.sidecars = False
+                job = await service.store.submit(sweep_request())
+            finally:
+                await service.stop()
+            return status, body, listed, job
+
+        status, body, listed, job = asyncio.run(main())
+        assert status >= 500
+        assert "No space left" in body["error"]
+        assert listed == (200, [])
+        assert job.id == "job-000001"
+        assert [p.name for p in tmp_path.iterdir()] == [
+            "job-000001.job.json"
+        ]
+
+    def test_running_sidecar_failure_fails_job_not_slot(
+        self, tmp_path, monkeypatch
+    ):
+        disk = FullDisk(monkeypatch)
+        spill = tmp_path / "spill"
+
+        async def main():
+            service = SweepService(
+                ServeConfig(spill_dir=str(spill), slots=1)
+            )
+            await service.start()
+            try:
+                # The submit's sidecar lands; every write after it fails.
+                disk.sidecar_when = lambda path, payload: (
+                    payload.get("state") != "queued"
+                )
+                disk.sidecars = True
+                failed_id, failed_events = await submit_and_follow(
+                    service.port, sweep_request(n_units=4)
+                )
+                failed = await service.store.get(failed_id)
+                disk.sidecars = False
+                _, done_events = await submit_and_follow(
+                    service.port, sweep_request(n_units=4, seed=4)
+                )
+            finally:
+                await service.stop()
+            return failed, failed_events, done_events
+
+        failed, failed_events, done_events = asyncio.run(main())
+        assert failed.state == "failed"
+        assert "No space left on device" in failed.error
+        assert states(failed_events) == ["queued", "failed"]
+        assert failed_events[-1].event == "done"
+        assert states(done_events)[-1] == "completed"
+        assert not list(spill.glob("*.tmp"))
+
+        # The failed job's sidecar still says queued, so a restarted
+        # server reloads it from there and runs it again.
+        (recovered,) = JobStore(spill).load_jobs()
+        assert recovered.id == failed.id
+        assert recovered.recovered
+
+    def test_checkpoint_spill_failure_fails_job_and_restart_resumes(
+        self, tmp_path, monkeypatch
+    ):
+        disk = FullDisk(monkeypatch)
+        spill = tmp_path / "spill"
+        request = dataclasses.replace(sweep_request(n_units=6), n_workers=2)
+
+        async def serve(fill_disk):
+            service = SweepService(
+                ServeConfig(spill_dir=str(spill), slots=1)
+            )
+            await service.start()
+            try:
+                if fill_disk:
+                    # Chunk records fail, and so does every sidecar
+                    # after the one saying the job runs.
+                    disk.spills = True
+                    disk.sidecar_when = lambda path, payload: (
+                        payload.get("state") not in ("queued", "running")
+                    )
+                    disk.sidecars = True
+                    job_id, events = await submit_and_follow(
+                        service.port, request
+                    )
+                else:
+                    (job,) = await service.store.list_jobs()
+                    job_id = job.id
+                    events = await follow(service.port, job_id)
+                job = await service.store.get(job_id)
+            finally:
+                await service.stop()
+            return job, events
+
+        failed, events = asyncio.run(serve(fill_disk=True))
+        assert failed.state == "failed"
+        assert failed.error.startswith("OSError")
+        assert "No space left on device" in failed.error
+        assert states(events) == ["queued", "running", "failed"]
+        assert events[-1].event == "done"
+        assert not list(spill.glob("*.tmp"))
+
+        disk.spills = disk.sidecars = False
+        resumed, events = asyncio.run(serve(fill_disk=False))
+        assert resumed.recovered
+        assert states(events)[-1] == "completed"
+        direct = result_to_json(execute_request(request))
+        assert resumed.result["points"] == direct["points"]
+
+    @pytest.mark.parametrize(
+        "blocked",
+        [
+            lambda path, payload: path.endswith(".result.json"),
+            lambda path, payload: payload.get("state") == "completed",
+        ],
+        ids=["result", "sidecar"],
+    )
+    def test_completion_write_failure_fails_job(
+        self, tmp_path, monkeypatch, blocked
+    ):
+        disk = FullDisk(monkeypatch)
+        disk.sidecar_when = blocked
+
+        async def main():
+            store = JobStore(tmp_path)
+            queue = JobQueue()
+            disk.sidecars = True
+            failed = await store.submit(sweep_request())
+            await queue.put(failed)
+            pool = ExecutorPool(store, queue, slots=1)
+            await pool.start()
+            try:
+                failed = await wait_terminal(store, failed.id)
+                disk.sidecars = False
+                done = await store.submit(sweep_request(seed=4))
+                await queue.put(done)
+                done = await wait_terminal(store, done.id)
+            finally:
+                await pool.stop()
+            return failed, done
+
+        failed, done = asyncio.run(main())
+        assert failed.state == "failed"
+        assert failed.result is None
+        assert "No space left on device" in failed.error
+        assert states(failed.events) == ["queued", "running", "failed"]
+        assert done.state == "completed"
+        assert not list(tmp_path.glob("*.tmp"))

@@ -23,11 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import EncryptionMode
-from repro.core.session import MeasurementSession, run_parallel_sessions
+from repro.core.session import MeasurementSession
 from repro.phy.channel import BackscatterChannel, ChannelGeometry, TagState
 from repro.phy.coding import coded_bit_error_rate, packet_error_rate
 from repro.phy.mcs import ht_mcs
-from repro.runner import SessionSpec, UnitContext
+from repro.runner import SessionSpec, UnitContext, run_sessions
 from repro.sim.scenario import build_system, los_scenario, nlos_scenario
 from tests.oracles import link as oracle
 from tests.oracles.query import build_reference
@@ -468,9 +468,7 @@ class TestScheduledSessionEquivalence:
             for i in range(3)
         ]
         serial = run_units(fn, list(units), seed=13, n_workers=1)
-        parallel = run_units(
-            fn, list(units), seed=13, n_workers=2, executor="process"
-        )
+        parallel = run_units(fn, list(units), seed=13, n_workers=2)
         assert serial.values == parallel.values
         assert all(v["windows"] == 80 for v in serial.values)
 
@@ -551,7 +549,7 @@ class TestWorkerInvariance:
             return SessionSpec(distance_m=4.0, batch_queries=batch)
 
         outcomes = [
-            run_parallel_sessions(
+            run_sessions(
                 spec(batch), 3, queries=20, seed=9, n_workers=n_workers
             ).values
             for n_workers, batch in ((1, 7), (2, 7), (1, 256), (2, 1))
@@ -575,24 +573,6 @@ class TestWorkerInvariance:
         assert pickle.loads(pickle.dumps(spec)) == spec
         with pytest.raises(ValueError):
             SessionSpec(kind="underwater")
-
-    def test_small_batch_falls_back_to_serial_with_warning(self):
-        # Satellite bugfix: queries < chunk_size used to raise inside
-        # the engine; now it warns and runs serially, like run_units.
-        from repro.core.session import reset_small_query_warnings
-
-        reset_small_query_warnings()
-        with pytest.warns(RuntimeWarning, match="chunk_size"):
-            result = run_parallel_sessions(
-                SessionSpec(),
-                2,
-                queries=2,
-                seed=3,
-                n_workers=2,
-                chunk_size=5,
-            )
-        assert result.executor == "serial"
-        assert len(result.values) == 2
 
 
 class TestCacheInvalidationFromSession:

@@ -6,7 +6,7 @@ import pytest
 from repro.sim.events import EventLoop
 from repro.sim.floorplan import los_testbed, paper_testbed
 from repro.sim.geometry import Material, Point, Wall, path_profile
-from repro.sim.rng import named_rngs, spawn_rngs
+from repro.seeding import named_rngs, spawn_rngs
 from repro.sim.trace import TraceRecord, TraceWriter
 
 

@@ -622,7 +622,7 @@ class TestAdaptiveQualityPin:
                 windows_per_round=100,
             )
             legs[adaptive] = list(
-                run_sweep(measure, sweep, executor="serial").values
+                run_sweep(measure, sweep).values
             )
         static, adaptive = legs[False], legs[True]
 
