@@ -474,7 +474,7 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
     import json
 
     from .obs import chrome_trace, flamegraph_lines, read_trace
-    from .obs.export import merge_stage_timings
+    from .obs.export import trace_spans
 
     try:
         records = list(
@@ -486,10 +486,10 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
     if args.format == "chrome":
         text = json.dumps(chrome_trace(records), indent=2)
     else:
-        lines = flamegraph_lines(merge_stage_timings(records))
+        lines = flamegraph_lines(trace_spans(records))
         if not lines:
             print(
-                "trace holds no session stage timings to export "
+                "trace holds no session spans to export "
                 "(flamegraphs need session records)",
                 file=sys.stderr,
             )

@@ -423,11 +423,6 @@ class TagFleet:
         """Number of tags in the fleet."""
         return len(self.names)
 
-    @property
-    def counters(self):
-        """Per-stage timing of the shared decode model."""
-        return self._decoder.counters
-
     def load_bits(self, name: str, bits: Bits) -> None:
         """Queue bits on one tag.
 

@@ -108,13 +108,23 @@ class MeasurementSession:
         """
         if duration_s <= 0:
             raise ValueError("duration must be positive")
-        return self._run(duration_s, math.inf)
+        return self._call(duration_s, math.inf)
 
     def run_queries(self, count: int) -> SessionStats:
         """Run a fixed number of query cycles; stats of this call only."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        return self._run(math.inf, count)
+        return self._call(math.inf, count)
+
+    def _call(self, duration_s: float, count: float) -> SessionStats:
+        """:meth:`_run`; with telemetry, a ``core.session`` span too."""
+        telemetry = self.system.telemetry
+        if telemetry is None:
+            return self._run(duration_s, count)
+        with telemetry.spans.capture("core.session") as call:
+            stats = self._run(duration_s, count)
+        telemetry.on_session(stats, call.snapshot())
+        return stats
 
     def _run(self, duration_s: float, count: float) -> SessionStats:
         """Run cycles until ``duration_s`` has passed or ``count`` ran.
@@ -148,14 +158,7 @@ class MeasurementSession:
                     frames, delays, load_bits=self._ensure_tag_bits
                 )
             )
-        return self._finish(_aggregate(self.results[first:], elapsed))
-
-    def _finish(self, stats: SessionStats) -> SessionStats:
-        """Emit the end-of-run session telemetry record, if attached."""
-        telemetry = self.system.telemetry
-        if telemetry is not None:
-            telemetry.on_session(stats, self.stage_timings())
-        return stats
+        return _aggregate(self.results[first:], elapsed)
 
     def _ensure_tag_bits(self) -> None:
         """Top up the tag's queue for one query, before the tag runs it."""
@@ -175,16 +178,3 @@ class MeasurementSession:
         return [
             r.bit_errors / r.n_bits for r in self.results if r.n_bits > 0
         ]
-
-    def stage_timings(self) -> dict[str, dict[str, dict[str, float]]]:
-        """Cumulative per-stage wall-clock spent by this session's system.
-
-        Groups the system-level query-cycle counters and the error
-        model's decode counters (see :mod:`repro.perf`); a
-        traced session record carries exactly this structure, and
-        ``repro trace export --format flamegraph`` renders it.
-        """
-        return {
-            "system": self.system.counters.as_dict(),
-            "error_model": self.system.error_model.counters.as_dict(),
-        }

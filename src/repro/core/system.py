@@ -38,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..mac.addresses import MacAddress
 from ..mac.block_ack import BlockAck, BlockAckScoreboard
 from ..mac.csma import ContentionModel
-from ..perf import StageCounters
 from ..phy.channel import STATE_CODES
 from ..phy.error_model import FadingBatch, LinkErrorModel
 from ..phy.fading import CorrelatedFadingChannel
@@ -106,13 +105,14 @@ class WiTagSystem:
             each query cycle advances it by the cycle duration instead of
             drawing independent fading per query.
         rng: randomness for the timing-misalignment collateral draws.
-        counters: cumulative per-stage wall-clock of the query cycle
-            (``query-build``, ``tag-fsm``, ``phy-decode``, ``mac-ba``).
         telemetry: optional :class:`repro.obs.Telemetry`.  Usually wired
             via :meth:`repro.obs.Telemetry.attach` (which also hooks the
             error model, tag FSM and scoreboard); passing one at
-            construction attaches it for you.  ``None`` (the default)
-            costs one ``is None`` check per query.
+            construction attaches it for you.  When attached, the query
+            cycle's stages are timed as spans (``core.query``,
+            ``tag.state_machine``, ``phy.error_model``,
+            ``mac.block_ack``).  ``None`` (the default) costs one
+            ``is None`` check per hook site.
     """
 
     config: WiTagConfig
@@ -126,7 +126,6 @@ class WiTagSystem:
     rng: np.random.Generator = field(
         default_factory=lambda: component_rng("system")
     )
-    counters: StageCounters = field(default_factory=StageCounters, repr=False)
     telemetry: "Telemetry | None" = field(
         default=None, repr=False, compare=False
     )
@@ -165,9 +164,11 @@ class WiTagSystem:
         The engine's per-query prologue.  The caller decodes the frames
         it collects with :meth:`run_queries_batch`.
         """
-        start = time.perf_counter()
-        frame = self.builder.build()
-        self.counters.add("query-build", time.perf_counter() - start)
+        if self.telemetry is None:
+            frame = self.builder.build()
+        else:
+            with self.telemetry.spans.span("core.query"):
+                frame = self.builder.build()
         return frame, self._access_delay_s()
 
     def run_query(self) -> QueryResult:
@@ -257,82 +258,85 @@ class WiTagSystem:
         )
         codes = np.empty((count, n_subframes), dtype=np.int8)
         transmissions = []
-        with self.counters.timed("tag-fsm", count):
-            for q in range(count):
-                if load_bits is not None:
-                    load_bits()
-                transmission = self.tag.process_query(observation)
-                transmissions.append(transmission)
-                codes[q] = transmission.codes
-                # Misalignment collateral: a misaligned zero-bit toggle
-                # still corrupts (most of) its own subframe, and also
-                # spills into one neighbour, chosen uniformly (the
-                # reader cannot know the drift's sign): one uniform per
-                # spilling bit, in bit order.
-                aligned = transmission.toggles_aligned
-                if aligned.all():
-                    continue
-                zero_bits = np.array(transmission.bits_loaded) == 0
-                spills = np.flatnonzero(zero_bits & ~aligned)
-                neighbours = (
-                    observation.n_trigger_subframes
-                    + spills
-                    + np.where(self.rng.random(spills.size) < 0.5, 1, -1)
-                )
-                in_frame = (neighbours >= 0) & (neighbours < n_subframes)
-                codes[q, neighbours[in_frame]] = zero_code
+        tel = self.telemetry
+        if tel is not None:
+            start = time.perf_counter()
+        for q in range(count):
+            if load_bits is not None:
+                load_bits()
+            transmission = self.tag.process_query(observation)
+            transmissions.append(transmission)
+            codes[q] = transmission.codes
+            # Misalignment collateral: a misaligned zero-bit toggle
+            # still corrupts (most of) its own subframe, and also
+            # spills into one neighbour, chosen uniformly (the
+            # reader cannot know the drift's sign): one uniform per
+            # spilling bit, in bit order.
+            aligned = transmission.toggles_aligned
+            if aligned.all():
+                continue
+            zero_bits = np.array(transmission.bits_loaded) == 0
+            spills = np.flatnonzero(zero_bits & ~aligned)
+            neighbours = (
+                observation.n_trigger_subframes
+                + spills
+                + np.where(self.rng.random(spills.size) < 0.5, 1, -1)
+            )
+            in_frame = (neighbours >= 0) & (neighbours < n_subframes)
+            codes[q, neighbours[in_frame]] = zero_code
+        if tel is not None:
+            tel.spans.add(
+                "tag.state_machine", time.perf_counter() - start, count
+            )
 
         # MPDU sizes are fixed by the builder's byte plan, so one row
         # serves every query in the chunk.
         mpdu_bits = [8 * len(mpdu) for mpdu in first.mpdus]
-        with self.counters.timed("phy-decode", count):
-            outcomes = self.error_model.subframe_outcomes_batch2d(
-                mpdu_bits, design.state_for_bit_one, codes, fading
-            )
+        outcomes = self.error_model.subframe_outcomes_batch2d(
+            mpdu_bits, design.state_for_bit_one, codes, fading
+        )
 
         results: list[QueryResult] = []
-        with self.counters.timed("mac-ba", count):
-            outcome_matrix = np.ascontiguousarray(outcomes)
-            packed = np.packbits(
-                outcome_matrix, axis=1, bitorder="little"
+        if tel is not None:
+            start = time.perf_counter()
+        outcome_matrix = np.ascontiguousarray(outcomes)
+        packed = np.packbits(outcome_matrix, axis=1, bitorder="little")
+        # Every block ACK below is built with ``ssn == frame.ssn``,
+        # so the reader's bitmap offset is zero and
+        # ``raw_bits_from_block_ack`` reduces to the outcome row
+        # past the trigger subframes — slice it directly instead of
+        # re-extracting 64 bits from the bitmap per query.
+        raw_rows = outcome_matrix.astype(np.uint8).tolist()
+        if tel is not None:
+            row_true = outcome_matrix.sum(axis=1)
+        for q, frame in enumerate(frames):
+            bitmap = int.from_bytes(packed[q].tobytes(), "little")
+            block_ack = BlockAck(
+                receiver=self.client,
+                transmitter=self.ap,
+                ssn=frame.ssn,
+                bitmap=bitmap,
             )
-            # Every block ACK below is built with ``ssn == frame.ssn``,
-            # so the reader's bitmap offset is zero and
-            # ``raw_bits_from_block_ack`` reduces to the outcome row
-            # past the trigger subframes — slice it directly instead of
-            # re-extracting 64 bits from the bitmap per query.
-            raw_rows = outcome_matrix.astype(np.uint8).tolist()
-            tel = self.telemetry
+            raw = raw_rows[q][frame.n_trigger_subframes :]
+            transmission = transmissions[q]
+            n_sent = len(transmission.bits_loaded)
+            result = QueryResult(
+                query=frame,
+                block_ack=block_ack,
+                detected=transmission.detected,
+                sent_bits=transmission.bits_loaded,
+                received_bits=tuple(raw[:n_sent]),
+                cycle_s=cycles_s[q],
+                rx_power_at_tag_dbm=self._rx_at_tag_dbm,
+            )
+            results.append(result)
             if tel is not None:
-                row_true = outcome_matrix.sum(axis=1)
-            for q, frame in enumerate(frames):
-                bitmap = int.from_bytes(packed[q].tobytes(), "little")
-                block_ack = BlockAck(
-                    receiver=self.client,
-                    transmitter=self.ap,
-                    ssn=frame.ssn,
-                    bitmap=bitmap,
+                tel.on_query(
+                    result,
+                    n_failed=int(n_subframes - row_true[q]),
+                    codes=codes[q],
+                    fading=fading.sample(q),
                 )
-                raw = raw_rows[q][frame.n_trigger_subframes :]
-                transmission = transmissions[q]
-                n_sent = len(transmission.bits_loaded)
-                result = QueryResult(
-                    query=frame,
-                    block_ack=block_ack,
-                    detected=transmission.detected,
-                    sent_bits=transmission.bits_loaded,
-                    received_bits=tuple(raw[:n_sent]),
-                    cycle_s=cycles_s[q],
-                    rx_power_at_tag_dbm=self._rx_at_tag_dbm,
-                )
-                results.append(result)
-                if tel is not None:
-                    tel.on_query(
-                        result,
-                        n_failed=int(n_subframes - row_true[q]),
-                        codes=codes[q],
-                        fading=fading.sample(q),
-                    )
 
         # Leave the mutable MAC state as one cycle after another would:
         # the scoreboard holds the last query's outcomes, and the next
@@ -341,10 +345,10 @@ class WiTagSystem:
         # query; the bulk hook accounts for the count-1 resets and the
         # records of the earlier queries the chunk elides, so scoreboard
         # counters match a per-query scoreboard exactly.
-        if self.telemetry is not None:
+        if tel is not None:
             total_true = int(outcome_matrix.sum())
             last_true = int(outcome_matrix[-1].sum())
-            self.telemetry.on_scoreboard_bulk(
+            tel.on_scoreboard_bulk(
                 records=total_true - last_true, resets=count - 1
             )
         last_frame = frames[-1]
@@ -352,5 +356,7 @@ class WiTagSystem:
         for index, ok in enumerate(outcomes[-1]):
             if ok:
                 self._scoreboard.record((last_frame.ssn + index) % 4096)
+        if tel is not None:
+            tel.spans.add("mac.block_ack", time.perf_counter() - start, count)
         self._last_cycle_s = results[-1].cycle_s
         return results

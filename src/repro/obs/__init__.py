@@ -8,9 +8,9 @@ Three pieces, composable but independently usable:
 * :mod:`repro.obs.trace` — JSONL query/session trace records with
   head/tail/every-N sampling and schema validation.
 * :class:`Telemetry` (:mod:`repro.obs.telemetry`) — the facade that
-  wires both into a :class:`repro.core.system.WiTagSystem`; simulators
-  without one attached (the default) pay a single ``is None`` check per
-  hook site.
+  wires both, plus the wall-time spans of :mod:`repro.obs.spans`, into
+  a :class:`repro.core.system.WiTagSystem`; simulators without one
+  attached (the default) pay a single ``is None`` check per hook site.
 
 Cross-process: :class:`TelemetrySpec` travels to workers,
 :class:`TelemetryAggregate` merges what they send back (see

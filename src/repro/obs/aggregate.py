@@ -7,9 +7,10 @@ and a serial run of the same spec (same units, same chunk size) expose
 identical aggregates: counters and histogram bins are integer/ordered
 sums, and per-chunk registries are merged in chunk order.
 
-Stage counters (wall-clock) aggregate the same way but are *not*
-deterministic across runs — they answer "where did worker time go?",
-not "what happened in the physics?".
+Span trees (:mod:`repro.obs.spans`) merge the same way, path by path.
+Their ``calls`` are deterministic too; their ``seconds`` are wall-clock
+and are not — they answer "where did worker time go?", not "what
+happened in the physics?".
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from ..perf import StageCounters
 from .metrics import SNAPSHOT_SCHEMA, MetricsRegistry
+from .spans import SpanRecorder
 
 __all__ = ["TelemetryAggregate"]
 
@@ -28,7 +29,7 @@ class TelemetryAggregate:
     """Merged telemetry from one or more chunk snapshots."""
 
     _registry: MetricsRegistry = field(default_factory=MetricsRegistry)
-    _stage: dict[str, StageCounters] = field(default_factory=dict)
+    _spans: SpanRecorder = field(default_factory=SpanRecorder)
     chunks: int = 0
     has_metrics: bool = False
 
@@ -47,12 +48,7 @@ class TelemetryAggregate:
         if metrics is not None:
             self._registry.load_snapshot(metrics)
             self.has_metrics = True
-        for group, stages in chunk.get("stage", {}).items():
-            counters = self._stage.setdefault(group, StageCounters())
-            for stage, entry in stages.items():
-                counters.add(
-                    stage, float(entry["seconds"]), int(entry["calls"])
-                )
+        self._spans.merge(chunk.get("spans", {}))
         self.chunks += 1
 
     def record_retries(self, events: Iterable[Any]) -> None:
@@ -78,12 +74,9 @@ class TelemetryAggregate:
         """Merged metric snapshot, or ``None`` if no chunk had metrics."""
         return self._registry.snapshot() if self.has_metrics else None
 
-    def stage_timings(self) -> dict[str, dict[str, dict[str, float]]]:
-        """Merged stage counters, ``{group: {stage: {seconds, calls}}}``."""
-        return {
-            group: self._stage[group].as_dict()
-            for group in sorted(self._stage)
-        }
+    def spans(self) -> dict[str, Any]:
+        """Merged span tree, ``{name: {seconds, calls, children}}``."""
+        return self._spans.snapshot()
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-able view, stamped with schema and producing version."""
@@ -94,5 +87,5 @@ class TelemetryAggregate:
             "version": __version__,
             "chunks": self.chunks,
             "metrics": self.metrics_snapshot(),
-            "stage": self.stage_timings(),
+            "spans": self.spans(),
         }

@@ -1,20 +1,20 @@
 """Timeline exports: Chrome ``trace_event`` JSON and flamegraphs.
 
 Converts the JSONL trace records written by
-:class:`repro.obs.trace.TraceWriter` (query spans, session stage
-timings, engine retry events) into two standard offline
+:class:`repro.obs.trace.TraceWriter` (query records, session records
+with their span trees, engine retry events) into two standard offline
 formats:
 
 * :func:`chrome_trace` — the Chrome tracing / Perfetto ``trace_event``
   JSON object format (load via ``chrome://tracing`` or
   https://ui.perfetto.dev).  Query cycles become complete (``"X"``)
-  events laid end-to-end on simulated time; per-group stage timings
-  become complete events on their own tracks; retry records become
-  instant (``"i"``) events.
+  events laid end-to-end on simulated time; the sessions' span tree
+  becomes nested complete events on a track of its own; retry records
+  become instant (``"i"``) events.
 * :func:`flamegraph_lines` — Brendan Gregg's collapsed-stack text
-  (``group;stage <microseconds>`` per line), ready for
-  ``flamegraph.pl`` or speedscope.  Lines sum to the total stage time
-  recorded in the trace (to rounding, one microsecond per stage).
+  (``core.session;phy.error_model;csi <microseconds>`` per line),
+  ready for ``flamegraph.pl`` or speedscope.  Each line carries its
+  span path's self time, so the lines sum to the tree's root total.
 
 Both are pure functions of the record stream, so ``repro trace
 export`` output is as deterministic as the trace itself.
@@ -22,56 +22,90 @@ export`` output is as deterministic as the trace itself.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
+
+from .spans import SpanRecorder
 
 __all__ = [
     "chrome_trace",
     "flamegraph_lines",
-    "merge_stage_timings",
+    "trace_spans",
 ]
 
 _US = 1e6  # trace_event timestamps are microseconds
 
 
-def merge_stage_timings(
-    records: Iterable[Mapping[str, Any]],
-) -> dict[str, dict[str, dict[str, float]]]:
-    """Sum ``session`` records' stage timings across a trace.
+def trace_spans(records: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
+    """The span trees of a trace's ``session`` records, merged.
 
-    Returns the merged ``{group: {stage: {"seconds", "calls"}}}``
-    mapping (the :meth:`repro.perf.StageCounters.as_dict` shape).
+    Each session record carries the spans of its own run only, so the
+    merge covers every recorded run once.
     """
-    merged: dict[str, dict[str, dict[str, float]]] = {}
+    spans = SpanRecorder()
     for record in records:
-        if record.get("kind") != "session":
-            continue
-        for group, stages in record.get("stage_timings", {}).items():
-            group_out = merged.setdefault(group, {})
-            for stage, values in stages.items():
-                slot = group_out.setdefault(
-                    stage, {"seconds": 0.0, "calls": 0}
-                )
-                slot["seconds"] += float(values.get("seconds", 0.0))
-                slot["calls"] += int(values.get("calls", 0))
-    return merged
+        if record.get("kind") == "session":
+            spans.merge(record.get("spans", {}))
+    return spans.snapshot()
 
 
-def flamegraph_lines(
-    stage_timings: Mapping[str, Mapping[str, Mapping[str, Any]]],
-) -> list[str]:
-    """Collapsed-stack flamegraph lines from merged stage timings.
+def flamegraph_lines(spans: Mapping[str, Any]) -> list[str]:
+    """Collapsed-stack flamegraph lines from a span tree.
 
-    One line per ``group;stage`` frame, weighted by its recorded
-    seconds in integer microseconds (collapsed-stack counts must be
-    integers).  The line weights sum to the total stage time to within
-    half a microsecond per stage.
+    One line per span path (``a;b;c``), weighted by its self time —
+    its seconds less its children's — in integer microseconds
+    (collapsed-stack counts must be integers).  The weights sum to the
+    roots' total seconds to within half a microsecond per line.
     """
     lines: list[str] = []
-    for group in sorted(stage_timings):
-        for stage in sorted(stage_timings[group]):
-            seconds = float(stage_timings[group][stage]["seconds"])
-            lines.append(f"{group};{stage} {int(round(seconds * _US))}")
+
+    def visit(tree: Mapping[str, Any], prefix: str) -> None:
+        for name, entry in tree.items():
+            path = f"{prefix}{name}"
+            children = entry.get("children", {})
+            self_s = float(entry["seconds"]) - sum(
+                float(child["seconds"]) for child in children.values()
+            )
+            lines.append(f"{path} {int(round(max(self_s, 0.0) * _US))}")
+            visit(children, f"{path};")
+
+    visit(spans, "")
     return lines
+
+
+def _metadata(kind: str, tid: int, name: str) -> dict[str, Any]:
+    """A ``process_name`` / ``thread_name`` metadata event."""
+    return {
+        "name": kind,
+        "ph": "M",
+        "pid": 1,
+        "tid": tid,
+        "ts": 0,
+        "args": {"name": name},
+    }
+
+
+def _span_events(
+    tree: Mapping[str, Any], ts: float
+) -> Iterator[dict[str, Any]]:
+    """Nested complete events for a span tree, starting at ``ts``.
+
+    Siblings lie end to end; children start where their parent does,
+    and since they ran inside it they end before it does.
+    """
+    for name, entry in tree.items():
+        dur_us = float(entry["seconds"]) * _US
+        yield {
+            "name": name,
+            "cat": "span",
+            "ph": "X",
+            "ts": ts,
+            "dur": dur_us,
+            "pid": 1,
+            "tid": 4,
+            "args": {"calls": int(entry["calls"])},
+        }
+        yield from _span_events(entry.get("children", {}), ts)
+        ts += dur_us
 
 
 def chrome_trace(
@@ -88,32 +122,18 @@ def chrome_trace(
     * ``tid 2`` (*sessions*) — one instant event per ``session``
       record at the simulated time it closed.
     * ``tid 3`` (*engine*) — instant events for ``retry`` records.
-      ``transport`` records, which older versions wrote, are skipped.
-    * one stage track per stage-timing group (``tid >= 4``) — each
-      stage a complete event, stages laid end-to-end per group, so
-      relative widths read like a flamegraph row.
+    * ``tid 4`` (*spans*) — the sessions' merged span tree
+      (:func:`trace_spans`) in wall-clock microseconds: one complete
+      event per span path, nested inside its parent's event, so the
+      track reads like an icicle graph.
 
     Returns the standard ``{"traceEvents": [...], "displayTimeUnit":
     "ms"}`` object; ``json.dump`` it to produce a file Chrome tracing
     and Perfetto load directly.
     """
     events: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": 0,
-            "ts": 0,
-            "args": {"name": "repro"},
-        },
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": 1,
-            "ts": 0,
-            "args": {"name": "queries"},
-        },
+        _metadata("process_name", 0, "repro"),
+        _metadata("thread_name", 1, "queries"),
     ]
     records = list(records)
     now_us = 0.0
@@ -186,56 +206,8 @@ def chrome_trace(
                     },
                 }
             )
-    if any(e["tid"] == 2 for e in events):
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": 2,
-                "ts": 0,
-                "args": {"name": "sessions"},
-            }
-        )
-    if any(e["tid"] == 3 for e in events):
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": 3,
-                "ts": 0,
-                "args": {"name": "engine"},
-            }
-        )
-    timings = merge_stage_timings(records)
-    for offset, group in enumerate(sorted(timings)):
-        tid = 4 + offset
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": tid,
-                "ts": 0,
-                "args": {"name": f"stages:{group}"},
-            }
-        )
-        cursor = 0.0
-        for stage in sorted(timings[group]):
-            values = timings[group][stage]
-            dur_us = float(values["seconds"]) * _US
-            events.append(
-                {
-                    "name": stage,
-                    "cat": "stage",
-                    "ph": "X",
-                    "ts": cursor,
-                    "dur": dur_us,
-                    "pid": 1,
-                    "tid": tid,
-                    "args": {"calls": int(values["calls"])},
-                }
-            )
-            cursor += dur_us
+    events.extend(_span_events(trace_spans(records), 0.0))
+    for tid, name in ((2, "sessions"), (3, "engine"), (4, "spans")):
+        if any(e["tid"] == tid for e in events):
+            events.append(_metadata("thread_name", tid, name))
     return {"traceEvents": events, "displayTimeUnit": "ms"}

@@ -1,13 +1,15 @@
-"""The telemetry facade: one object wiring metrics + traces into a system.
+"""The telemetry facade: one object wiring metrics, traces and spans.
 
 :class:`Telemetry` owns a :class:`repro.obs.metrics.MetricsRegistry`,
 an optional :class:`repro.obs.trace.TraceWriter` (with a
-:class:`repro.obs.trace.TraceSampler`), and the set of
-:class:`repro.perf.StageCounters` groups it will snapshot.  Attaching it
-to a :class:`repro.core.system.WiTagSystem` points the system, its
-error model, its tag FSM and its block-ACK scoreboard at this object;
-every hook site in the simulator guards with a single ``is None`` check,
-so an unattached simulator (the default) pays nothing.
+:class:`repro.obs.trace.TraceSampler`), and the
+:class:`repro.obs.spans.SpanRecorder` that times the layers of every
+attached simulator.  Attaching it to a
+:class:`repro.core.system.WiTagSystem` points the system, its error
+model, its tag FSM and its block-ACK scoreboard at this object; every
+hook site in the simulator, spans included, guards with a single
+``is None`` check, so an unattached simulator (the default) pays
+nothing.
 
 The engine calls these hooks with the values one query after another
 would produce, so telemetry does not depend on how queries are chunked:
@@ -27,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
-from ..perf import StageCounters
 from ..phy.channel import STATE_CODES
 from .metrics import (
     BER_BUCKETS,
@@ -43,6 +44,7 @@ ROUND_SECONDS_BUCKETS = log_buckets(1e-3, 1e2, 11)
 #: Per-query CSMA channel-access delays: a DIFS (tens of microseconds)
 #: up to a second under heavy contention.
 ACCESS_DELAY_BUCKETS = log_buckets(1e-5, 1.0, 11)
+from .spans import SpanRecorder
 from .trace import (
     TRACE_SCHEMA,
     TailBuffer,
@@ -71,13 +73,13 @@ def _codes_digest(codes: "np.ndarray") -> str:
 
 
 class Telemetry:
-    """Metrics + trace recording for one or more attached systems.
+    """Metrics, trace and span recording for one or more attached systems.
 
     Args:
         metrics: record the metric families below (link-quality
             histograms, per-layer counters).  When False, the registry
-            exists but hot-path hooks no-op — useful for collecting
-            stage counters only.
+            exists but every hook other than spans no-ops — useful for
+            collecting wall time per layer only.
         writer: optional JSONL trace destination; ``None`` disables
             tracing.
         sampler: which query indices to trace (default: all).
@@ -120,7 +122,7 @@ class Telemetry:
         self.writer = writer
         self.sampler = sampler if sampler is not None else TraceSampler()
         self._tail = TailBuffer(self.sampler.tail if writer else 0)
-        self._stage_groups: dict[str, list[StageCounters]] = {}
+        self.spans = SpanRecorder()
         self._query_index = 0
         if self.metrics_enabled:
             registry_ = self.registry
@@ -286,21 +288,16 @@ class Telemetry:
 
     def attach(self, system: "WiTagSystem") -> "WiTagSystem":
         """Wire this telemetry into a system (idempotent); returns it."""
-        self.register_stage_counters("system", system.counters)
-        self.register_stage_counters(
-            "error_model", system.error_model.counters
-        )
-        if self.metrics_enabled or self.trace_enabled:
-            system.telemetry = self
-            system.error_model.telemetry = self
-            system.tag.telemetry = self
-            system._scoreboard._telemetry = self
-            if self.metrics_enabled:
-                self._stamp_build_info()
-                self.registry.gauge(
-                    "witag_rx_power_at_tag_dbm",
-                    "Query signal power at the tag antenna",
-                ).set(system.rx_power_at_tag_dbm)
+        system.telemetry = self
+        system.error_model.telemetry = self
+        system.tag.telemetry = self
+        system._scoreboard._telemetry = self
+        if self.metrics_enabled:
+            self._stamp_build_info()
+            self.registry.gauge(
+                "witag_rx_power_at_tag_dbm",
+                "Query signal power at the tag antenna",
+            ).set(system.rx_power_at_tag_dbm)
         return system
 
     def attach_fleet(self, fleet: "TagFleet") -> "TagFleet":
@@ -312,12 +309,10 @@ class Telemetry:
         cover the rest, so every counter and histogram reads as if each
         query had its own scoreboard pass.
         """
-        self.register_stage_counters("error_model", fleet.counters)
-        if self.metrics_enabled or self.trace_enabled:
-            fleet.telemetry = self
-            fleet._scoreboard._telemetry = self
-            fleet._decoder.telemetry = self
-            self._stamp_build_info()
+        fleet.telemetry = self
+        fleet._scoreboard._telemetry = self
+        fleet._decoder.telemetry = self
+        self._stamp_build_info()
         return fleet
 
     def attach_network(self, network: "FleetNetwork") -> "FleetNetwork":
@@ -329,8 +324,7 @@ class Telemetry:
         """
         for fleet in network.fleets:
             self.attach_fleet(fleet)
-        if self.metrics_enabled or self.trace_enabled:
-            network.telemetry = self
+        network.telemetry = self
         return network
 
     def _stamp_build_info(self) -> None:
@@ -342,14 +336,6 @@ class Telemetry:
                 "Producing repro version (value is always 1)",
                 labels=("version",),
             ).labels(version=__version__).set(1.0)
-
-    def register_stage_counters(
-        self, group: str, counters: StageCounters
-    ) -> None:
-        """Track a :class:`StageCounters` for snapshotting under ``group``."""
-        existing = self._stage_groups.setdefault(group, [])
-        if all(c is not counters for c in existing):
-            existing.append(counters)
 
     # ------------------------------------------------------------------
     # Hooks (called by instrumented simulator components)
@@ -516,9 +502,9 @@ class Telemetry:
     def on_session(
         self,
         stats: "SessionStats",
-        stage_timings: Mapping[str, Any],
+        spans: Mapping[str, Any],
     ) -> None:
-        """A measurement session finished a run."""
+        """A measurement session finished a run; ``spans`` is its tree."""
         if self.metrics_enabled:
             self._sessions.inc()
         if self.writer is not None:
@@ -534,10 +520,7 @@ class Telemetry:
                     "missed_triggers": int(stats.missed_triggers),
                     "elapsed_s": float(stats.elapsed_s),
                     "ber": float(stats.ber),
-                    "stage_timings": {
-                        group: dict(stages)
-                        for group, stages in stage_timings.items()
-                    },
+                    "spans": spans,
                 }
             )
             self.writer.flush()
@@ -611,23 +594,13 @@ class Telemetry:
     def metrics_snapshot(self) -> dict[str, Any]:
         return self.registry.snapshot()
 
-    def stage_snapshot(self) -> dict[str, dict[str, dict[str, float]]]:
-        """Merged per-group stage-counter snapshot."""
-        snapshot: dict[str, dict[str, dict[str, float]]] = {}
-        for group, counter_list in sorted(self._stage_groups.items()):
-            merged = StageCounters()
-            for counters in counter_list:
-                merged.merge(counters)
-            snapshot[group] = merged.as_dict()
-        return snapshot
-
     def chunk_snapshot(self) -> dict[str, Any]:
         """What a worker ships back through the chunk-result channel."""
         return {
             "metrics": (
                 self.metrics_snapshot() if self.metrics_enabled else None
             ),
-            "stage": self.stage_snapshot(),
+            "spans": self.spans.snapshot(),
         }
 
     def close(self) -> None:
@@ -648,7 +621,7 @@ class TelemetrySpec:
     back with the chunk's results.  Tracing is deliberately absent here:
     JSONL traces are a single-process concern (use a live
     :class:`Telemetry` and the serial executor, as ``repro trace run``
-    does), while metrics and stage counters aggregate cleanly.
+    does), while metrics and span trees aggregate cleanly.
     """
 
     metrics: bool = True

@@ -14,17 +14,17 @@ Record kinds:
   engine chunks its queries: the same seed gives bitwise-identical
   ``query`` records.
 * ``session`` — end-of-run totals (mirrors
-  :class:`repro.core.session.SessionStats`) plus cumulative stage
-  timings.  Summing the ``query`` records of an unsampled trace
-  reproduces the ``session`` record exactly.
+  :class:`repro.core.session.SessionStats`) plus the span tree of that
+  run alone (:mod:`repro.obs.spans`).  Summing the ``query`` records of
+  an unsampled trace reproduces the ``session`` record exactly.
 * ``retry`` — one engine fault-tolerance decision (see
   :class:`repro.runner.faults.RetryEvent`): which chunk failed, the
   attempt number, the failure reason, and what the scheduler did about
   it (retry, serial fallback, or terminal failure).
-* ``transport`` — one chunk payload crossing the process boundary: the
-  codec, encoded size, and encode/decode wall-clock.  Older versions
-  wrote these; nothing writes them now, but they still validate so
-  those traces keep loading.
+
+Schema 2 replaced the cumulative stage timings of schema 1's session
+records with per-run ``spans``, and dropped schema 1's ``transport``
+kind.
 
 Sampling (:class:`TraceSampler`) bounds trace cost on long runs:
 ``every_n`` keeps one query in N, ``head`` always keeps the first few,
@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 #: Trace record schema version (the ``schema`` field of every record).
-TRACE_SCHEMA = 1
+TRACE_SCHEMA = 2
 
 _DIGEST_BYTES = 8
 
@@ -252,7 +252,7 @@ _SESSION_FIELDS = {
     "missed_triggers": int,
     "elapsed_s": float,
     "ber": float,
-    "stage_timings": dict,
+    "spans": dict,
 }
 
 _HEADER_FIELDS = {
@@ -272,16 +272,6 @@ _RETRY_FIELDS = {
     "action": str,
 }
 
-_TRANSPORT_FIELDS = {
-    "schema": int,
-    "kind": str,
-    "chunk": int,
-    "codec": str,
-    "nbytes": int,
-    "encode_s": float,
-    "decode_s": float,
-}
-
 
 def validate_trace_record(record: Mapping[str, Any]) -> None:
     """Raise ``ValueError`` unless ``record`` matches the trace schema."""
@@ -297,7 +287,6 @@ def validate_trace_record(record: Mapping[str, Any]) -> None:
         "query": _QUERY_FIELDS,
         "session": _SESSION_FIELDS,
         "retry": _RETRY_FIELDS,
-        "transport": _TRANSPORT_FIELDS,
     }.get(kind)
     if fields is None:
         raise ValueError(f"unknown trace record kind {kind!r}")

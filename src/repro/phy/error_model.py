@@ -45,6 +45,7 @@ from the physics, not from the knob.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
@@ -54,7 +55,6 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.telemetry import Telemetry
 
-from ..perf import StageCounters
 from ..seeding import component_rng
 from .channel import STATE_CODES, BackscatterChannel, TagState
 from .coding import coded_bit_error_rate_batch, packet_error_rate_batch
@@ -160,13 +160,11 @@ class LinkErrorModel:
             benign (tag idle) case.
         rng: randomness source for CSI estimation noise and outcome
             draws.
-        counters: cumulative per-stage timing of the decode
-            (``channel``, ``csi``, ``eesm``, ``coding``); sampled once
-            per decode call, so the instrumentation overhead is a few
-            microseconds per chunk.
         telemetry: optional :class:`repro.obs.Telemetry`; when attached,
             every effective-SINR evaluation feeds the
-            ``phy_effective_sinr`` histogram.
+            ``phy_effective_sinr`` histogram, and a decode is timed as a
+            ``phy.error_model`` span holding ``channel``, ``csi``,
+            ``eesm`` and ``phy.coding``.
 
     The decode is one family of 2-D methods
     (:meth:`subframe_outcomes_batch2d` and the two it composes): a
@@ -188,7 +186,6 @@ class LinkErrorModel:
     rng: np.random.Generator = field(
         default_factory=lambda: component_rng("error-model")
     )
-    counters: StageCounters = field(default_factory=StageCounters, repr=False)
     telemetry: "Telemetry | None" = field(
         default=None, repr=False, compare=False
     )
@@ -295,7 +292,9 @@ class LinkErrorModel:
                 f"{n_q} state rows but {len(rngs)} per-row generators"
             )
 
-        start = time.perf_counter()
+        telemetry = self.telemetry
+        if telemetry is not None:
+            start = time.perf_counter()
         direct, tag = fading.direct_gains, fading.tag_fadings
         h_preamble = self.channel.channel_vector_batch(
             preamble_state, direct, tag
@@ -316,9 +315,9 @@ class LinkErrorModel:
                 - h_preamble
             )
             change_sq[code] = np.abs(change) ** 2
-        self.counters.add("channel", time.perf_counter() - start, n_q * k)
+        if telemetry is not None:
+            telemetry.spans.add("channel", time.perf_counter() - start, n_q)
 
-        start = time.perf_counter()
         n = h_preamble.shape[1]
         rx_snr = self._tx_ref_snr * np.mean(np.abs(h_preamble) ** 2, axis=1)
         scale = csi_noise_scale(
@@ -328,11 +327,10 @@ class LinkErrorModel:
         noise = np.empty((block, k, 2 * n))
         estimate = np.empty((block, k, n), dtype=complex)
         effective = np.empty((n_q, k))
-        csi_s = time.perf_counter() - start
-        eesm_s = 0.0
         for lo in range(0, n_q, block):
             hi = min(lo + block, n_q)
-            start = time.perf_counter()
+            if telemetry is not None:
+                start = time.perf_counter()
             # Per query, per subframe: n real draws, n imaginary draws,
             # then optionally the outcome uniform — the scalar order.
             for q in range(lo, hi):
@@ -377,16 +375,18 @@ class LinkErrorModel:
             np.add(tag_mismatch, est_mismatch, out=tag_mismatch)
             np.add(tag_mismatch, safe_est_sq, out=tag_mismatch)
             np.divide(1.0, tag_mismatch, out=tag_mismatch)
-            middle = time.perf_counter()
+            if telemetry is not None:
+                middle = time.perf_counter()
             effective[lo:hi] = eesm_effective_sinr_batch(
                 tag_mismatch.reshape((hi - lo) * k, n), self.mcs.modulation
             ).reshape(hi - lo, k)
-            csi_s += middle - start
-            eesm_s += time.perf_counter() - middle
-        self.counters.add("csi", csi_s, n_q * k)
-        self.counters.add("eesm", eesm_s, n_q * k)
-        if self.telemetry is not None:
-            self.telemetry.observe_sinrs(effective)
+            if telemetry is not None:
+                telemetry.spans.add("csi", middle - start, hi - lo)
+                telemetry.spans.add(
+                    "eesm", time.perf_counter() - middle, hi - lo
+                )
+        if telemetry is not None:
+            telemetry.observe_sinrs(effective)
         return effective
 
     def subframe_success_probabilities_batch2d(
@@ -411,12 +411,10 @@ class LinkErrorModel:
             rngs=rngs,
             _uniforms=_uniforms,
         )
-        start = time.perf_counter()
-        probabilities = mpdu_success_probabilities(
-            self.mcs, mpdu_bits, sinrs
-        )
-        self.counters.add("coding", time.perf_counter() - start, sinrs.size)
-        return probabilities
+        if self.telemetry is None:
+            return mpdu_success_probabilities(self.mcs, mpdu_bits, sinrs)
+        with self.telemetry.spans.span("phy.coding", len(sinrs)):
+            return mpdu_success_probabilities(self.mcs, mpdu_bits, sinrs)
 
     def subframe_outcomes_batch2d(
         self,
@@ -437,7 +435,8 @@ class LinkErrorModel:
         :meth:`subframe_effective_sinrs_batch2d`).
         """
         uniforms = np.empty(np.shape(state_codes))
-        probabilities = self.subframe_success_probabilities_batch2d(
+        decode = functools.partial(
+            self.subframe_success_probabilities_batch2d,
             mpdu_bits,
             preamble_state,
             state_codes,
@@ -445,4 +444,7 @@ class LinkErrorModel:
             rngs=rngs,
             _uniforms=uniforms,
         )
-        return uniforms < probabilities
+        if self.telemetry is None:
+            return uniforms < decode()
+        with self.telemetry.spans.span("phy.error_model", len(uniforms)):
+            return uniforms < decode()

@@ -200,10 +200,11 @@ class ChunkProgress:
     progress without polling (see :mod:`repro.serve`).
 
     An exception raised by the observer aborts the run and propagates
-    to the caller: chunks not yet started are cancelled, and completed
-    chunks stay spilled in the checkpoint, so observers may raise
-    deliberately to implement cooperative cancellation at chunk
-    granularity.
+    to the caller: chunks not yet started are cancelled, completed
+    chunks stay spilled in the checkpoint, and chunks the pool had
+    already started are spilled as they finish (without further
+    reports), so observers may raise deliberately to implement
+    cooperative cancellation at chunk granularity.
 
     Attributes:
         chunk_index: position in the run's chunk list.
@@ -300,7 +301,7 @@ class SweepResult:
     executor: str
     wall_s: float
     worker_timings: tuple[WorkerTiming, ...]
-    #: Merged worker telemetry (metric snapshots + stage counters) when
+    #: Merged worker telemetry (metric snapshots + span trees) when
     #: the run was launched with a :class:`repro.obs.TelemetrySpec`;
     #: ``None`` otherwise.  Merging happens in chunk-index order, so two
     #: runs with the same units and ``chunk_size`` — serial or parallel,
@@ -434,19 +435,26 @@ def _run_chunk(
     (work functions pick it up via
     :func:`repro.obs.runtime.attach_active`) and its snapshot rides
     back on the outcome — this is the cross-process telemetry channel.
-    A spec of ``None`` leaves any caller-activated live telemetry in
-    place (the serial tracing flow).  ``timeout_s`` arms the in-process
-    chunk deadline.
+    The chunk then runs as a ``runner.chunk`` span holding one
+    ``runner.unit`` span per unit, under which the work functions'
+    own spans nest.  A spec of ``None`` leaves any caller-activated
+    live telemetry in place (the serial tracing flow).  ``timeout_s``
+    arms the in-process chunk deadline.
     """
     start = time.perf_counter()
     values: list[Any] = []
     failure = None
+    telemetry = None if telemetry_spec is None else telemetry_spec.build()
 
     def run() -> None:
         nonlocal failure
         for ctx in units:
             try:
-                values.append(fn(ctx))
+                if telemetry is None:
+                    values.append(fn(ctx))
+                else:
+                    with telemetry.spans.span("runner.unit"):
+                        values.append(fn(ctx))
             except _ChunkTimeout as exc:
                 failure = _UnitFailure(
                     index=ctx.index,
@@ -483,12 +491,12 @@ def _run_chunk(
                 )
 
     snapshot = None
-    if telemetry_spec is None:
+    if telemetry is None:
         run_with_deadline()
     else:
-        telemetry = telemetry_spec.build()
         with _activate_telemetry(telemetry):
-            run_with_deadline()
+            with telemetry.spans.span("runner.chunk"):
+                run_with_deadline()
         snapshot = telemetry.chunk_snapshot()
     return _ChunkOutcome(
         first_index=units[0].index,
@@ -557,7 +565,8 @@ class _ChunkScheduler:
         telemetry_spec: TelemetrySpec | None,
         retry: RetryPolicy | None,
         seed: int,
-        on_complete: Callable[[int, _ChunkOutcome], None] | None = None,
+        on_complete: Callable[[int, _ChunkOutcome], None],
+        on_stopped: Callable[[int, _ChunkOutcome], None],
     ) -> None:
         self.fn = fn
         self.chunks = chunks
@@ -570,6 +579,7 @@ class _ChunkScheduler:
         )
         self.seed = seed
         self.on_complete = on_complete
+        self.on_stopped = on_stopped
         self.outcomes: dict[int, _ChunkOutcome] = {}
         self.attempts: dict[int, int] = {}
         self.terminal: dict[int, _UnitFailure] = {}
@@ -600,9 +610,8 @@ class _ChunkScheduler:
         """Accept or charge one executed chunk; True when resolved."""
         failure = outcome.failure
         if failure is None:
-            if self.on_complete is not None:
-                self.on_complete(chunk_index, outcome)
             self.outcomes[chunk_index] = outcome
+            self.on_complete(chunk_index, outcome)
             return True
         failed_attempt = self.attempts.get(chunk_index, 0)
         self.attempts[chunk_index] = failed_attempt + 1
@@ -646,8 +655,11 @@ class _ChunkScheduler:
         """One pool round; returns the chunks still unresolved.
 
         If settling a chunk raises (an ``on_chunk`` observer stopping
-        the run), every chunk not yet started is cancelled, the pool
-        joins the ones still running, and the exception propagates.
+        the run), every chunk not yet started is cancelled, and the
+        exception propagates once the pool has finished the chunks it
+        had started: each of those that succeeds goes to
+        ``on_stopped`` (spilled, not reported), so a resumed run keeps
+        it.
         """
         methods = multiprocessing.get_all_start_methods()
         method = "fork" if "fork" in methods else methods[0]
@@ -712,6 +724,17 @@ class _ChunkScheduler:
             except BaseException:
                 for future in futures:
                     future.cancel()
+                for future in sorted(futures, key=futures.__getitem__):
+                    i = futures[future]
+                    if future.cancelled() or i in self.outcomes:
+                        continue
+                    try:
+                        outcome = future.result()
+                    except Exception:  # noqa: BLE001 - a broken pool
+                        continue
+                    if outcome.failure is None:
+                        self.outcomes[i] = outcome
+                        self.on_stopped(i, outcome)
                 raise
         if broken:
             self.pool_breaks += 1
@@ -810,9 +833,9 @@ def run_units(
             chunks first, then executed chunks in completion order).
             Raising from the observer aborts the run at that chunk:
             chunks not yet started are cancelled, running ones finish
-            unrecorded, and the exception propagates — the cooperative
-            cancellation point for callers driving the engine from an
-            event loop.
+            and are spilled to the checkpoint without a report, and the
+            exception propagates — the cooperative cancellation point
+            for callers driving the engine from an event loop.
 
     Returns:
         A :class:`SweepResult`; ``values`` are in unit order and
@@ -923,6 +946,9 @@ def run_units(
                     telemetry=outcome.telemetry,
                 )
             )
+
+    def spill_and_report(chunk_index: int, outcome: _ChunkOutcome) -> None:
+        spill(chunk_index, outcome)
         report(chunk_index, outcome, False)
 
     scheduler = _ChunkScheduler(
@@ -933,7 +959,8 @@ def run_units(
         telemetry,
         retry,
         seed,
-        on_complete=spill,
+        on_complete=spill_and_report,
+        on_stopped=spill,
     )
     scheduler.outcomes.update(resumed)
     try:

@@ -25,10 +25,10 @@ __all__ = ["run_sessions"]
 
 SessionBuilder = Callable[[UnitContext], MeasurementSession]
 
-#: Default telemetry for session runs: no metric families, but stage
-#: counters are always snapshotted and merged, so ``result.telemetry``
+#: Default telemetry for session runs: no metric families, but every
+#: chunk's span tree is snapshotted and merged, so ``result.telemetry``
 #: can answer "where did worker time go?" after a parallel run.
-_STAGE_COUNTERS_ONLY = TelemetrySpec(metrics=False)
+_SPANS_ONLY = TelemetrySpec(metrics=False)
 
 
 def _session_unit(
@@ -55,7 +55,7 @@ def run_sessions(
     parameters: list[dict[str, Any]] | None = None,
     n_workers: int = 1,
     chunk_size: int | None = None,
-    telemetry: TelemetrySpec | None = _STAGE_COUNTERS_ONLY,
+    telemetry: TelemetrySpec | None = _SPANS_ONLY,
     retry: RetryPolicy | None = None,
     checkpoint: str | os.PathLike | None = None,
     resume: bool = True,
@@ -84,11 +84,11 @@ def run_sessions(
         n_workers / chunk_size: see
             :func:`repro.runner.engine.run_units`.
         telemetry: per-chunk :class:`repro.obs.TelemetrySpec`.  The
-            default collects stage counters only (near-zero cost) so
-            ``result.telemetry.stage_timings()`` reports merged worker
-            time after parallel runs; pass ``TelemetrySpec()`` for full
-            metrics, or ``None`` to leave a caller-activated live
-            telemetry (e.g. a tracing one) in charge.
+            default collects spans only (a few timers per chunk of
+            queries) so ``result.telemetry.spans()`` reports merged
+            worker time after parallel runs; pass ``TelemetrySpec()``
+            for full metrics, or ``None`` to leave a caller-activated
+            live telemetry (e.g. a tracing one) in charge.
         retry / checkpoint / resume: fault tolerance and
             chunk-granular checkpoint/resume — see
             :func:`repro.runner.engine.run_units` and

@@ -603,12 +603,12 @@ class JobStore:
                 raise JobStateError(
                     f"job {job_id} cannot go {job.state} -> completed"
                 )
-            # Telemetry tail for SSE: merged stage timings plus the
-            # scheduler's last few fault-tolerance events.
+            # Telemetry tail for SSE: the merged span tree's top-level
+            # names plus the scheduler's last few fault-tolerance events.
             if result.telemetry is not None:
-                stage = result.telemetry.stage_timings()
+                spans = result.telemetry.spans()
             else:
-                stage = {}
+                spans = {}
             self._append_event(
                 job,
                 "metrics",
@@ -617,7 +617,7 @@ class JobStore:
                     "busy_s": result.busy_s,
                     "executor": result.executor,
                     "retry_summary": result.retry_summary(),
-                    "stage_groups": sorted(stage),
+                    "stage_groups": sorted(spans),
                 },
             )
             if result.retries:

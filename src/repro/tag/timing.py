@@ -145,18 +145,24 @@ class TimingModel:
         The one source of the tag's alignment draw: the FSM draws
         ``mu + sigma * rng.standard_normal(count)`` once per query, and
         a toggle stays aligned where the draw's magnitude is within
-        :attr:`guard_s`.  Each element is computed through the scalar
-        :meth:`mean_misalignment_s` / :meth:`jitter_sigma_s` methods
-        (``math.hypot`` per element, not ``np.hypot``), so that draw
-        equals one scalar ``rng.normal`` per subframe bitwise.
+        :attr:`guard_s`.  The period scalars are derived once; each
+        element then takes the scalar :meth:`mean_misalignment_s` /
+        :meth:`jitter_sigma_s` expression (``math.hypot`` per element,
+        not ``np.hypot``), so the vectors equal those methods bitwise
+        and the draw equals one scalar ``rng.normal`` per subframe.
         """
         if count < 0:
             raise ValueError("count must be >= 0")
-        mu = np.array(
-            [self.mean_misalignment_s(k) for k in range(count)], dtype=float
-        )
+        cycles = self.cycles_per_subframe
+        delta = self.realized_period_s - self.subframe_s
+        jitter = self.oscillator.cycle_jitter_s
+        mu = np.array([k * delta for k in range(count)], dtype=float)
         sigma = np.array(
-            [self.jitter_sigma_s(k) for k in range(count)], dtype=float
+            [
+                math.hypot(self.sync_jitter_s, jitter * math.sqrt(cycles * k))
+                for k in range(count)
+            ],
+            dtype=float,
         )
         return mu, sigma
 

@@ -406,10 +406,6 @@ class ScheduledSession:
         """BER of each ridden query (post-interference)."""
         return self.session.per_query_ber()
 
-    def stage_timings(self):
-        """Wrapped session's per-stage wall-clock counters."""
-        return self.session.stage_timings()
-
 
 @dataclass
 class ScheduledFleetPoller:

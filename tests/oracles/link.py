@@ -440,7 +440,7 @@ class Session(MeasurementSession):
             self.results.append(result)
             elapsed += result.cycle_s
             done += 1
-        return self._finish(_aggregate(self.results[first:], elapsed))
+        return _aggregate(self.results[first:], elapsed)
 
 
 # -- fleet ---------------------------------------------------------------
@@ -611,10 +611,6 @@ def reference_cell(fleet: TagFleet) -> MultiTagCell:
 
 def attach_cell(telemetry: Telemetry, cell: MultiTagCell) -> MultiTagCell:
     """Wire ``telemetry`` into a cell as ``attach_fleet`` wires a fleet."""
-    for endpoint in cell.endpoints.values():
-        telemetry.register_stage_counters(
-            "error_model", endpoint.error_model.counters
-        )
     if telemetry.metrics_enabled or telemetry.trace_enabled:
         cell.telemetry = telemetry
         cell._scoreboard._telemetry = telemetry

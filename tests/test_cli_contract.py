@@ -117,7 +117,7 @@ class TestMetrics:
         assert_success(code, err)
         payload = json.loads(out)
         assert payload["schema"] == 1
-        assert set(payload) >= {"schema", "version", "metrics", "stage"}
+        assert set(payload) >= {"schema", "version", "metrics", "spans"}
 
     def test_prometheus_format(self, capsys):
         code, out, err = run(

@@ -2,8 +2,8 @@
 
 Covers the metrics registry (determinism, merging, Prometheus
 exposition), the JSONL trace pipeline (schema validation, sampling,
-aggregation back to SessionStats), cross-process aggregation through
-the parallel engine, the stage-counter table helpers, and the
+aggregation back to SessionStats), cross-process aggregation of
+metrics and span trees through the parallel engine, and the
 ``repro metrics`` / ``repro trace`` CLI surface.
 """
 
@@ -224,6 +224,31 @@ class TestTraceRoundtrip:
         with pytest.raises(ValueError, match="kind"):
             validate_trace_record({**good, "kind": "mystery"})
 
+    def test_schema_1_records_are_rejected(self, tmp_path):
+        # Schema 2 replaced schema 1's cumulative session stage timings
+        # with per-run spans, and dropped its ``transport`` kind.
+        path = tmp_path / "t.jsonl"
+        _traced_session(path, queries=2)
+        session = next(
+            r for r in read_trace(str(path)) if r["kind"] == "session"
+        )
+        assert session["schema"] == 2
+        assert set(session["spans"]) == {"core.session"}
+        with pytest.raises(ValueError, match="schema"):
+            validate_trace_record({**session, "schema": 1})
+        with pytest.raises(ValueError, match="kind"):
+            validate_trace_record(
+                {
+                    "schema": 2,
+                    "kind": "transport",
+                    "chunk": 0,
+                    "codec": "pickle",
+                    "nbytes": 512,
+                    "encode_s": 1e-5,
+                    "decode_s": 2e-5,
+                }
+            )
+
     def test_read_trace_reports_bad_lines_with_location(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"schema": 1, "kind": "header"}\nnot json\n')
@@ -279,12 +304,12 @@ class TestTraceRecordPins:
     """
 
     SESSION_SHA256 = (
-        "8243ba73c85ee4ea0fe56f386117cb78"
-        "00f587981cd81fed83dbd29b26152da6"
+        "52966f16ba906dc79105996439a56cfe"
+        "ed2ea39d86ecae60cf403a9ac877243e"
     )
     FLEET_SHA256 = (
-        "433a8de61efa72033261bfad1aea8305"
-        "cc338b4efe7e125c01cb8cb5e25a8310"
+        "41e238d90d00ce197cc4832a6b2ed60a"
+        "109b13823cef81b580688f8f3a70321e"
     )
 
     @pytest.mark.parametrize("loop", ["engine", "oracle"])
@@ -331,6 +356,17 @@ class TestTraceRecordPins:
         assert _query_records_sha256(path) == (14, self.FLEET_SHA256)
 
 
+def _span_calls(tree):
+    """A span tree with its wall-clock seconds left out."""
+    return {
+        name: {
+            "calls": entry["calls"],
+            "children": _span_calls(entry["children"]),
+        }
+        for name, entry in tree.items()
+    }
+
+
 class TestCrossProcessAggregation:
     def _run(self, n_workers):
         return run_sessions(
@@ -349,18 +385,29 @@ class TestCrossProcessAggregation:
         assert serial.metrics_snapshot() == parallel.metrics_snapshot()
         assert serial.chunks == parallel.chunks == 4
 
+    def test_span_calls_match_across_worker_counts(self):
+        # Span seconds are wall-clock; span calls count work, so they
+        # merge to the same tree for any worker count.
+        serial = _span_calls(self._run(1).telemetry.spans())
+        parallel = _span_calls(self._run(2).telemetry.spans())
+        assert serial == parallel
+        assert serial["runner.chunk"]["calls"] == 4
+
     def test_default_run_surfaces_stage_counters(self):
-        # Satellite: even without metrics, per-worker stage counters are
-        # merged and surfaced on the result.
+        # Even without metrics, per-worker spans are merged and
+        # surfaced on the result.
         result = run_sessions(
             SessionSpec(), 2, queries=5, seed=3, n_workers=1
         )
         aggregate = result.telemetry
         assert aggregate is not None
         assert aggregate.metrics_snapshot() is None
-        timings = aggregate.stage_timings()
-        assert set(timings) == {"error_model", "system"}
-        assert timings["system"]["phy-decode"]["calls"] > 0
+        spans = aggregate.spans()
+        assert set(spans) == {"runner.chunk"}
+        unit = spans["runner.chunk"]["children"]["runner.unit"]
+        session = unit["children"]["core.session"]
+        assert session["calls"] == 2
+        assert session["children"]["phy.error_model"]["calls"] > 0
 
     def test_aggregate_as_dict_is_stamped(self):
         payload = self._run(1).telemetry.as_dict()

@@ -2,12 +2,14 @@
 
 The trace-to-Chrome-tracing and trace-to-flamegraph conversions must be
 structurally valid (every event carries the required ``trace_event``
-fields, query spans lay end-to-end on simulated time) and conservative
-(flamegraph line weights sum to the trace's total stage time to
-rounding).
+fields, query spans lay end-to-end on simulated time) and conservative:
+each session record carries the spans of its own run, flamegraph line
+weights are self times that sum to the runs' total to rounding, and
+span events nest inside their parents.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -21,15 +23,14 @@ from repro.obs import (
     chrome_trace,
     flamegraph_lines,
     read_trace,
-    validate_trace_record,
 )
-from repro.obs.export import merge_stage_timings
+from repro.obs.export import trace_spans
 from repro.sim.scenario import los_scenario
 
 
 @pytest.fixture(scope="module")
 def trace_records(tmp_path_factory):
-    """One short traced session's records (queries + session + stages)."""
+    """One short traced session's records (queries + session + spans)."""
     path = tmp_path_factory.mktemp("trace") / "session.jsonl"
     telemetry = Telemetry(
         writer=TraceWriter(str(path)), sampler=TraceSampler(every_n=1)
@@ -68,66 +69,136 @@ class TestChromeTrace:
             )
             assert event["args"]["bitmap"] == record["bitmap"]
             cursor += event["dur"]
-        # Stage tracks exist and are named.
+        # The span track exists and is named.
         names = {
             e["args"]["name"]
             for e in doc["traceEvents"]
             if e["name"] == "thread_name"
         }
-        assert "queries" in names
-        assert any(n.startswith("stages:") for n in names)
+        assert {"queries", "spans"} <= names
 
-    def test_legacy_transport_records_validate_and_are_skipped(
-        self, trace_records
-    ):
-        # Older versions wrote one record per chunk crossing the
-        # process boundary; nothing writes them now.
-        transport = {
-            "schema": trace_records[0]["schema"],
-            "kind": "transport",
-            "chunk": 0,
-            "codec": "pickle",
-            "nbytes": 512,
-            "encode_s": 1e-5,
-            "decode_s": 2e-5,
+    def test_span_events_nest_inside_their_parents(self, trace_records):
+        events = {
+            e["name"]: e
+            for e in chrome_trace(trace_records)["traceEvents"]
+            if e.get("cat") == "span"
         }
-        validate_trace_record(transport)
-        assert chrome_trace(trace_records + [transport]) == chrome_trace(
-            trace_records
-        )
+
+        def inside(child, parent):
+            return (
+                parent["ts"] <= child["ts"]
+                and child["ts"] + child["dur"]
+                <= parent["ts"] + parent["dur"] + 1e-6
+            )
+
+        session = events["core.session"]
+        decode = events["phy.error_model"]
+        assert inside(decode, session)
+        for stage in ("channel", "csi", "eesm", "phy.coding"):
+            assert inside(events[stage], decode), stage
+        for stage in ("core.query", "tag.state_machine", "mac.block_ack"):
+            assert inside(events[stage], session), stage
 
     def test_round_trips_through_json(self, trace_records):
         doc = chrome_trace(trace_records)
         assert json.loads(json.dumps(doc)) == doc
 
 
+def _weights_us(lines):
+    return sum(int(line.rsplit(" ", 1)[1]) for line in lines)
+
+
+def _traced_runs(tmp_path, seconds):
+    """Traced ``run_for`` calls on one LOS session; (records, walls)."""
+    path = tmp_path / "runs.jsonl"
+    telemetry = Telemetry(metrics=False, writer=TraceWriter(str(path)))
+    system, _ = los_scenario(4.0, seed=3)
+    telemetry.attach(system)
+    session = MeasurementSession(system, rng=np.random.default_rng(4))
+    walls = []
+    for duration_s in seconds:
+        start = time.perf_counter()
+        session.run_for(duration_s)
+        walls.append(time.perf_counter() - start)
+    telemetry.close()
+    return list(read_trace(str(path), validate=True)), walls
+
+
 class TestFlamegraph:
     def test_lines_sum_to_total_stage_time(self, trace_records):
-        timings = merge_stage_timings(trace_records)
-        assert timings  # the session recorded stage counters
-        lines = flamegraph_lines(timings)
-        total_us = sum(int(line.rsplit(" ", 1)[1]) for line in lines)
-        want_us = 1e6 * sum(
-            stage["seconds"]
-            for group in timings.values()
-            for stage in group.values()
+        spans = trace_spans(trace_records)
+        assert set(spans) == {"core.session"}
+        lines = flamegraph_lines(spans)
+        want_us = 1e6 * spans["core.session"]["seconds"]
+        assert _weights_us(lines) == pytest.approx(
+            want_us, abs=0.5 * len(lines)
         )
-        assert total_us == pytest.approx(want_us, abs=0.5 * len(lines))
         for line in lines:
             frame, weight = line.rsplit(" ", 1)
-            assert ";" in frame and int(weight) >= 0
+            assert frame.split(";")[0] == "core.session"
+            assert int(weight) >= 0
+        assert "core.session;phy.error_model;csi" in {
+            line.rsplit(" ", 1)[0] for line in lines
+        }
 
     def test_merge_sums_across_sessions(self):
         session = {
             "kind": "session",
-            "stage_timings": {
-                "system": {"decode": {"seconds": 0.25, "calls": 10}}
+            "spans": {
+                "core.session": {
+                    "seconds": 0.25,
+                    "calls": 1,
+                    "children": {
+                        "core.query": {
+                            "seconds": 0.125,
+                            "calls": 10,
+                            "children": {},
+                        }
+                    },
+                }
             },
         }
-        merged = merge_stage_timings([session, session, {"kind": "query"}])
+        merged = trace_spans([session, session, {"kind": "query"}])
         assert merged == {
-            "system": {"decode": {"seconds": 0.5, "calls": 20}}
+            "core.session": {
+                "seconds": 0.5,
+                "calls": 2,
+                "children": {
+                    "core.query": {
+                        "seconds": 0.25,
+                        "calls": 20,
+                        "children": {},
+                    }
+                },
+            }
         }
+        assert flamegraph_lines(merged) == [
+            "core.session 250000",
+            "core.session;core.query 250000",
+        ]
+
+    def test_one_run_lines_fit_in_its_wall_time(self, tmp_path):
+        records, (wall_s,) = _traced_runs(tmp_path, [1.0])
+        lines = flamegraph_lines(trace_spans(records))
+        assert _weights_us(lines) <= 1e6 * wall_s + 0.5 * len(lines)
+
+    def test_session_records_cover_their_own_run_only(self, tmp_path):
+        records, walls = _traced_runs(tmp_path, [0.25] * 4)
+        sessions = [r for r in records if r["kind"] == "session"]
+        assert len(sessions) == 4
+        fsm_calls = 0
+        stage_s = 0.0
+        for record in sessions:
+            (root,) = record["spans"].values()
+            assert root["calls"] == 1
+            stages = root["children"]
+            fsm_calls += stages["tag.state_machine"]["calls"]
+            stage_s += sum(stage["seconds"] for stage in stages.values())
+            assert root["seconds"] >= sum(
+                stage["seconds"] for stage in stages.values()
+            )
+        assert fsm_calls == sum(r["queries"] for r in sessions)
+        assert stage_s <= sum(walls)
 
 
 class TestTraceExportCli:
@@ -167,7 +238,7 @@ class TestTraceExportCli:
         assert all(
             " " in line for line in out.strip().splitlines()
         )
-        # A query-only trace has no stage timings to collapse.
+        # A query-only trace has no spans to collapse.
         bare = tmp_path / "bare.jsonl"
         with open(bare, "w", encoding="utf-8") as handle:
             for record in trace_records:

@@ -28,15 +28,13 @@ def timed_queries(telemetry=None):
     """Wall seconds of ``QUERIES`` steady-state LOS queries at 4 m.
 
     Ten warm-up queries fill the channel caches and frame memo first;
-    their results and counters are dropped, and ``telemetry`` (if any)
+    their results are dropped, and ``telemetry`` (if any)
     is attached only after them, so it covers exactly the timed region.
     """
     system, _info = los_scenario(4.0, seed=0)
     session = MeasurementSession(system, rng=np.random.default_rng(1))
     session.run_queries(10)
     session.results.clear()
-    system.counters.reset()
-    system.error_model.counters.reset()
     if telemetry is not None:
         telemetry.attach(system)
     start = time.perf_counter()

@@ -43,6 +43,7 @@ from repro.phy.error_model import (
     LinkErrorModel,
     mpdu_success_probabilities,
 )
+from repro.obs import Telemetry
 from repro.phy.mcs import ht_mcs
 
 MCS_TABLE = [ht_mcs(i) for i in range(8)]
@@ -364,17 +365,21 @@ class TestSystemFastPath:
 
     def test_counters_populated(self):
         system, _ = los_scenario(4.0, seed=11)
+        telemetry = Telemetry(metrics=False)
+        telemetry.attach(system)
         session = MeasurementSession(
             system, rng=np.random.default_rng(12)
         )
         session.run_queries(2)
-        timings = session.stage_timings()
-        assert set(timings) == {"system", "error_model"}
-        assert timings["system"]["phy-decode"]["calls"] == 2
-        assert timings["system"]["query-build"]["calls"] == 2
-        for stage in ("channel", "csi", "eesm", "coding"):
-            assert timings["error_model"][stage]["seconds"] >= 0.0
-            assert timings["error_model"][stage]["calls"] > 0
+        spans = telemetry.spans.snapshot()
+        assert set(spans) == {"core.session"}
+        stages = spans["core.session"]["children"]
+        assert stages["phy.error_model"]["calls"] == 2
+        assert stages["core.query"]["calls"] == 2
+        decode = stages["phy.error_model"]["children"]
+        for stage in ("channel", "csi", "eesm", "phy.coding"):
+            assert decode[stage]["seconds"] >= 0.0
+            assert decode[stage]["calls"] > 0
 
 
 class TestPinnedBaselines:

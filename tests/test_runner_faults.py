@@ -79,6 +79,15 @@ def slow_logged_unit(ctx: UnitContext):
     return ctx.index
 
 
+def slow_marked_unit(ctx: UnitContext):
+    """Take a tenth of a second, then leave a marker file."""
+    time.sleep(0.1)
+    marker = os.path.join(ctx.parameters["markers"], str(ctx.index))
+    with open(marker, "w", encoding="utf-8"):
+        pass
+    return ctx.index
+
+
 def must_not_run(ctx: UnitContext):
     raise AssertionError(
         f"unit {ctx.index} executed despite a complete checkpoint"
@@ -402,6 +411,45 @@ class TestPerChunkSettling:
         assert len(executed_units(log)) < 16
         assert multiprocessing.active_children() == []
 
+    def test_chunks_finishing_after_a_stop_are_spilled(self, tmp_path):
+        # The pool hands a worker its next chunk before the current one
+        # ends, so a stop still lets a few chunks run to the end; they
+        # are kept for a resumed run instead of thrown away.
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        work = [
+            UnitContext(
+                index=i, parameters={"markers": str(markers)}, root_seed=0
+            )
+            for i in range(32)
+        ]
+        checkpoint = tmp_path / "run.ckpt.jsonl"
+
+        def stop(progress):
+            raise RuntimeError("stop at the first report")
+
+        with pytest.raises(RuntimeError, match="first report"):
+            run_units(
+                slow_marked_unit,
+                work,
+                chunk_size=1,
+                n_workers=2,
+                checkpoint=checkpoint,
+                on_chunk=stop,
+            )
+        finished = sorted(int(path.name) for path in markers.iterdir())
+        assert len(finished) > 1
+        assert sorted(load_checkpoint(checkpoint).chunks) == finished
+        resumed = run_units(
+            slow_marked_unit,
+            work,
+            chunk_size=1,
+            n_workers=2,
+            checkpoint=checkpoint,
+        )
+        assert resumed.resumed_chunks == len(finished)
+        assert resumed.values == list(range(32))
+
 
 @pytest.mark.slow
 class TestChunkTimeouts:
@@ -460,7 +508,7 @@ class TestCheckpointFile:
             worker=1234,
             busy_s=0.5,
             values=[{"a": 1}, {"a": 2}],
-            telemetry={"metrics": None, "stage": {}},
+            telemetry={"metrics": None, "spans": {}},
         )
         with CheckpointWriter(path, {"fingerprint": "f" * 32}) as writer:
             writer.record_chunk(chunk)

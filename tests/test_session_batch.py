@@ -497,12 +497,12 @@ class TestTelemetryEquivalence:
             if record["kind"] == "query":
                 queries.append(record)
             elif record["kind"] == "session":
-                # Wall-clock stage timings legitimately differ per run.
+                # Wall-clock spans legitimately differ per run.
                 sessions.append(
                     {
                         k: v
                         for k, v in record.items()
-                        if k != "stage_timings"
+                        if k != "spans"
                     }
                 )
         return queries, sessions

@@ -135,6 +135,28 @@ class TestTimingModel:
             tm.misalignment_probability(10), abs=0.02
         )
 
+    @pytest.mark.parametrize(
+        "oscillator", [witag_crystal_50khz, ring_oscillator_20mhz]
+    )
+    @pytest.mark.parametrize("temperature_c", [-10.0, 25.0, 26.5, 32.0])
+    @pytest.mark.parametrize("period_estimate_s", [None, 19.7e-6, 23.9e-6])
+    def test_misalignment_params_equal_scalar_methods(
+        self, oscillator, temperature_c, period_estimate_s
+    ):
+        tm = TimingModel(
+            oscillator(),
+            subframe_s=20e-6,
+            period_estimate_s=period_estimate_s,
+            temperature_c=temperature_c,
+        )
+        mu, sigma = tm.misalignment_params(64)
+        assert np.array_equal(
+            mu, [tm.mean_misalignment_s(k) for k in range(64)]
+        )
+        assert np.array_equal(
+            sigma, [tm.jitter_sigma_s(k) for k in range(64)]
+        )
+
     def test_max_reliable_subframes(self):
         crystal = TimingModel(witag_crystal_50khz(), subframe_s=20e-6)
         hot_ring = TimingModel(
