@@ -165,7 +165,7 @@ class MeasurementSession:
         bits_needed = self.system.config.bits_per_query
         if self.system.tag.pending_bits < bits_needed:
             fresh = self.rng.integers(0, 2, size=bits_needed).tolist()
-            self.system.load_tag_bits([int(b) for b in fresh])
+            self.system.load_tag_bits(fresh)
 
     def stats(self, elapsed_s: float | None = None) -> SessionStats:
         """Aggregate statistics over all cycles run so far."""

@@ -111,7 +111,8 @@ class WiTagSystem:
             construction attaches it for you.  When attached, the query
             cycle's stages are timed as spans (``core.query``,
             ``tag.state_machine``, ``phy.error_model``,
-            ``mac.block_ack``).  ``None`` (the default) costs one
+            ``mac.block_ack``, and ``obs.on_query`` for the per-query
+            telemetry hook itself).  ``None`` (the default) costs one
             ``is None`` check per hook site.
     """
 
@@ -307,8 +308,6 @@ class WiTagSystem:
         # past the trigger subframes — slice it directly instead of
         # re-extracting 64 bits from the bitmap per query.
         raw_rows = outcome_matrix.astype(np.uint8).tolist()
-        if tel is not None:
-            row_true = outcome_matrix.sum(axis=1)
         for q, frame in enumerate(frames):
             bitmap = int.from_bytes(packed[q].tobytes(), "little")
             block_ack = BlockAck(
@@ -330,13 +329,6 @@ class WiTagSystem:
                 rx_power_at_tag_dbm=self._rx_at_tag_dbm,
             )
             results.append(result)
-            if tel is not None:
-                tel.on_query(
-                    result,
-                    n_failed=int(n_subframes - row_true[q]),
-                    codes=codes[q],
-                    fading=fading.sample(q),
-                )
 
         # Leave the mutable MAC state as one cycle after another would:
         # the scoreboard holds the last query's outcomes, and the next
@@ -358,5 +350,16 @@ class WiTagSystem:
                 self._scoreboard.record((last_frame.ssn + index) % 4096)
         if tel is not None:
             tel.spans.add("mac.block_ack", time.perf_counter() - start, count)
+            # The per-query hook builds the trace records: timed apart
+            # from the MAC work above, in query order.
+            with tel.spans.span("obs.on_query", count):
+                row_true = outcome_matrix.sum(axis=1)
+                for q, result in enumerate(results):
+                    tel.on_query(
+                        result,
+                        n_failed=int(n_subframes - row_true[q]),
+                        codes=codes[q],
+                        fading=fading.sample(q),
+                    )
         self._last_cycle_s = results[-1].cycle_s
         return results

@@ -63,13 +63,14 @@ from .mcs import Mcs
 from .noise import ReceiverNoise, dbm_to_watts
 
 #: Queries per block of the 2-D decode
-#: (:meth:`LinkErrorModel.subframe_effective_sinrs_batch2d`).  Each
-#: query's per-subcarrier temporaries take ~300 KB at 64 subframes x 52
-#: subcarriers: one unblocked 256-query call peaks at 76 MB traced.
-#: Measured on 1 s CSMA-contended sessions, 256-query chunks: peak RSS
-#: 120.6 MB unblocked, 70.6 / 66.3 / 63.6 MB with blocks of 32 / 16 / 8
-#: queries, against 63.9 MB for one query at a time.  Throughput did not
-#: differ measurably between those block sizes.
+#: (:meth:`LinkErrorModel.subframe_effective_sinrs_batch2d`), which also
+#: sizes the scratch buffers that call allocates.  Each query's
+#: per-subcarrier temporaries take ~250 KB at 64 subframes x 52
+#: subcarriers: one unblocked 256-query call peaks at 65 MB traced, 3 MB
+#: in blocks of 8.  Measured on 1 s CSMA-contended LOS sessions (220
+#: queries, one chunk): peak RSS 112.4 MB unblocked, 67.4 / 63.6 / 61.6 MB
+#: with blocks of 32 / 16 / 8 queries, against 59.9 MB for one query at a
+#: time.  A 687-query session ran no faster in blocks of 16 or 32.
 DECODE_BLOCK_QUERIES = 8
 
 
@@ -245,12 +246,13 @@ class LinkErrorModel:
         only for the codes present in the matrix (the design only ever
         uses two states), and each subframe reads its row by code.  The
         CSI noise, the SINR algebra and EESM then run one block of
-        :data:`DECODE_BLOCK_QUERIES` queries at a time, so the
-        per-subcarrier temporaries stay a fixed size however large the
-        chunk.  Blocks draw in query order, each query in the scalar
-        order (per subframe: n real draws, n imaginary draws, then
-        optionally the outcome uniform), so results do not depend on
-        how a caller chunks its queries.
+        :data:`DECODE_BLOCK_QUERIES` queries at a time, in place on
+        scratch buffers allocated once per call, so the per-subcarrier
+        temporaries stay a fixed size however large the chunk.  Blocks
+        draw in query order, each query in the scalar order (per
+        subframe: n real draws, n imaginary draws, then optionally the
+        outcome uniform), so results do not depend on how a caller
+        chunks its queries.
 
         Args:
             preamble_state: tag state during every PHY preamble.
@@ -324,42 +326,51 @@ class LinkErrorModel:
             h_preamble, np.maximum(rx_snr, 1e-12)[:, None]
         )
         block = min(n_q, DECODE_BLOCK_QUERIES)
+        # Scratch for one block, allocated once per call.
         noise = np.empty((block, k, 2 * n))
         estimate = np.empty((block, k, n), dtype=complex)
+        est_sq = np.empty((block, k, n))
+        est_mismatch = np.empty((block, k, n))
+        if _uniforms is not None:
+            # Each query's subframe rows, split into views once per call.
+            noise_rows = [list(per_query) for per_query in noise]
         effective = np.empty((n_q, k))
         for lo in range(0, n_q, block):
             hi = min(lo + block, n_q)
+            m = hi - lo
             if telemetry is not None:
                 start = time.perf_counter()
             # Per query, per subframe: n real draws, n imaginary draws,
             # then optionally the outcome uniform — the scalar order.
+            # Without uniforms, one call draws a query's rows in that
+            # same order.
             for q in range(lo, hi):
                 rng = self.rng if rngs is None else rngs[q]
-                draw_normals = rng.standard_normal
-                per_query = noise[q - lo]
                 if _uniforms is None:
-                    for i in range(k):
-                        draw_normals(out=per_query[i])
-                else:
-                    draw_uniform = rng.random
-                    uniform_row = _uniforms[q]
-                    for i in range(k):
-                        draw_normals(out=per_query[i])
-                        uniform_row[i] = draw_uniform()
-            # The algebra runs in place on the block's scratch buffers.
-            # Every rewrite is bitwise-neutral: in-place multiply/add
-            # keep the scalar expression's operand order up to
-            # commutativity (exact for float multiply/add), and building
-            # the complex noise by field assignment instead of
-            # ``re + 1j * im`` can only flip the sign of a zero real
-            # part, which ``abs()**2`` erases.
-            est = estimate[: hi - lo]
-            est.real = noise[: hi - lo, :, :n]
-            est.imag = noise[: hi - lo, :, n:]
-            est *= scale[lo:hi, None, :]
+                    rng.standard_normal(out=noise[q - lo])
+                    continue
+                draw_normals = rng.standard_normal
+                draw_uniform = rng.random
+                uniforms = []
+                for row in noise_rows[q - lo]:
+                    draw_normals(out=row)
+                    uniforms.append(draw_uniform())
+                _uniforms[q] = uniforms
+            # The algebra runs in place on the scratch buffers.  Every
+            # rewrite is bitwise-neutral: in-place multiply/add keep the
+            # scalar expression's operand order up to commutativity
+            # (exact for float multiply/add), and scaling the real noise
+            # before packing it differs from the scalar complex-by-real
+            # product ``scale * (re + 1j * im)`` only in the sign of a
+            # zero part, which ``abs()**2`` erases.
+            scaled = noise[:m].reshape(m, k, 2, n)
+            np.multiply(scaled, scale[lo:hi, None, None, :], out=scaled)
+            est = estimate[:m]
+            est.real = scaled[:, :, 0]
+            est.imag = scaled[:, :, 1]
             h_block = h_preamble[lo:hi, None, :]
             est += h_block
-            safe_est_sq = np.abs(est)
+            safe_est_sq = np.abs(est, out=est_sq[:m])
             np.multiply(safe_est_sq, safe_est_sq, out=safe_est_sq)
             np.maximum(safe_est_sq, 1e-30, out=safe_est_sq)
             tag_mismatch = change_sq[
@@ -367,24 +378,23 @@ class LinkErrorModel:
             ]
             np.divide(tag_mismatch, safe_est_sq, out=tag_mismatch)
             np.multiply(tag_mismatch, self._mismatch_gain, out=tag_mismatch)
-            est_mismatch = np.abs(h_block - est)
-            np.multiply(est_mismatch, est_mismatch, out=est_mismatch)
-            np.divide(est_mismatch, safe_est_sq, out=est_mismatch)
+            np.subtract(h_block, est, out=est)
+            mismatch = np.abs(est, out=est_mismatch[:m])
+            np.multiply(mismatch, mismatch, out=mismatch)
+            np.divide(mismatch, safe_est_sq, out=mismatch)
             np.multiply(safe_est_sq, self._tx_ref_snr, out=safe_est_sq)
             np.divide(1.0, safe_est_sq, out=safe_est_sq)  # the noise term
-            np.add(tag_mismatch, est_mismatch, out=tag_mismatch)
+            np.add(tag_mismatch, mismatch, out=tag_mismatch)
             np.add(tag_mismatch, safe_est_sq, out=tag_mismatch)
             np.divide(1.0, tag_mismatch, out=tag_mismatch)
             if telemetry is not None:
                 middle = time.perf_counter()
             effective[lo:hi] = eesm_effective_sinr_batch(
-                tag_mismatch.reshape((hi - lo) * k, n), self.mcs.modulation
-            ).reshape(hi - lo, k)
+                tag_mismatch.reshape(m * k, n), self.mcs.modulation
+            ).reshape(m, k)
             if telemetry is not None:
-                telemetry.spans.add("csi", middle - start, hi - lo)
-                telemetry.spans.add(
-                    "eesm", time.perf_counter() - middle, hi - lo
-                )
+                telemetry.spans.add("csi", middle - start, m)
+                telemetry.spans.add("eesm", time.perf_counter() - middle, m)
         if telemetry is not None:
             telemetry.observe_sinrs(effective)
         return effective

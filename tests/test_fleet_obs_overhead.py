@@ -5,8 +5,10 @@ The fleet tier's cost contract mirrors the session-batch one
 fleet pays one ``is None`` check per poll, and a metrics-instrumented
 poll round stays within 15% of the plain wall clock — the per-query
 accounting happens once per query on the already-materialized batch
-results, never inside the vectorized kernels.  Min-of-N on both sides
-plus absolute slack keep the assertion robust on shared machines.
+results, never inside the vectorized kernels.  Min-of-N on both sides,
+from plain and instrumented trials run alternately so that a slow spell
+of a shared machine falls on both sides alike, plus absolute slack keep
+the assertion robust.
 """
 
 import time
@@ -44,9 +46,9 @@ def timed_poll(instrument):
 
 
 def test_instrumented_fleet_poll_within_overhead_budget():
-    plain = min(timed_poll(False)[0] for _ in range(REPEATS))
-    instrumented = []
+    plain, instrumented = [], []
     for _ in range(REPEATS):
+        plain.append(timed_poll(False)[0])
         wall, telemetry = timed_poll(True)
         # The capture must actually have instrumented the timed region.
         families = telemetry.metrics_snapshot()["metrics"]
@@ -56,7 +58,7 @@ def test_instrumented_fleet_poll_within_overhead_budget():
         )
         assert recorded == N_TAGS
         instrumented.append(wall)
-    assert min(instrumented) <= plain * MAX_OVERHEAD + ABS_SLACK_S, (
+    assert min(instrumented) <= min(plain) * MAX_OVERHEAD + ABS_SLACK_S, (
         f"fleet telemetry overhead too high: {min(instrumented):.4f}s "
-        f"instrumented vs {plain:.4f}s plain"
+        f"instrumented vs {min(plain):.4f}s plain"
     )

@@ -356,6 +356,18 @@ class TestTraceRecordPins:
         assert _query_records_sha256(path) == (14, self.FLEET_SHA256)
 
 
+class TestQueryHookSpan:
+    def test_query_records_are_timed_apart_from_the_block_ack(
+        self, tmp_path
+    ):
+        # on_query builds each query's trace record; its span is a
+        # sibling of mac.block_ack, one call per query.
+        telemetry, stats = _traced_session(tmp_path / "t.jsonl", queries=25)
+        stages = telemetry.spans.snapshot()["core.session"]["children"]
+        assert stages["obs.on_query"]["calls"] == stats.queries == 25
+        assert stages["mac.block_ack"]["calls"] == 25
+
+
 def _span_calls(tree):
     """A span tree with its wall-clock seconds left out."""
     return {

@@ -4,8 +4,9 @@ The telemetry layer's cost contract: a simulator without an attached
 :class:`repro.obs.Telemetry` pays one ``is None`` check per hook site,
 and a fully instrumented run — metrics plus a sampled trace at
 ``every_n=100`` — stays within 15% of the uninstrumented wall clock.
-Min-of-N wall clocks on both sides plus an absolute slack keep the
-assertion robust on shared machines.
+Min-of-N wall clocks on both sides, from plain and instrumented trials
+run alternately so that a slow spell of a shared machine falls on both
+sides alike, plus an absolute slack keep the assertion robust.
 """
 
 import time
@@ -43,9 +44,9 @@ def timed_queries(telemetry=None):
 
 
 def test_instrumented_session_within_overhead_budget(tmp_path):
-    plain = min(timed_queries() for _ in range(REPEATS))
-    instrumented = []
+    plain, instrumented = [], []
     for i in range(REPEATS):
+        plain.append(timed_queries())
         telemetry = Telemetry(
             writer=TraceWriter(str(tmp_path / f"trace{i}.jsonl")),
             sampler=TraceSampler(every_n=100),
@@ -58,7 +59,7 @@ def test_instrumented_session_within_overhead_budget(tmp_path):
             snap["witag_queries_total"]["series"][0]["value"] == QUERIES
         )
         instrumented.append(wall_s)
-    assert min(instrumented) <= plain * MAX_OVERHEAD + ABS_SLACK_S, (
+    assert min(instrumented) <= min(plain) * MAX_OVERHEAD + ABS_SLACK_S, (
         f"telemetry overhead too high: {min(instrumented):.4f}s "
-        f"instrumented vs {plain:.4f}s plain"
+        f"instrumented vs {min(plain):.4f}s plain"
     )

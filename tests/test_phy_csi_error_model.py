@@ -9,12 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.phy.channel import BackscatterChannel, ChannelGeometry, TagState
 from repro.phy.coding import (
     coded_bit_error_rate_batch,
     packet_error_rate_batch,
 )
+from repro.phy.csi import EESM_BETA, eesm_effective_sinr_batch
 from repro.phy.error_model import (
     FadingBatch,
     FadingSample,
@@ -122,6 +125,68 @@ class TestEesm:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             eesm_effective_sinr(np.array([-1.0]), Modulation.QPSK)
+
+
+#: EESM exponents ``(min - SINR) / beta``: ordinary ones, ones in the
+#: band where ``exp`` is subnormal, and ones where it underflows to 0.
+_EXPONENTS = st.one_of(
+    st.floats(-40.0, 0.0),
+    st.floats(-746.0, -708.0, exclude_min=True),
+    st.floats(-1e4, -746.0),
+)
+
+
+@st.composite
+def _exponent_rows(draw):
+    """``(floors, exponents)``: per row, a minimum SINR and n exponents.
+
+    Each row holds one zero exponent, its minimum; the SINRs of a
+    modulation are ``floor - exponent * beta``.
+    """
+    n = draw(st.integers(1, 64))
+    n_rows = draw(st.integers(1, 4))
+    floors, rows = [], []
+    for _ in range(n_rows):
+        floors.append(draw(st.floats(0.0, 1e3)))
+        row = draw(st.lists(_EXPONENTS, min_size=n - 1, max_size=n - 1))
+        row.insert(draw(st.integers(0, n - 1)), 0.0)
+        rows.append(row)
+    return np.array(floors), np.array(rows)
+
+
+class TestEesmBatch:
+    """The decode's EESM: it skips ``exp`` where ``exp`` underflows, and
+    still equals the oracle bit for bit."""
+
+    def test_skipped_exponents_round_to_zero(self):
+        # The skip is exact because exp is already 0.0 at -746 and below.
+        exponents = np.concatenate(
+            [[-746.0], np.linspace(-1e4, -746.0, 1001), [-np.inf]]
+        )
+        assert np.exp(exponents).tolist() == [0.0] * exponents.size
+
+    def test_rejects_negative_sinrs_and_bad_shapes(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            eesm_effective_sinr_batch(
+                np.array([[4.0, 1.0], [2.0, -1.0]]), Modulation.QPSK
+            )
+        for shape in [(52,), (3, 0)]:
+            with pytest.raises(ValueError, match="matrix"):
+                eesm_effective_sinr_batch(np.ones(shape), Modulation.QPSK)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_exponent_rows())
+    def test_rows_match_oracle(self, drawn):
+        floors, exponents = drawn
+        for modulation in Modulation:
+            sinrs = floors[:, None] - exponents * EESM_BETA[modulation]
+            batch = eesm_effective_sinr_batch(sinrs, modulation)
+            expected = np.array(
+                [eesm_effective_sinr(row, modulation) for row in sinrs]
+            )
+            assert batch.view(np.int64).tolist() == (
+                expected.view(np.int64).tolist()
+            ), modulation
 
 
 class TestMpduSuccess:
