@@ -1,5 +1,7 @@
 """Unit tests for configuration and query A-MPDU construction."""
 
+import math
+
 import pytest
 
 from repro.core.config import EncryptionMode, WiTagConfig
@@ -252,6 +254,49 @@ class TestBuildAcrossSequenceWrap:
         assert builder.sequence.next_value == (
             reference.sequence.next_value
         )
+
+
+class TestOpenBuildsOverSequenceCycle:
+    """Fresh open builders equal the from-scratch build at every SSN.
+
+    Open frames repeat with the SSN cycle (4096 / gcd(4096, n) builds),
+    so each case runs one whole cycle and a few builds past it: 64
+    subframes visit 64 SSNs, 8 visit 512 and 62 visit 2048, more than
+    the builder's memo holds.  Starting 5 sequence numbers short of a
+    whole query before 4096 makes every cycle wrap 4095 -> 0 inside a
+    query as well as between queries.
+    """
+
+    @pytest.mark.parametrize("n_subframes", [8, 62, 64])
+    def test_every_ssn_of_a_cycle_matches_reference(self, n_subframes):
+        config = WiTagConfig(n_subframes=n_subframes)
+        start = 4096 - n_subframes - 5
+        builder, reference = (
+            QueryBuilder(
+                config,
+                client=DEFAULT_CLIENT,
+                ap=DEFAULT_AP,
+                sequence=SequenceCounter(_next=start),
+            )
+            for _ in range(2)
+        )
+        cycle = 4096 // math.gcd(4096, n_subframes)
+        expected_by_ssn = {}
+        for index in range(cycle + 3):
+            got = builder.build()
+            if index < cycle:
+                expected = query_oracle.build_reference(reference)
+                expected_by_ssn[expected.ssn] = expected
+            else:
+                reference.sequence.advance(n_subframes)
+                expected = expected_by_ssn[got.ssn]
+            assert got.ssn == (start + index * n_subframes) % 4096
+            assert got.psdu == expected.psdu
+            assert got.mpdus == expected.mpdus
+            assert got.schedule == expected.schedule
+            assert got.n_trigger_subframes == expected.n_trigger_subframes
+        assert len(expected_by_ssn) == cycle
+        assert builder.sequence.next_value == reference.sequence.next_value
 
 
 class TestEncryptedQueries:

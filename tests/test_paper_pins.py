@@ -1,12 +1,13 @@
-"""The paper's §4.1, E2, E3, E5 and E7 numbers, pinned for tier-1.
+"""The paper's §4.1 and E2, E3, E5, E6, E7 and E9 numbers, pinned for tier-1.
 
 EXPERIMENTS.md reports these from the full-length benches in
 ``benchmarks/``; here the same scenarios and seeds run for 0.1 s of
 simulated time per run (E3 keeps its bench's 150 samples), and the
 results are pinned exactly, so a change that moves a published figure
-shows up in tier-1 rather than only in a shape assert.  The §4.1 case
-cross-checks the simulator's query cycle against the analytic model of
-:func:`repro.core.throughput.query_cycle`.
+shows up in tier-1 rather than only in a shape assert.  E6 and E9 are
+analytic (no random draws), so they run at their benches' full size.
+The §4.1 case cross-checks the simulator's query cycle against the
+analytic model of :func:`repro.core.throughput.query_cycle`.
 """
 
 import dataclasses
@@ -15,6 +16,19 @@ import numpy as np
 import pytest
 
 from repro.analysis.cdf import EmpiricalCdf
+from repro.baselines import (
+    compatibility_matrix,
+    default_profiles,
+    requirement_matrix,
+)
+from repro.baselines.interference import (
+    VictimNetwork,
+    channel_shift_emitter,
+    collision_probability,
+    victim_airtime_overhead,
+    victim_goodput_fraction,
+    witag_emitter,
+)
 from repro.core.session import MeasurementSession
 from repro.core.system import WiTagSystem
 from repro.core.throughput import query_cycle
@@ -114,7 +128,9 @@ class TestFig3CorruptionPin:
     The Fig. 3 bench's scenario: one channel (seed 7) and one error
     model (seed 8) per tag position, open/short decoded first, then the
     phase flip, each as one call over 150 one-subframe queries without
-    outcome uniforms.
+    outcome uniforms.  On the 8 m line the tag's two path lengths swap
+    between 1 and 7 m and the seeds are the same, so 7 m reproduces
+    1 m bit for bit; 3 m and 4 m are channels of their own.
     """
 
     N_SAMPLES = 150
@@ -122,6 +138,7 @@ class TestFig3CorruptionPin:
     # tag distance (m) -> (open/short, phase-flip)
     PINS = {
         1.0: (0.07749347444494015, 0.006666583187815011),
+        3.0: (0.5992493543754319, 0.07098011075388755),
         4.0: (0.6692963252809566, 0.07973796405023134),
         7.0: (0.07749347444494015, 0.006666583187815011),
     }
@@ -181,3 +198,85 @@ class TestSec7DriftPin:
         system.temperature_c = temperature_c
         stats = _run(system, seed)
         assert stats.ber == self.PINS[(kind, temperature_c)]
+
+
+class TestSec2CompatibilityPin:
+    """E6: the §1 requirements and the §2 deployability matrix."""
+
+    # system -> (WiFi-compatible, works with encryption, low power,
+    # non-interfering)
+    REQUIREMENTS = {
+        "WiTAG": (True, True, True, True),
+        "HitchHike": (False, False, False, False),
+        "FreeRider": (False, False, False, False),
+        "MOXcatter": (False, False, False, False),
+        "Passive Wi-Fi": (False, False, False, True),
+        "BackFi": (False, False, False, True),
+    }
+    PROFILES = [
+        "802.11b / open",
+        "802.11n / open",
+        "802.11n / wpa/wpa2",
+        "802.11ac / wpa/wpa2",
+        "802.11n / wpa/wpa2 / temp-varying",
+    ]
+    # Deployable (system, profile) pairs; every other pair is not.
+    DEPLOYABLE = {
+        ("WiTAG", "802.11n / open"),
+        ("WiTAG", "802.11n / wpa/wpa2"),
+        ("WiTAG", "802.11ac / wpa/wpa2"),
+        ("WiTAG", "802.11n / wpa/wpa2 / temp-varying"),
+    }
+
+    def test_requirement_matrix(self):
+        scores = requirement_matrix()
+        assert {
+            s.system: (
+                s.wifi_compatible,
+                s.works_with_encryption,
+                s.low_power,
+                s.non_interfering,
+            )
+            for s in scores
+        } == self.REQUIREMENTS
+        assert [s.system for s in scores] == list(self.REQUIREMENTS)
+
+    def test_compatibility_matrix(self):
+        profiles = default_profiles()
+        assert [p.describe() for p in profiles] == self.PROFILES
+        matrix = compatibility_matrix(profiles)
+        assert set(matrix) == {
+            (system, profile)
+            for system in self.REQUIREMENTS
+            for profile in self.PROFILES
+        }
+        assert {key for key, ok in matrix.items() if ok} == self.DEPLOYABLE
+
+
+class TestSec1InterferencePin:
+    """E9: a channel-shifting tag against a victim network, and WiTAG."""
+
+    # excitations/s -> (P(frame collision), victim goodput fraction,
+    # victim airtime overhead)
+    PINS = {
+        50.0: (0.1392920235749422, 0.9999475637967259, 1.161834242728283),
+        200.0: (0.4511883639059736, 0.981302245484778, 1.822118800390509),
+        600.0: (0.8347011117784134, 0.5948135068233371, 6.049647464412946),
+    }
+
+    @pytest.mark.parametrize("rate", sorted(PINS))
+    def test_channel_shift_emitter(self, rate):
+        victim = VictimNetwork()
+        shift = channel_shift_emitter(queries_per_second=rate)
+        assert (
+            collision_probability(victim, shift),
+            victim_goodput_fraction(victim, shift),
+            victim_airtime_overhead(victim, shift),
+        ) == self.PINS[rate]
+
+    def test_witag_is_exactly_interference_free(self):
+        victim = VictimNetwork()
+        witag = witag_emitter()
+        assert collision_probability(victim, witag) == 0.0
+        assert victim_goodput_fraction(victim, witag) == 1.0
+        assert victim_airtime_overhead(victim, witag) == 1.0

@@ -29,6 +29,8 @@ from repro.phy.coding import coded_bit_error_rate, packet_error_rate
 from repro.phy.mcs import ht_mcs
 from repro.runner import SessionSpec, UnitContext, run_sessions
 from repro.sim.scenario import build_system, los_scenario, nlos_scenario
+from repro.tag.oscillator import ring_oscillator_20mhz, witag_crystal_50khz
+from repro.tag.state_machine import QueryObservation, TagStateMachine
 from tests.oracles import link as oracle
 from tests.oracles.query import build_reference
 
@@ -707,4 +709,66 @@ class TestTagFsm:
         assert (
             ref.tag.rng.bit_generator.state
             == engine.tag.rng.bit_generator.state
+        )
+
+    @pytest.mark.parametrize(
+        "oscillator,temperatures",
+        [
+            (witag_crystal_50khz, (25.0, 30.0)),
+            (ring_oscillator_20mhz, (27.0, 30.0)),
+        ],
+        ids=["crystal", "ring"],
+    )
+    def test_alternating_observations_match_reference(
+        self, oscillator, temperatures
+    ):
+        """One FSM fed changing observations equals the per-bit loop.
+
+        Every query alternates rx power (one level near the trigger
+        sensitivity, so some triggers are missed), temperature and
+        subframe duration (on and off the 4 us grid), and the queue
+        runs dry partway, so later detected queries load a partial row
+        and then no bits at all.
+        """
+        observations = [
+            QueryObservation(
+                n_subframes=n_subframes,
+                n_trigger_subframes=2,
+                subframe_s=subframe_s,
+                rx_power_dbm=rx_power_dbm,
+                temperature_c=temperature_c,
+            )
+            for n_subframes, subframe_s in ((64, 20e-6), (16, 23.7e-6))
+            for rx_power_dbm in (-30.0, -46.0)
+            for temperature_c in temperatures
+        ]
+
+        def make():
+            tag = TagStateMachine(
+                oscillator=oscillator(), rng=np.random.default_rng(23)
+            )
+            tag.load_bits([1, 0, 0] * 230 + [1])
+            return tag
+
+        ref, engine = make(), make()
+        seen = set()
+        for q in range(48):
+            observation = observations[(5 * q) % len(observations)]
+            expected = oracle.process_query(ref, observation)
+            got = engine.process_query(observation)
+            assert got.detected == expected.detected
+            assert oracle.states_of(got.codes) == list(expected.states)
+            assert tuple(got.toggles_aligned.tolist()) == (
+                expected.toggles_aligned
+            )
+            assert got.bits_loaded == expected.bits_loaded
+            assert engine.pending_bits == ref.pending_bits
+            seen.add((got.detected, len(got.bits_loaded)
+                      == observation.n_payload_subframes))
+            if got.detected and not all(got.toggles_aligned):
+                seen.add("misaligned")
+        assert engine.pending_bits == 0
+        assert {(False, False), (True, True), (True, False)} <= seen
+        assert (
+            ref.rng.bit_generator.state == engine.rng.bit_generator.state
         )
