@@ -175,6 +175,16 @@ class TagFleet:
     Build with :meth:`build`; poll with :meth:`run_query`,
     :meth:`poll_round` or :meth:`poll_tags`.
 
+    Known difference from the single-tag engine: the fleet applies no
+    misalignment collateral.  :meth:`WiTagSystem.run_queries_batch`
+    lets a misaligned zero-bit toggle also corrupt one random
+    neighbour subframe; the fleet decodes each responder's state codes
+    as the FSM emitted them and never reads ``toggles_aligned``, so a
+    fleet tag with drifting timing loses fewer bits than the same tag
+    in a session.  Adding the spill here would change every fleet
+    result (and the warehouse digests), so it waits for a deliberate
+    re-pin.
+
     Attributes:
         names: tag addresses, in index order.
         positions: ``(n_tags, 2)`` tag coordinates in metres.
@@ -283,7 +293,7 @@ class TagFleet:
         design = phase_flip_design()
         detector = TriggerDetector()
         oscillator = witag_crystal_50khz()
-        align_cache: dict = {}
+        tables: dict = {}
 
         tx_tag_m = np.empty(n)
         tag_rx_m = np.empty(n)
@@ -329,7 +339,7 @@ class TagFleet:
                 oscillator=oscillator,
                 rng=tag_rng,
             )
-            fsm._align_cache = align_cache  # shared across the fleet
+            fsm._tables = tables  # shared across the fleet
             fsms.append(fsm)
 
         # Fading constants (see BackscatterChannel.sample_*_fading).

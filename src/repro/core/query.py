@@ -21,9 +21,12 @@ When the network uses encryption, each MPDU body is protected with CCMP or
 WEP before aggregation.  Nothing else changes — which is the paper's
 encryption-compatibility argument made concrete.  Every query carries the
 same plaintexts in the same subframe sizes, so a builder fixes its
-delimiters, header templates, pads, plaintexts and airtime schedule once;
-each build splices in sequence numbers, seals the bodies, appends the FCS
-and joins the PSDU in one loop over the MPDUs.
+delimiters, header templates, pads, plaintexts and airtime schedule once.
+An encrypted build seals the bodies, splices in sequence numbers, appends
+the FCS and joins the PSDU in one loop over the MPDUs.  An open frame is
+a pure function of its starting sequence number, so open frames are
+spliced in blocks, many at a time, into copies of one PSDU template, and
+kept for reuse.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..mac.addresses import MacAddress
 from ..mac.ampdu import DELIMITER_BYTES, encode_delimiter
@@ -56,6 +61,37 @@ _MIN_MPDU_BYTES = QosDataFrame.HEADER_BYTES + QosDataFrame.FCS_BYTES
 #: cycles through 64 distinct SSNs; pathological subframe counts are
 #: bounded here rather than allowed to retain all 4096).
 _FRAME_MEMO_MAX = 256
+
+#: Offset of the 2-byte sequence-control field in a QoS data MPDU.
+_SEQ_CONTROL_AT = 22
+
+#: PSDUs an open fill splices per numpy pass (see _fill_open()): 16 keep
+#: its scratch near 170 KB for the default query and splice as fast as
+#: one pass over the whole block.
+_SPLICE_FRAMES = 16
+
+
+def _sequence_crc_table(frame_bytes: int) -> np.ndarray:
+    """How an MPDU's CRC-32 moves with its sequence number.
+
+    CRC-32 is affine over GF(2): for equal-length messages,
+    ``crc(a ^ b) == crc(a) ^ crc(b) ^ crc(zeros)``.  So the FCS of a
+    ``frame_bytes``-byte MPDU body (header to payload, FCS excluded)
+    with sequence number ``s`` is its CRC at sequence number 0 XOR
+    ``table[s]``, whatever the other bytes hold; ``table`` is linear
+    in the 12 sequence bits, so one ``zlib.crc32`` per bit builds all
+    4096 entries.
+    """
+    message = bytearray(frame_bytes)
+    zero = zlib.crc32(message)
+    table = np.zeros(1, dtype=np.uint32)
+    for bit in range(12):
+        message[_SEQ_CONTROL_AT : _SEQ_CONTROL_AT + 2] = (
+            1 << (bit + 4)
+        ).to_bytes(2, "little")
+        column = np.uint32(zlib.crc32(message) ^ zero)
+        table = np.concatenate((table, table ^ column))
+    return table
 
 
 @dataclass(frozen=True)
@@ -148,18 +184,22 @@ class QueryBuilder:
         # subframe's delimiter, header halves and pad, the plaintexts
         # and the airtime schedule are fixed on first use (see
         # _fix_templates()), and every build, encrypted or not, splices
-        # and seals against them.
+        # against them.
         self._templates: (
             tuple[list[tuple[bytes, bytes, bytes, bytes]], list[bytes]]
             | None
         ) = None
         self._schedule: SubframeSchedule | None = None
+        # An open network's PSDU at sequence number 0 and where to
+        # splice into it (see _fix_open_template()).
+        self._open_template: tuple | None = None
         # Sequence numbers advance n_subframes per build (mod 4096), so
         # unencrypted frames repeat with period 4096 / gcd(4096,
-        # n_subframes) — at most _FRAME_MEMO_MAX distinct SSNs for the
+        # n_subframes) — the SSN cycle, 64 distinct SSNs for the
         # default 64-subframe query.  build() serves repeats from this
-        # memo; QueryFrame is frozen so sharing is safe.  Encrypted
-        # frames never repeat and never enter it.
+        # memo, which holds at most _FRAME_MEMO_MAX frames; QueryFrame
+        # is frozen so sharing is safe.  Encrypted frames never repeat
+        # and never enter it.
         self._frame_memo: dict[int, QueryFrame] = {}
 
     def _target_subframe_bytes(self) -> float:
@@ -256,6 +296,48 @@ class QueryBuilder:
             phy_format=cfg.phy_format,
         )
         self._templates = (templates, plaintexts)
+        if self._ccmp is None and self._wep is None:
+            self._fix_open_template(templates, plaintexts)
+
+    def _fix_open_template(
+        self,
+        templates: list[tuple[bytes, bytes, bytes, bytes]],
+        plaintexts: list[bytes],
+    ) -> None:
+        """Fix an open network's PSDU template and its splice points.
+
+        The template is the PSDU with sequence number 0 in every MPDU.
+        Next to it: each MPDU's span in the PSDU, the byte offsets of
+        its sequence-control field and FCS, its CRC-32 at sequence
+        number 0, and the row of its length's
+        :func:`_sequence_crc_table` in ``tables``.
+        """
+        parts: list[bytes] = []
+        spans: list[tuple[int, int]] = []
+        crc0: list[int] = []
+        rows: list[int] = []
+        table_rows: dict[int, int] = {}
+        offset = 0
+        for (delimiter, head, qos, pad), body in zip(templates, plaintexts):
+            frame = head + bytes(2) + qos + body
+            crc = zlib.crc32(frame)
+            start = offset + len(delimiter)
+            spans.append((start, start + len(frame) + 4))
+            crc0.append(crc)
+            rows.append(table_rows.setdefault(len(frame), len(table_rows)))
+            parts += (delimiter, frame, crc.to_bytes(4, "little"), pad)
+            offset = spans[-1][1] + len(pad)
+        starts = np.array([start for start, _ in spans])
+        stops = np.array([stop for _, stop in spans])
+        self._open_template = (
+            np.frombuffer(b"".join(parts), dtype=np.uint8),
+            spans,
+            starts + _SEQ_CONTROL_AT,
+            ((stops - 4)[:, None] + np.arange(4)).ravel(),
+            np.array(crc0, dtype=np.uint32),
+            np.stack([_sequence_crc_table(n) for n in table_rows]),
+            np.array(rows),
+        )
 
     def _seal(self, plaintexts: list[bytes]) -> list[bytes]:
         """The MPDU bodies on the air, consuming packet numbers or IVs.
@@ -265,9 +347,7 @@ class QueryBuilder:
         """
         if self._ccmp is not None:
             return self._ccmp.encrypt_many(plaintexts, bytes(self.client))
-        if self._wep is not None:
-            return [self._wep.encrypt(plaintext) for plaintext in plaintexts]
-        return plaintexts
+        return [self._wep.encrypt(plaintext) for plaintext in plaintexts]
 
     def build(self) -> QueryFrame:
         """Build the next query A-MPDU, consuming sequence numbers.
@@ -277,18 +357,72 @@ class QueryBuilder:
         header with the sequence-control bytes spliced in, the (sealed)
         body and a CRC-32 FCS; the PSDU joins them with their fixed
         delimiters and pads.  On an open network a frame is a pure
-        function of its starting sequence number, so repeats within the
-        modulo-4096 cycle come out of a per-SSN memo instead of being
-        re-spliced.  Encrypted frames change with every packet number
-        or IV, so they are sealed afresh on every call.
+        function of its starting sequence number: repeats within the
+        modulo-4096 cycle come out of a per-SSN memo, and a miss fills
+        the memo for the SSNs ahead (:meth:`_fill_open`).  Encrypted
+        frames change with every packet number or IV, so they are
+        sealed afresh on every call.
         """
         ssn = self.sequence.next_value
-        cached = self._frame_memo.get(ssn)
-        if cached is not None:
-            self.sequence.advance(len(cached.mpdus))
-            return cached
-        if self._templates is None:
-            self._fix_templates()
+        frame = self._frame_memo.get(ssn)
+        if frame is None:
+            if self._templates is None:
+                self._fix_templates()
+            if self._open_template is not None:
+                frame = self._fill_open(ssn)
+            else:
+                frame = self._build_sealed(ssn)
+        self.sequence.advance(len(frame.mpdus))
+        return frame
+
+    def _fill_open(self, ssn: int) -> QueryFrame:
+        """Open frames for ``ssn`` and the SSNs after it, in one pass.
+
+        The block runs through the SSN cycle from ``ssn``, as far as
+        the memo has room (a full memo gets one frame, not kept).  Its
+        PSDUs are copies of the template with every MPDU's sequence
+        number spliced in and its FCS XORed from the sequence-CRC
+        table, so each equals a from-scratch serialization.  Returns
+        the frame for ``ssn``.
+        """
+        psdu0, spans, seq_at, fcs_at, crc0, tables, rows = (
+            self._open_template
+        )
+        n = len(spans)
+        room = _FRAME_MEMO_MAX - len(self._frame_memo)
+        cycle = SEQUENCE_MODULUS // math.gcd(SEQUENCE_MODULUS, n)
+        count = max(1, min(cycle, room))
+        ssns = (ssn + n * np.arange(count)) % SEQUENCE_MODULUS
+        seqs = (ssns[:, None] + np.arange(n)) % SEQUENCE_MODULUS
+        fcs = (crc0 ^ tables[rows, seqs]).astype("<u4").view(np.uint8)
+        # One scratch block serves every pass: each pass overwrites all
+        # the bytes that vary between frames.
+        block = np.repeat(psdu0[None, :], min(count, _SPLICE_FRAMES), axis=0)
+        psdus: list[bytes] = []
+        for first in range(0, count, len(block)):
+            part = block[: count - first]
+            last = first + len(part)
+            part[:, seq_at] = (seqs[first:last] & 0xF) << 4
+            part[:, seq_at + 1] = seqs[first:last] >> 4
+            part[:, fcs_at] = fcs[first:last]
+            psdus += [row.tobytes() for row in part]
+        frames = [
+            QueryFrame(
+                psdu=psdu,
+                mpdus=tuple([psdu[start:stop] for start, stop in spans]),
+                schedule=self._schedule,
+                ssn=block_ssn,
+                n_trigger_subframes=self.config.n_trigger_subframes,
+            )
+            for psdu, block_ssn in zip(psdus, ssns.tolist())
+        ]
+        if room > 0:
+            for frame in frames:
+                self._frame_memo.setdefault(frame.ssn, frame)
+        return frames[0]
+
+    def _build_sealed(self, ssn: int) -> QueryFrame:
+        """An encrypted query: seal, splice and checksum each MPDU."""
         templates, plaintexts = self._templates
         bodies = self._seal(plaintexts)
         mpdus: list[bytes] = []
@@ -300,20 +434,13 @@ class QueryBuilder:
             mpdus.append(mpdu)
             parts += (delimiter, mpdu, pad)
             seq = (seq + 1) % SEQUENCE_MODULUS
-        self.sequence.advance(len(mpdus))
-        frame = QueryFrame(
+        return QueryFrame(
             psdu=b"".join(parts),
             mpdus=tuple(mpdus),
             schedule=self._schedule,
             ssn=ssn,
             n_trigger_subframes=self.config.n_trigger_subframes,
         )
-        if (
-            self.config.encryption is EncryptionMode.OPEN
-            and len(self._frame_memo) < _FRAME_MEMO_MAX
-        ):
-            self._frame_memo[ssn] = frame
-        return frame
 
     def peek_airtime_s(self) -> float:
         """Airtime of the next query, consuming no sequence number,

@@ -161,11 +161,16 @@ class MeasurementSession:
         return _aggregate(self.results[first:], elapsed)
 
     def _ensure_tag_bits(self) -> None:
-        """Top up the tag's queue for one query, before the tag runs it."""
+        """Top up the tag's queue for one query, before the tag runs it.
+
+        The bits come straight from the session generator, 0 or 1 by
+        construction, so they skip :meth:`TagStateMachine.load_bits`'
+        check of caller input.
+        """
+        queue = self.system.tag.data_queue
         bits_needed = self.system.config.bits_per_query
-        if self.system.tag.pending_bits < bits_needed:
-            fresh = self.rng.integers(0, 2, size=bits_needed).tolist()
-            self.system.load_tag_bits(fresh)
+        if len(queue) < bits_needed:
+            queue += self.rng.integers(0, 2, size=bits_needed).tolist()
 
     def stats(self, elapsed_s: float | None = None) -> SessionStats:
         """Aggregate statistics over all cycles run so far."""

@@ -131,20 +131,16 @@ class TriggerDetector:
         """Draw one Bernoulli detection outcome."""
         return bool(rng.random() < self.query_detection_probability(rx_power_dbm))
 
-    def subframe_period_estimate_s(
-        self,
-        true_period_s: float,
-        rx_power_dbm: float,
-        rng: np.random.Generator,
-    ) -> float:
-        """Estimate of the subframe period measured from trigger edges.
+    def period_estimate_jitter_s(self, rx_power_dbm: float) -> float:
+        """RMS error of the subframe period measured from trigger edges.
 
-        Edge-timing error maps comparator noise through the envelope slew;
-        modelled as Gaussian jitter of a fraction of an OFDM symbol scaled
-        by the inverse detection margin.
+        Edge-timing error maps comparator noise through the envelope
+        slew; modelled as Gaussian jitter of a fraction of an OFDM
+        symbol scaled by the inverse detection margin.
+
+        Raises:
+            ValueError: below sensitivity, where no edge is seen.
         """
-        if true_period_s <= 0:
-            raise ValueError("period must be positive")
         p_edge = self.edge_detection_probability(rx_power_dbm)
         if p_edge <= 0.0:
             raise ValueError("cannot estimate timing below sensitivity")
@@ -154,5 +150,20 @@ class TriggerDetector:
         base_jitter_s = 0.5e-6 / math.sqrt(self._level_gain(rx_power_dbm))
         jitter_s = base_jitter_s / max(p_edge, 1e-3)
         # Averaging over the trigger subframes reduces the error.
-        jitter_s /= math.sqrt(self.n_trigger_subframes)
+        return jitter_s / math.sqrt(self.n_trigger_subframes)
+
+    def subframe_period_estimate_s(
+        self,
+        true_period_s: float,
+        rx_power_dbm: float,
+        rng: np.random.Generator,
+    ) -> float:
+        """Estimate of the subframe period measured from trigger edges.
+
+        The true period plus one normal draw of
+        :meth:`period_estimate_jitter_s`.
+        """
+        if true_period_s <= 0:
+            raise ValueError("period must be positive")
+        jitter_s = self.period_estimate_jitter_s(rx_power_dbm)
         return true_period_s + float(rng.normal(0.0, jitter_s))

@@ -33,7 +33,7 @@ from ..seeding import component_rng
 from .antenna import TagDesign, phase_flip_design
 from .envelope_detector import TriggerDetector
 from .oscillator import Oscillator, witag_crystal_50khz
-from .timing import TimingModel
+from .timing import SUBFRAME_GRID_S, TimingModel
 
 
 class TagPhase(enum.Enum):
@@ -125,11 +125,25 @@ class TagStateMachine:
         default=None, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        # The last observation process_query() saw, with the design,
+        # detector and oscillator it saw it through, and what that fixes
+        # (see _observe()).
+        self._observed: tuple | None = None
+        self._invariants: tuple = ()
+        # Tables derived from designs and observations, shared by every
+        # FSM handed the same dict (a fleet shares one across its tags):
+        # per design and query shape, the subframe rows; per oscillator
+        # and observation, the alignment draw parameters (mu, sigma,
+        # guard) by snapped period estimate.
+        self._tables: dict = {}
+
     def load_bits(self, bits: list[int]) -> None:
         """Queue data bits for transmission (e.g. a framed sensor reading)."""
-        for bit in bits:
-            if bit not in (0, 1):
-                raise ValueError(f"bits must be 0/1, got {bit}")
+        bits = list(bits)
+        if bits.count(0) + bits.count(1) != len(bits):
+            bad = next(bit for bit in bits if bit not in (0, 1))
+            raise ValueError(f"bits must be 0/1, got {bad}")
         self.data_queue.extend(bits)
 
     @property
@@ -145,58 +159,62 @@ class TagStateMachine:
         the frame (all subframes decode; the reader sees all-ones where it
         expected data and the session layer detects the bad frame).
 
-        The per-bit alignment draws are ``mu + sigma * z`` for one
-        ``rng.standard_normal(n_bits)`` array ``z``: numpy draws
-        ``normal(loc, scale)`` as ``loc + scale * standard_normal()``,
-        element by element from the same stream, so this equals one
-        scalar ``rng.normal`` per bit without numpy's per-call checks
-        of array parameters.  The ``(mu, sigma)`` vectors are cached
-        per realised timing model — the grid snap means
-        ``cycles_per_subframe`` takes only a handful of values per
-        session.
+        A detected query draws its normals in one
+        ``rng.standard_normal(1 + n_bits)`` call: element 0 is the
+        period estimate's, the rest are the per-bit alignment draws
+        ``mu + sigma * z``.  numpy draws ``normal(loc, scale)`` as
+        ``loc + scale * standard_normal()``, element by element from
+        the same stream, so this equals one scalar ``rng.normal`` for
+        the estimate and one per bit.  The estimate only picks which
+        multiple of the subframe grid the tag counts, so the
+        ``(mu, sigma)`` vectors come from a table keyed by that
+        multiple; everything else an observation fixes is derived once
+        and kept while the observations repeat.
         """
-        design = self.design
-        idle = bytes((STATE_CODES.index(design.state_for_bit_one),))
+        key = (query, self.design, self.detector, self.oscillator)
+        if key != self._observed:
+            self._observe(key)
+        p_detect, jitter_s, rows, alignment = self._invariants
+        n_payload, prefix, by_bit, idle, idle_row = rows
+        rng = self.rng
         self.phase = TagPhase.DETECTING
-        if not self.detector.detect(query.rx_power_dbm, self.rng):
+        if not rng.random() < p_detect:
             self.phase = TagPhase.IDLE
             if self.telemetry is not None:
                 self.telemetry.on_trigger(False)
             return TagTransmission(
                 detected=False,
-                codes=np.frombuffer(idle * query.n_subframes, dtype=np.int8),
+                codes=idle_row,
                 toggles_aligned=_NO_TOGGLES,
                 bits_loaded=(),
             )
         self.phase = TagPhase.SYNCED
-        period_estimate = self.detector.subframe_period_estimate_s(
-            query.subframe_s, query.rx_power_dbm, self.rng
-        )
-        n_bits = min(query.n_payload_subframes, len(self.data_queue))
-        bits = self.data_queue[:n_bits]
-        del self.data_queue[:n_bits]
+        queue = self.data_queue
+        n_bits = min(n_payload, len(queue))
+        z = rng.standard_normal(1 + n_bits)
+        period_estimate = query.subframe_s + jitter_s * z.item(0)
+        bits = queue[:n_bits]
+        del queue[:n_bits]
 
         if n_bits:
-            timing = TimingModel(
-                oscillator=self.oscillator,
-                subframe_s=query.subframe_s,
-                period_estimate_s=period_estimate,
-                temperature_c=query.temperature_c,
-            )
-            mu, sigma = self._alignment_params(timing, n_bits)
-            draws = mu + sigma * self.rng.standard_normal(n_bits)
-            aligned = np.abs(draws) <= timing.guard_s
+            step = round(period_estimate / SUBFRAME_GRID_S)
+            entry = alignment.get(step)
+            if entry is None:
+                timing = TimingModel(
+                    oscillator=self.oscillator,
+                    subframe_s=query.subframe_s,
+                    period_estimate_s=period_estimate,
+                    temperature_c=query.temperature_c,
+                )
+                mu, sigma = timing.misalignment_params(n_payload)
+                entry = alignment[step] = (mu, sigma, timing.guard_s)
+            mu, sigma, guard = entry
+            aligned = np.abs(mu[:n_bits] + sigma[:n_bits] * z[1:]) <= guard
         else:
             aligned = _NO_TOGGLES
         # Bit b goes out in state_for_bit(b): translate the 0/1 bytes.
-        by_bit = bytes.maketrans(
-            b"\x00\x01",
-            bytes((STATE_CODES.index(design.state_for_bit_zero), idle[0])),
-        )
-        row = (
-            idle * query.n_trigger_subframes
-            + bytes(bits).translate(by_bit)
-            + idle * (query.n_payload_subframes - n_bits)
+        row = prefix + bytes(bits).translate(by_bit) + idle * (
+            n_payload - n_bits
         )
         self.phase = TagPhase.IDLE
         if self.telemetry is not None:
@@ -209,29 +227,52 @@ class TagStateMachine:
             bits_loaded=tuple(bits),
         )
 
-    def _alignment_params(
-        self, timing: TimingModel, count: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Cached ``TimingModel.misalignment_params`` vectors.
+    def _observe(self, key: tuple) -> None:
+        """Derive what an observation fixes for :meth:`process_query`.
 
-        Keyed by everything the scalar per-subframe math depends on, so
-        a cache hit is guaranteed bitwise-identical to recomputing.
+        ``key`` is the observation with the design, detector and
+        oscillator it was seen through.  Kept on the FSM: the trigger
+        detection probability and the period-estimate jitter.  Looked up
+        in (or added to) the shared tables: the payload size, the
+        trigger prefix, the bit-to-code translation, the idle code and
+        the all-idle row of this design and query shape, and this
+        observation's alignment table.
         """
-        key = (
-            timing.cycles_per_subframe,
-            timing.realized_period_s,
-            timing.subframe_s,
-            timing.guard_s,
-            timing.sync_jitter_s,
-            self.oscillator.cycle_jitter_s,
+        query, design, detector, oscillator = key
+        tables = self._tables
+        n_payload = query.n_payload_subframes
+        shape = ("rows", design, query.n_subframes, query.n_trigger_subframes)
+        rows = tables.get(shape)
+        if rows is None:
+            idle = bytes((STATE_CODES.index(design.state_for_bit_one),))
+            zero = STATE_CODES.index(design.state_for_bit_zero)
+            rows = tables[shape] = (
+                n_payload,
+                idle * query.n_trigger_subframes,
+                bytes.maketrans(b"\x00\x01", bytes((zero, idle[0]))),
+                idle,
+                np.frombuffer(idle * query.n_subframes, dtype=np.int8),
+            )
+        p_detect = detector.query_detection_probability(query.rx_power_dbm)
+        self._invariants = (
+            p_detect,
+            # Never drawn below sensitivity, where it is undefined.
+            detector.period_estimate_jitter_s(query.rx_power_dbm)
+            if p_detect > 0.0
+            else 0.0,
+            rows,
+            tables.setdefault(
+                (
+                    "alignment",
+                    oscillator,
+                    query.subframe_s,
+                    query.temperature_c,
+                    n_payload,
+                ),
+                {},
+            ),
         )
-        cache = getattr(self, "_align_cache", None)
-        if cache is None:
-            cache = self._align_cache = {}
-        entry = cache.get(key)
-        if entry is None or entry[0].size < count:
-            entry = cache[key] = timing.misalignment_params(count)
-        return entry[0][:count], entry[1][:count]
+        self._observed = key
 
 
 #: The alignment flags of a query that loaded no bits.

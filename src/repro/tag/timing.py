@@ -34,6 +34,10 @@ import numpy as np
 from ..phy.modulation import q_function
 from .oscillator import Oscillator
 
+#: Known quantum of subframe durations: one OFDM symbol with the long
+#: guard interval (see :attr:`TimingModel.grid_s`).
+SUBFRAME_GRID_S = 4.0e-6
+
 
 @dataclass(frozen=True)
 class TimingModel:
@@ -65,7 +69,7 @@ class TimingModel:
     temperature_c: float = 25.0
     guard_s: float = 2.0e-6
     sync_jitter_s: float = 0.7e-6
-    grid_s: float | None = 4.0e-6
+    grid_s: float | None = SUBFRAME_GRID_S
 
     def __post_init__(self) -> None:
         if self.subframe_s <= 0:

@@ -1,12 +1,17 @@
 """Unit tests for configuration and query A-MPDU construction."""
 
 import math
+import zlib
 
 import pytest
 
 from repro.core.config import EncryptionMode, WiTagConfig
 from repro.core.errors import ConfigurationError
-from repro.core.query import QueryBuilder, TRIGGER_PATTERN
+from repro.core.query import (
+    TRIGGER_PATTERN,
+    QueryBuilder,
+    _sequence_crc_table,
+)
 from repro.core.system import DEFAULT_AP, DEFAULT_CLIENT
 from repro.mac.ampdu import deaggregate
 from repro.mac.frames import QosDataFrame
@@ -297,6 +302,25 @@ class TestOpenBuildsOverSequenceCycle:
             assert got.n_trigger_subframes == expected.n_trigger_subframes
         assert len(expected_by_ssn) == cycle
         assert builder.sequence.next_value == reference.sequence.next_value
+
+    @pytest.mark.parametrize("mcs,n_subframes", [(7, 64), (3, 62), (5, 8)])
+    def test_fcs_table_equals_crc32(self, mcs, n_subframes):
+        """Every sequence number's FCS, at each distinct MPDU length."""
+        builder = make_builder(mcs=ht_mcs(mcs), n_subframes=n_subframes)
+        by_length = {len(mpdu): mpdu for mpdu in builder.build().mpdus}
+        assert len(by_length) >= 2
+        for length, mpdu in by_length.items():
+            frame = bytearray(mpdu[:-4])
+            frame[22:24] = bytes(2)
+            crc0 = zlib.crc32(frame)
+            table = _sequence_crc_table(len(frame))
+            assert table.shape == (4096,)
+            for seq in range(4096):
+                frame[22:24] = (seq << 4).to_bytes(2, "little")
+                assert zlib.crc32(frame) == crc0 ^ int(table[seq]), (
+                    length,
+                    seq,
+                )
 
 
 class TestEncryptedQueries:

@@ -525,6 +525,26 @@ class TestMobility:
         with pytest.raises(ValueError, match="client or AP"):
             fleet.update_positions([0], [(0.0, 0.0)])
 
+    def test_tags_share_derived_tables(self):
+        """Per tag, an FSM keeps scalars; what it derives is shared.
+
+        Every tag sees its own rx power, before and after a move, yet
+        the fleet holds one copy of the design's rows and one
+        alignment table, not one per tag.
+        """
+        fleet = make_fleet(n=6, seed=3)
+        load_all(fleet, fleet.names)
+        fleet.poll_round()
+        fleet.update_positions([1, 4], [(5.5, 2.0), (2.5, -1.5)])
+        fleet.poll_round()
+        tables = fleet._fsms[0]._tables
+        assert len(tables) == 2
+        shared = {id(value) for value in tables.values()}
+        for fsm in fleet._fsms:
+            assert fsm._tables is tables
+            for value in fsm._invariants:
+                assert isinstance(value, float) or id(value) in shared
+
 
 class TestTagPollerSubstreams:
     """Satellite 3: per-tag RNG substreams in the round-robin poller."""

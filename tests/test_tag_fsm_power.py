@@ -96,6 +96,14 @@ class TestTagStateMachine:
         fsm = TagStateMachine()
         with pytest.raises(ValueError):
             fsm.load_bits([2])
+        with pytest.raises(ValueError, match="got 0.5"):
+            fsm.load_bits([1, 0, 0.5, 1])
+        assert fsm.pending_bits == 0
+
+    def test_bits_from_an_iterator_are_queued(self):
+        fsm = TagStateMachine()
+        fsm.load_bits(iter([1, 0, 1]))
+        assert fsm.data_queue == [1, 0, 1]
 
     def test_returns_to_idle(self):
         fsm = TagStateMachine(rng=np.random.default_rng(0))
